@@ -17,7 +17,7 @@ escape hatch:
   flattered by architecture changes the old code never had;
 * the Figure 6 modexp front end: per-path feasibility queries share one
   solver, so structurally shared path prefixes are bit-blasted once.  The
-  baseline is the builder's ``reencode_each_check=True`` escape hatch,
+  baseline is the ``EngineConfig(reencode_each_check=True)`` escape hatch,
   which matches the old fresh-solver-per-path behaviour exactly.
 
 Both modes must issue identical verdicts; across the deobfuscation runs
@@ -34,6 +34,7 @@ import pytest
 
 from conftest import print_table, run_once
 
+from repro.api import EngineConfig
 from repro.cfg import build_cfg, enumerate_paths, modular_exponentiation
 from repro.cfg.lang import Program
 from repro.cfg.programs import bounded_linear_search
@@ -182,7 +183,9 @@ def _run_deobfuscation(oneshot: bool):
 
 def _run_feasibility_sweep(program: Program, reencode: bool):
     cfg = build_cfg(program)
-    builder = PathConstraintBuilder(cfg, reencode_each_check=reencode)
+    builder = PathConstraintBuilder(
+        cfg, config=EngineConfig(reencode_each_check=reencode)
+    )
     start = time.perf_counter()
     verdicts = [builder.is_feasible(path) for path in enumerate_paths(cfg)]
     elapsed = time.perf_counter() - start

@@ -41,12 +41,11 @@ exits non-zero):
   fields);
 * pooled wall time is at most per-job-fresh wall time on the batch
   stream (enforced on the full 8-job stream; the quick stream records
-  the ratio without gating, it is too short to time reliably in CI);
-* intra-job parallelism is result-invisible: the single-big-job timing
-  sweep is byte-identical under ``intra_job_workers=2`` vs sequential,
-  and the deobfuscation corpus is byte-identical with
-  ``speculative_ogis`` on vs off — in both cases with the engine's
-  ``intra_job`` telemetry proving the lanes actually ran.
+  the ratio without gating, it is too short to time reliably in CI).
+
+``--output`` rewrites only the keys this suite produces: top-level blocks
+merged in by other tools (e.g. ``cluster`` from ``bench_cluster_load.py``)
+survive a regeneration.
 
 Run standalone::
 
@@ -70,6 +69,7 @@ _ROOT = Path(__file__).resolve().parent.parent
 if str(_ROOT / "src") not in sys.path:  # standalone execution support
     sys.path.insert(0, str(_ROOT / "src"))
 
+from repro.api import EngineConfig
 from repro.cfg import build_cfg, enumerate_paths, modular_exponentiation
 from repro.cfg.programs import bounded_linear_search
 from repro.cfg.ssa import PathConstraintBuilder
@@ -118,7 +118,7 @@ def _run_deobfuscation(options: dict, quick: bool) -> dict:
             lambda values, fn=obfuscated, w=width: fn(values, w), n_in, n_out, width
         )
         synthesizer = OgisSynthesizer(
-            library(), oracle, width=width, seed=seed, solver_options=options
+            library(), oracle, width=width, seed=seed, config=EngineConfig(**options)
         )
         program = synthesizer.synthesize()
         # The synthesized program is the model audit: it was decoded from
@@ -157,7 +157,7 @@ def _run_gametime(options: dict, quick: bool) -> dict:
     start = time.perf_counter()
     for _, program in programs:
         cfg = build_cfg(program)
-        builder = PathConstraintBuilder(cfg, solver_options=options)
+        builder = PathConstraintBuilder(cfg, config=EngineConfig(**options))
         solver = builder.solver
         for path in enumerate_paths(cfg):
             encoding = builder.encode(path)
@@ -547,153 +547,6 @@ def run_scheduler_throughput() -> dict:
     return json.loads(process.stdout.strip().splitlines()[-1])
 
 
-# ---------------------------------------------------------------------------
-# Intra-job parallelism: parallel feasibility sweeps + speculative OGIS
-# ---------------------------------------------------------------------------
-
-#: Single-big-job sweep workload: timing-analysis jobs in distribution
-#: mode, whose per-path feasibility sweep fans across replica sessions
-#: when ``intra_job_workers`` exceeds one.
-INTRA_SWEEP_JOBS = (
-    {"kind": "timing-analysis", "program": "conditional_cascade",
-     "bound": 300, "distribution": True},
-    {"kind": "timing-analysis", "program": "saturating_add", "seed": 3,
-     "bound": 250, "distribution": True},
-)
-INTRA_SWEEP_JOBS_QUICK = INTRA_SWEEP_JOBS[:1]
-
-#: Deobfuscation corpus for the speculative-OGIS comparison; the w8
-#: tasks iterate enough for the speculative lane to actually run.
-INTRA_SPECULATION_JOBS = (
-    {"kind": "deobfuscation", "task": "multiply45", "width": 8, "seed": 0},
-    {"kind": "deobfuscation", "task": "multiply45", "width": 8, "seed": 1},
-    {"kind": "deobfuscation", "task": "interchange", "width": 8, "seed": 7},
-)
-INTRA_SPECULATION_JOBS_QUICK = INTRA_SPECULATION_JOBS[:2]
-
-
-def _run_intra_engine(
-    workload: str, intra_job_workers: int, speculative: bool, quick: bool
-) -> dict:
-    """One engine run of an intra-job workload; wires + lane telemetry."""
-    from repro.api import EngineConfig, SciductionEngine, result_wire_canonical
-
-    if workload == "sweep":
-        jobs = INTRA_SWEEP_JOBS_QUICK if quick else INTRA_SWEEP_JOBS
-    else:
-        jobs = INTRA_SPECULATION_JOBS_QUICK if quick else INTRA_SPECULATION_JOBS
-    engine = SciductionEngine(
-        EngineConfig(
-            intra_job_workers=intra_job_workers,
-            speculative_ogis=speculative,
-        )
-    )
-    start = time.perf_counter()
-    results = engine.run_batch([dict(job) for job in jobs])
-    seconds = time.perf_counter() - start
-    record = {
-        "workload": workload,
-        "jobs": len(jobs),
-        "intra_job_workers": intra_job_workers,
-        "speculative_ogis": speculative,
-        "seconds": seconds,
-        "all_verdicts_true": all(r.success and r.verdict for r in results),
-        "intra_statistics": engine.statistics()["intra_job"],
-        "result_wires": [
-            result_wire_canonical(job.result_wire()) for job in engine.jobs
-        ],
-    }
-    engine.close()
-    return record
-
-
-def _run_intra_isolated(
-    workload: str, intra_job_workers: int, speculative: bool, quick: bool
-) -> dict:
-    """Run ``_run_intra_engine`` in a fresh subprocess.
-
-    Isolation is mandatory here, not just a timing nicety: replica
-    sessions share the process-global intern-scope stack, so two engine
-    runs interleaved in one process would corrupt its LIFO discipline.
-    """
-    spec = json.dumps(
-        {
-            "workload": workload,
-            "intra_job_workers": intra_job_workers,
-            "speculative_ogis": speculative,
-            "quick": quick,
-        }
-    )
-    process = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--intra-child", spec],
-        capture_output=True,
-        text=True,
-        cwd=str(_ROOT),
-    )
-    if process.returncode != 0:
-        raise RuntimeError(f"intra child failed:\n{process.stderr[-2000:]}")
-    return json.loads(process.stdout.strip().splitlines()[-1])
-
-
-def _intra_child_main(spec_json: str) -> int:
-    """Child-process entry point for one isolated intra-job measurement."""
-    spec = json.loads(spec_json)
-    record = _run_intra_engine(
-        workload=spec["workload"],
-        intra_job_workers=spec["intra_job_workers"],
-        speculative=spec["speculative_ogis"],
-        quick=spec["quick"],
-    )
-    print(json.dumps(record))
-    return 0
-
-
-def run_intra(quick: bool = False) -> dict:
-    """Intra-job parity: sweeps under 2 lanes and speculative OGIS.
-
-    Four isolated engine runs — the sweep workload sequentially and under
-    ``intra_job_workers=2``, the deobfuscation corpus with speculation off
-    and on — whose canonical result wires (results, certificates, per-job
-    statistics deltas; only wall-clock fields dropped) must be
-    byte-identical pairwise.  Wall ratios are recorded for context only:
-    the lanes are Python threads, so the GIL bounds any real speedup.
-    """
-    sweep_sequential = _run_intra_isolated("sweep", 1, False, quick)
-    sweep_parallel = _run_intra_isolated("sweep", 2, False, quick)
-    speculation_off = _run_intra_isolated("speculation", 1, False, quick)
-    speculation_on = _run_intra_isolated("speculation", 1, True, quick)
-    sweep_sequential_wires = sweep_sequential.pop("result_wires")
-    sweep_parallel_wires = sweep_parallel.pop("result_wires")
-    speculation_off_wires = speculation_off.pop("result_wires")
-    speculation_on_wires = speculation_on.pop("result_wires")
-    on_intra = speculation_on["intra_statistics"]
-    return {
-        "sweep_sequential": sweep_sequential,
-        "sweep_parallel": sweep_parallel,
-        "speculation_off": speculation_off,
-        "speculation_on": speculation_on,
-        "sweep_results_byte_identical": (
-            sweep_parallel_wires == sweep_sequential_wires
-        ),
-        "speculation_results_byte_identical": (
-            speculation_on_wires == speculation_off_wires
-        ),
-        "wall_time_ratio_sweep_parallel_vs_sequential": (
-            sweep_parallel["seconds"] / sweep_sequential["seconds"]
-            if sweep_sequential["seconds"]
-            else 0.0
-        ),
-        "wall_time_ratio_speculation_on_vs_off": (
-            speculation_on["seconds"] / speculation_off["seconds"]
-            if speculation_off["seconds"]
-            else 0.0
-        ),
-        "speculation_rounds": (
-            on_intra["speculation_wins"] + on_intra["speculation_losses"]
-        ),
-    }
-
-
 def run_batch_throughput(quick: bool = False) -> dict:
     """Pooled vs per-job-fresh vs parallel engine runs over one job stream.
 
@@ -779,8 +632,6 @@ def run_suite(quick: bool = False, configs: dict | None = None) -> dict:
     results["batch"] = batch
     scheduler = run_scheduler_throughput()
     results["scheduler"] = scheduler
-    intra = run_intra(quick=quick)
-    results["intra"] = intra
     results["checks"] = {
         "verdicts_identical_across_configs": verdicts_identical,
         "models_satisfy_original_formulas": models_ok,
@@ -820,27 +671,23 @@ def run_suite(quick: bool = False, configs: dict | None = None) -> dict:
         "sched_second_batch_verdicts_match": (
             scheduler["second_batch_verdicts_match"]
         ),
-        # Intra-job parallelism: the sweep fan-out under two lanes and
-        # the speculative OGIS lane must both be result-invisible —
-        # byte-identical wires (results, certificates, per-job stat
-        # deltas) — while the engine telemetry proves they actually ran.
-        "intra_sweep_results_byte_identical": (
-            intra["sweep_results_byte_identical"]
-        ),
-        "intra_sweep_lanes_active": (
-            intra["sweep_parallel"]["intra_statistics"]["sweep_tasks"] > 0
-            and intra["sweep_parallel"]["intra_statistics"]["replica_leases"] > 0
-        ),
-        "intra_speculation_results_byte_identical": (
-            intra["speculation_results_byte_identical"]
-        ),
-        "intra_speculation_lane_active": intra["speculation_rounds"] > 0,
     }
     return results
 
 
 def write_report(results: dict, output: Path) -> None:
-    output.write_text(json.dumps(results, indent=2, sort_keys=False) + "\n")
+    """Write ``results`` to ``output``, keeping foreign top-level keys.
+
+    Other tools merge their own blocks into the same file (e.g. the
+    ``cluster`` block of ``bench_cluster_load.py``); a regeneration
+    replaces only the keys this suite produces.
+    """
+    try:
+        previous = json.loads(output.read_text())
+    except (FileNotFoundError, ValueError):
+        previous = {}
+    report = {**previous, **results}
+    output.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
 
 
 def _print_summary(results: dict) -> None:
@@ -886,21 +733,6 @@ def _print_summary(results: dict) -> None:
         f"parallel {scheduler['parallel_seconds']:.2f}s vs sequential "
         f"{scheduler['sequential_seconds']:.2f}s"
     )
-    intra = results["intra"]
-    print(
-        f"  intra-job sweep ({intra['sweep_parallel']['jobs']} jobs): "
-        f"2 lanes {intra['sweep_parallel']['seconds']:.2f}s vs sequential "
-        f"{intra['sweep_sequential']['seconds']:.2f}s, "
-        f"{intra['sweep_parallel']['intra_statistics']['sweep_tasks']} sweep tasks "
-        f"(byte-identical: {intra['sweep_results_byte_identical']})"
-    )
-    print(
-        f"  speculative OGIS ({intra['speculation_on']['jobs']} jobs): "
-        f"{intra['speculation_on']['intra_statistics']['speculation_wins']} wins / "
-        f"{intra['speculation_on']['intra_statistics']['speculation_losses']} losses "
-        f"over {intra['speculation_rounds']} rounds "
-        f"(byte-identical: {intra['speculation_results_byte_identical']})"
-    )
     for check, passed in results["checks"].items():
         print(f"  [{'ok' if passed else 'FAIL'}] {check}")
 
@@ -930,14 +762,6 @@ def test_perf_suite(benchmark, tmp_path):
     assert results["checks"]["sched_second_batch_verdicts_match"], (
         results["scheduler"]
     )
-    assert results["checks"]["intra_sweep_results_byte_identical"], (
-        results["intra"]["sweep_parallel"]
-    )
-    assert results["checks"]["intra_sweep_lanes_active"], results["intra"]
-    assert results["checks"]["intra_speculation_results_byte_identical"], (
-        results["intra"]["speculation_on"]
-    )
-    assert results["checks"]["intra_speculation_lane_active"], results["intra"]
     # The pooled-vs-fresh wall-time bar is enforced on the full stream
     # only; here we assert the ratio is measured and recorded.
     assert isinstance(
@@ -968,20 +792,12 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="internal: run the isolated scheduler workload and print JSON",
     )
-    parser.add_argument(
-        "--intra-child",
-        metavar="SPEC_JSON",
-        default=None,
-        help="internal: run one isolated intra-job measurement and print JSON",
-    )
     arguments = parser.parse_args(argv)
     if arguments.batch_child is not None:
         return _batch_child_main(arguments.batch_child)
     if arguments.sched_child:
         print(json.dumps(_run_sched_child()))
         return 0
-    if arguments.intra_child is not None:
-        return _intra_child_main(arguments.intra_child)
     results = run_suite(quick=arguments.quick)
     write_report(results, arguments.output)
     _print_summary(results)

@@ -73,11 +73,6 @@ INFO_PATHS = (
     "scheduler.steals",
     "scheduler.stolen_jobs",
     "scheduler.cross_worker_memo_hits",
-    "intra.wall_time_ratio_sweep_parallel_vs_sequential",
-    "intra.wall_time_ratio_speculation_on_vs_off",
-    "intra.sweep_parallel.intra_statistics.sweep_tasks",
-    "intra.speculation_on.intra_statistics.speculation_wins",
-    "intra.speculation_on.intra_statistics.speculation_losses",
 )
 
 

@@ -61,17 +61,15 @@ The package is organised as a small family of libraries underneath:
     Application 3 — switching-logic synthesis for multi-modal dynamical
     systems (Section 5).
 
-**Migration note.**  The per-application entry points — constructing
+**Front doors.**  The per-application entry points — constructing
 :class:`~repro.ogis.synthesizer.OgisSynthesizer`,
 :class:`~repro.gametime.analysis.GameTime` or
-:class:`~repro.hybrid.synthesis.SwitchingLogicSynthesizer` directly, and
-threading ``reencode_each_check`` / ``solver_options`` kwargs through
-them — still work but are deprecated as *front doors*: they bypass the
-engine's solver pooling, budgets and structured results.  Move the
-scattered solver kwargs into one :class:`~repro.api.config.EngineConfig`
-and submit a problem spec instead; the rich per-application objects
-remain available for in-process exploration via
-``ProblemSpec.build()``.
+:class:`~repro.hybrid.synthesis.SwitchingLogicSynthesizer` directly —
+still work, but they bypass the engine's solver pooling, budgets and
+structured results.  Solver flags reach them only through one
+:class:`~repro.api.config.EngineConfig` (``config=``); prefer submitting
+a problem spec, and use ``ProblemSpec.build()`` for in-process
+exploration of the rich per-application objects.
 """
 
 from repro.core import (

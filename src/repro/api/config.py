@@ -119,30 +119,6 @@ class EngineConfig:
             retries, which are deterministic; raise it on deployments
             where crashes are resource-driven and immediate retries
             would just crash again.
-        intra_job_workers: number of thread lanes a single job may fan
-            its independent SMT queries across (*within* one process —
-            distinct from ``workers``, the cross-job process fleet).
-            Today this drives GameTime's parallel feasibility sweeps:
-            per-path verdict checks run on replica sessions
-            (:meth:`~repro.api.pool.SolverPool.acquire_replica`), one
-            lane per replica, while witness extraction stays on the
-            job's primary session in path order — which is what keeps
-            results byte-identical for every lane count (see
-            ``docs/PARALLELISM.md``).  Lanes are additionally capped at
-            ``pool_size - 1`` so intra-job replicas can never starve
-            the cross-job session supply.  1 (the default) keeps the
-            sweep single-threaded but still routes verdicts through one
-            replica session, so per-job statistics are lane-invariant
-            too.
-        speculative_ogis: overlap each OGIS distinguishing-input query
-            with a speculative synthesis round for the *next* candidate
-            on a replica session.  The primary session always executes
-            the exact sequential query trace and its answers alone are
-            committed — the speculative lane's outcome is compared,
-            counted (``speculation_wins`` / ``speculation_losses`` in
-            :meth:`~repro.api.engine.SciductionEngine.statistics`), and
-            discarded — so results, certificates and per-job statistics
-            are byte-identical with the flag on or off.
     """
 
     simplify_terms: bool = True
@@ -162,14 +138,10 @@ class EngineConfig:
     intern_table_limit: int | None = 1_000_000
     job_retry_limit: int = 1
     retry_backoff: float = 0.0
-    intra_job_workers: int = 1
-    speculative_ogis: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ReproError("workers must be at least 1")
-        if self.intra_job_workers < 1:
-            raise ReproError("intra_job_workers must be at least 1")
         if self.shared_memo_size < 1:
             raise ReproError("shared_memo_size must be at least 1")
         if self.job_retry_limit < 0:
@@ -204,23 +176,3 @@ class EngineConfig:
         if unknown:
             raise ValueError(f"unknown EngineConfig fields: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def from_legacy(
-        cls,
-        reencode_each_check: bool = False,
-        solver_options: dict | None = None,
-    ) -> "EngineConfig":
-        """Adapt the deprecated per-constructor kwargs to a config.
-
-        ``solver_options`` may carry any of the ablation knobs
-        (``simplify_terms`` / ``polarity_aware`` / ``gc_dead_clauses``)
-        plus ``max_conflicts`` and ``restart_strategy``.
-        """
-        options = dict(solver_options or {})
-        strategy = options.pop("restart_strategy", "luby")
-        return cls(
-            reencode_each_check=reencode_each_check,
-            adaptive_restarts=strategy == "glucose",
-            **options,
-        )

@@ -199,7 +199,6 @@ def _run_job_in_worker(payload: dict) -> dict:
     response = engine.run_wire(payload)
     response["worker_id"] = _WORKER_ID
     response["pool_statistics"] = asdict(engine.pool.statistics)
-    response["intra_statistics"] = engine.intra_statistics_snapshot()
     return response
 
 
@@ -317,13 +316,7 @@ class _WorkerFleet:
             self._memo_proxy = None
 
 
-@guarded_by(
-    "_state_lock",
-    "_jobs",
-    "_worker_pool_statistics",
-    "_intra_statistics",
-    "_worker_intra_statistics",
-)
+@guarded_by("_state_lock", "_jobs", "_worker_pool_statistics")
 class SciductionEngine:
     """Unified engine running declarative problem specs over pooled solvers.
 
@@ -359,11 +352,6 @@ class SciductionEngine:
         self._scheduler_statistics = SchedulerStatistics()
         #: Latest cumulative pool statistics reported by each worker.
         self._worker_pool_statistics: dict[str, dict] = {}
-        #: Intra-job counters (sweeps / speculation) folded from every
-        #: released lease of this engine's pool.
-        self._intra_statistics: dict[str, int] = {}
-        #: Latest cumulative intra-job counters reported by each worker.
-        self._worker_intra_statistics: dict[str, dict] = {}
         self._fleet: _WorkerFleet | None = None
         self._fleet_finalizer: "weakref.finalize | None" = None
 
@@ -642,9 +630,6 @@ class SciductionEngine:
                     self._worker_pool_statistics[value["worker_id"]] = value[
                         "pool_statistics"
                     ]
-                    self._worker_intra_statistics[value["worker_id"]] = value.get(
-                        "intra_statistics", {}
-                    )
             elif kind == "crashed":
                 self._record_crash(job)
             elif kind == "error":
@@ -797,17 +782,6 @@ class SciductionEngine:
                     lease.solver.set_job_limits()
                     job_smt = lease.smt_statistics()
                     job_sat = lease.sat_statistics()
-                    # Intra-job counters (sweep fan-out, speculation
-                    # wins/losses) are engine telemetry, never result
-                    # details: the speculative lane's outcomes depend on
-                    # replica session history, which the byte-parity
-                    # contract excludes from results.
-                    if lease.intra_counters:
-                        with self._state_lock:
-                            for key, value in lease.intra_counters.items():
-                                self._intra_statistics[key] = (
-                                    self._intra_statistics.get(key, 0) + value
-                                )
                     if retire:
                         self.pool.retire(lease)
                     else:
@@ -847,16 +821,6 @@ class SciductionEngine:
 
     # -- reporting ---------------------------------------------------------
 
-    def intra_statistics_snapshot(self) -> dict:
-        """This process's cumulative intra-job counters (wire-safe copy).
-
-        Worker processes ship this with every finished job so the parent
-        can aggregate fleet-wide intra-job activity in
-        :meth:`statistics`.
-        """
-        with self._state_lock:
-            return dict(self._intra_statistics)
-
     def statistics(self) -> dict:
         """JSON-ready engine-wide counters (the ``/stats`` payload).
 
@@ -871,13 +835,7 @@ class SciductionEngine:
         * ``shared_memo`` — the cross-session / cross-worker check-memo
           counters, summed over the engine's in-process store and the
           manager-served store the workers use.  ``cross_worker_hits``
-          counts verdicts decided by one client and reused by another;
-        * ``intra_job`` — intra-job parallelism counters summed over this
-          process and the worker fleet: ``sweep_tasks`` /
-          ``sweep_feasible`` (parallel feasibility sweeps),
-          ``speculation_wins`` / ``speculation_losses`` (speculative
-          OGIS), and the pools' ``replica_leases`` /
-          ``replicated_scope_seals``.
+          counts verdicts decided by one client and reused by another.
         """
         memo = {}
         stores = []
@@ -896,33 +854,11 @@ class SciductionEngine:
                     memo[key] = memo.get(key, 0) + value
         with self._state_lock:
             workers = dict(sorted(self._worker_pool_statistics.items()))
-            intra_records = [dict(self._intra_statistics)] + [
-                dict(record) for record in self._worker_intra_statistics.values()
-            ]
-        intra = {
-            "sweep_tasks": 0,
-            "sweep_feasible": 0,
-            "speculation_wins": 0,
-            "speculation_losses": 0,
-        }
-        for record in intra_records:
-            for key, value in record.items():
-                intra[key] = intra.get(key, 0) + value
-        pool_statistics = asdict(self.pool.statistics)
-        intra["replica_leases"] = pool_statistics.get("replica_leases", 0) + sum(
-            record.get("replica_leases", 0) for record in workers.values()
-        )
-        intra["replicated_scope_seals"] = pool_statistics.get(
-            "replicated_scope_seals", 0
-        ) + sum(
-            record.get("replicated_scope_seals", 0) for record in workers.values()
-        )
         return {
-            "pool": pool_statistics,
+            "pool": asdict(self.pool.statistics),
             "scheduler": self._scheduler_statistics.as_dict(),
             "workers": workers,
             "shared_memo": memo,
-            "intra_job": intra,
         }
 
     def batch_report(self) -> list[dict]:

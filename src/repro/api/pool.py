@@ -74,12 +74,6 @@ class PoolStatistics:
     routing_misses: int = 0
     #: Learned clauses dropped by the release-time LBD retention pass.
     trimmed_learned_clauses: int = 0
-    #: Replica leases handed out for intra-job parallelism (see
-    #: :meth:`SolverPool.acquire_replica`).
-    replica_leases: int = 0
-    #: Fingerprinted base scopes sealed on replica sessions — each one is
-    #: a sealed base scope replicated from a job's primary session.
-    replicated_scope_seals: int = 0
 
 
 @dataclass
@@ -129,14 +123,6 @@ class SolverLease:
         self._sat_base = self._solver.sat_statistics()
         #: Fingerprint handed to :meth:`base_session` but not yet sealed.
         self._pending_fingerprint: str | None = None
-        #: Whether this lease is an intra-job replica (see
-        #: :meth:`SolverPool.acquire_replica`).
-        self.is_replica = False
-        #: Intra-job counters charged to this lease by the application
-        #: layer (sweep tasks, speculation wins/losses).  Mutated only on
-        #: the job's coordinating thread; the engine folds the dictionary
-        #: into its ``intra_job`` statistics when the job finishes.
-        self.intra_counters: dict[str, int] = {}
         self.released = False
 
     @property
@@ -242,30 +228,6 @@ class SolverLease:
         self._record.base_fingerprint = self._pending_fingerprint
         self._pending_fingerprint = None
         self._solver.push()
-        if self.is_replica:
-            self._pool.statistics.replicated_scope_seals += 1
-
-    def replica(self) -> "SolverLease":
-        """Lease a replica session for intra-job parallelism.
-
-        The replica is acquired from this lease's pool under the same
-        shape key, so a warm same-shape session (with the job's sealed
-        base scope already in place) is preferred.  Acquire every replica
-        on the job's coordinating thread *before* fanning work out to
-        lanes, and release them — in reverse acquisition order, via
-        :meth:`release_replica` — before this primary lease is released
-        (the pool's LIFO release discipline covers replicas too).
-        """
-        self._check_open()
-        return self._pool.acquire_replica(self.shape)
-
-    def release_replica(self, replica: "SolverLease") -> None:
-        """Return a replica obtained from :meth:`replica` to the pool."""
-        self._pool.release(replica)
-
-    def count_intra(self, counter: str, amount: int = 1) -> None:
-        """Charge ``amount`` to an intra-job counter on this lease."""
-        self.intra_counters[counter] = self.intra_counters.get(counter, 0) + amount
 
     def close(self) -> None:
         """Pop back to the persistent base scope — or the pool root when
@@ -390,25 +352,6 @@ class SolverPool:
             self.statistics.reused_sessions += 1
         return lease
 
-    def acquire_replica(self, shape: str | None = None) -> SolverLease:
-        """Lease a session for an intra-job parallel lane.
-
-        Replicas differ from plain leases in exactly one way: the shared
-        (cross-worker) check-memo backend is detached for the duration of
-        the lease.  Replica lanes exist only under intra-job parallelism,
-        so letting them read or publish shared verdicts would make the
-        primary session's memo-hit counters — which are stamped into
-        per-job results — depend on the lane topology; detaching keeps
-        every result-visible statistic invariant under
-        ``intra_job_workers``.  The solver-local check memo stays on (a
-        local hit answers the same verdict a search would).
-        """
-        lease = self.acquire(shape=shape)
-        lease.is_replica = True
-        lease.solver.set_memo_backend(None)
-        self.statistics.replica_leases += 1
-        return lease
-
     def release(self, lease: SolverLease) -> None:
         """Return a lease: pop to the root, trim learned clauses, clean up.
 
@@ -461,11 +404,6 @@ class SolverPool:
         if retire:
             self.statistics.solvers_retired += 1
             return
-        if lease.is_replica and self.config.memoize_checks:
-            # Reattach the shared memo detached by acquire_replica: the
-            # session goes back on the idle list and its next tenant may
-            # be an ordinary (primary) lease.
-            lease.solver.set_memo_backend(self._memo_backend)
         if not self.config.reuse_sessions:
             return
         if lease._record.frontier is not None:

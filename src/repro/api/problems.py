@@ -349,12 +349,8 @@ class TimingAnalysisProblem(ProblemSpec):
         start_state: environment start state for measurements.
         distribution: additionally predict and measure *every* feasible
             path (the paper's Figure 6 distribution) and stamp the
-            report into the result details.  This is the "single big
-            job" shape: its per-path feasibility queries run through
-            :meth:`~repro.cfg.ssa.PathConstraintBuilder.sweep`, so
-            ``EngineConfig.intra_job_workers`` fans them across replica
-            sessions while the result stays byte-identical to the
-            sequential run.
+            report into the result details.  Each path is checked once,
+            in enumeration order, on the job's own leased session.
         max_paths: enumeration cap for the distribution sweep.
     """
 

@@ -83,17 +83,9 @@ class PathConstraintBuilder:
         cfg: the control-flow graph to encode.
         slice_to_conditions: when True, only assignments feeding branch
             conditions are encoded (see module docstring).
-        reencode_each_check: forwarded to :class:`SmtSolver`; when True the
-            solver re-bit-blasts every query (the pre-incremental
-            behaviour, kept benchmarkable).  *Deprecated*: prefer
-            ``config``.
-        solver_options: extra keyword arguments forwarded to the shared
-            :class:`SmtSolver` (the perf-suite ablation knobs:
-            ``simplify_terms``, ``polarity_aware``, ``gc_dead_clauses``).
-            *Deprecated*: prefer ``config``.
         config: an :class:`~repro.api.config.EngineConfig` carrying all
-            solver flags in one place (takes precedence over the legacy
-            kwargs above).
+            solver flags in one place (defaults to ``EngineConfig()``);
+            used only when the builder creates its own solver.
         solver: an externally owned :class:`SmtSolver` to run the
             feasibility queries on — typically a pooled session leased by
             :class:`~repro.api.pool.SolverPool`.  When provided, the
@@ -118,8 +110,6 @@ class PathConstraintBuilder:
         self,
         cfg: ControlFlowGraph,
         slice_to_conditions: bool = True,
-        reencode_each_check: bool = False,
-        solver_options: dict | None = None,
         config=None,
         solver: SmtSolver | None = None,
         solver_factory=None,
@@ -129,11 +119,6 @@ class PathConstraintBuilder:
         #: Whether this builder found its base scope already sealed by an
         #: earlier same-CFG tenant (telemetry for tests/benchmarks).
         self.base_scope_reused = False
-        #: Paths verdict-checked / found feasible by :meth:`sweep`
-        #: (builder-local mirror of the lease's intra-job counters).
-        self.sweep_tasks = 0
-        self.sweep_feasible = 0
-        self._solver_factory = solver_factory
         if solver_factory is not None:
             base_session = getattr(solver_factory, "base_session", None)
             if base_session is not None:
@@ -156,9 +141,8 @@ class PathConstraintBuilder:
             if config is None:
                 from repro.api.config import EngineConfig
 
-                config = EngineConfig.from_legacy(reencode_each_check, solver_options)
+                config = EngineConfig()
             self._solver = SmtSolver(**config.solver_options())
-        self._config = config
         self._statistics_base = (
             self._solver.statistics.snapshot() if solver is not None else SmtStatistics()
         )
@@ -379,116 +363,3 @@ class PathConstraintBuilder:
     def is_feasible(self, path: Path) -> bool:
         """Boolean feasibility check (no test case extraction)."""
         return self.feasibility(path) is not None
-
-    def sweep(self, paths) -> list[FeasiblePath | None]:
-        """Feasibility-check many independent paths, in parallel lanes.
-
-        The per-path queries are independent given the sealed base scope,
-        so their SAT/UNSAT *verdicts* — which are semantic facts about
-        the formulas, not about any particular session — are fanned
-        round-robin across replica sessions leased from the pool
-        (:meth:`~repro.api.pool.SolverLease.replica`), one thread lane
-        per replica.  Witness extraction then re-runs
-        :meth:`feasibility` for the feasible paths *on the primary
-        session, in path order*: the primary session's committed query
-        sequence is a pure function of which paths are feasible, never
-        of thread timing or lane count, which is what keeps results,
-        certificates and per-job statistics deltas byte-identical for
-        every ``intra_job_workers`` setting (see ``docs/PARALLELISM.md``).
-
-        The replica structure is used for *every* lane count, including
-        one (fan-out threads only appear beyond one lane), so the
-        primary session's statistics are lane-invariant by construction.
-        Without a pool-backed ``solver_factory`` (standalone builders)
-        the sweep degrades to the plain sequential feasibility loop.
-
-        Returns:
-            One entry per input path, in path order: a
-            :class:`FeasiblePath` witness or ``None`` when infeasible.
-
-        Raises:
-            BudgetExceededError: when any path's verdict (or witness
-                re-extraction) exhausts the solver budget; the earliest
-                undecided path index wins, deterministically.
-        """
-        paths = list(paths)
-        if not paths:
-            return []
-        factory = self._solver_factory
-        if (
-            factory is None
-            or self._config is None
-            or getattr(factory, "replica", None) is None
-            or getattr(factory, "base_session", None) is None
-        ):
-            return [self.feasibility(path) for path in paths]
-        from repro.api.intra import partition, resolve_lanes, run_lanes
-
-        lanes = min(
-            len(paths),
-            resolve_lanes(self._config.intra_job_workers, self._config.pool_size),
-        )
-        # Encode on the coordinating thread: term construction attributes
-        # interned keys to the current (primary job) intern scope, and
-        # the encodings are shared read-only by the lanes.
-        encodings = [self.encode(path) for path in paths]
-        self.queries += len(paths)
-        verdicts: list[SmtResult | None] = [None] * len(paths)
-        buckets = partition(len(paths), lanes)
-        replicas: list[tuple[object, SmtSolver]] = []
-        try:
-            # Replica leases are acquired — and their base scopes sealed —
-            # on the coordinating thread, before any fan-out, so pool and
-            # intern-scope bookkeeping never runs concurrently.
-            for _ in buckets:
-                replica = factory.replica()
-                solver, base_ready = replica.base_session(self.fingerprint())
-                if not base_ready:
-                    replica.seal_base()
-                replicas.append((replica, solver))
-
-            def make_worker(bucket: list[int], solver: SmtSolver):
-                def worker() -> None:
-                    for index in bucket:
-                        solver.push()
-                        try:
-                            solver.add(*encodings[index].constraints)
-                            verdicts[index] = solver.check()
-                        finally:
-                            solver.pop()
-
-                return worker
-
-            run_lanes(
-                [
-                    make_worker(bucket, solver)
-                    for bucket, (_replica, solver) in zip(buckets, replicas)
-                ]
-            )
-        finally:
-            # LIFO: replicas were acquired after the primary lease, so
-            # they must be released (newest first) before it.
-            for replica, _solver in reversed(replicas):
-                factory.release_replica(replica)
-        for verdict in verdicts:
-            if verdict is SmtResult.UNKNOWN:
-                raise BudgetExceededError(
-                    "path feasibility undecided: solver budget or deadline exhausted"
-                )
-        results: list[FeasiblePath | None] = []
-        feasible = 0
-        for index, path in enumerate(paths):
-            if verdicts[index] is not SmtResult.SAT:
-                results.append(None)
-                continue
-            witness = self.feasibility(path)
-            results.append(witness)
-            if witness is not None:
-                feasible += 1
-        self.sweep_tasks += len(paths)
-        self.sweep_feasible += feasible
-        count_intra = getattr(factory, "count_intra", None)
-        if count_intra is not None:
-            count_intra("sweep_tasks", len(paths))
-            count_intra("sweep_feasible", feasible)
-        return results

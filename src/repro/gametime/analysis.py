@@ -145,11 +145,6 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
         mu_max: assumed bound on the mean perturbation.
         rho: assumed worst-case-path margin.
         seed: RNG seed for the measurement schedule.
-        reencode_each_check: forwarded to the path-constraint builder's
-            SMT solver; when True every feasibility query re-bit-blasts
-            its encoding instead of riding the shared incremental solver
-            (kept as a benchmark baseline).  *Deprecated*: prefer
-            ``config``.
         config: an :class:`~repro.api.config.EngineConfig` carrying all
             solver flags; the preferred entry point is
             :class:`repro.api.SciductionEngine` with a
@@ -178,7 +173,6 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
         mu_max: float = 0.0,
         rho: float = 0.0,
         seed: int = 0,
-        reencode_each_check: bool = False,
         config=None,
         solver=None,
         solver_factory=None,
@@ -187,7 +181,6 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
         self.cfg: ControlFlowGraph = build_cfg(program)
         self.constraint_builder = PathConstraintBuilder(
             self.cfg,
-            reencode_each_check=reencode_each_check,
             config=config,
             solver=solver,
             solver_factory=solver_factory,
@@ -361,12 +354,8 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
                 f"{total} paths exceed the enumeration cap of {max_paths}"
             )
         report = DistributionReport()
-        # The per-path feasibility queries are independent, so the sweep
-        # fans their verdict checks across `intra_job_workers` replica
-        # sessions; witnesses come back in path order off the primary
-        # session, so the report is lane-count-invariant.
-        paths = list(enumerate_paths(self.cfg))
-        for path, feasible in zip(paths, self.constraint_builder.sweep(paths)):
+        for path in enumerate_paths(self.cfg):
+            feasible = self.constraint_builder.feasibility(path)
             if feasible is None:
                 continue
             prediction = PathPrediction(
@@ -410,9 +399,8 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
             "num_paths": self.cfg.count_paths(),
         }
         if distribution:
-            # The sweep-backed all-paths prediction (paper Fig. 6), in
-            # deterministic path-enumeration order; this is the "single
-            # big job" exercised by the intra-job parallelism benchmark.
+            # The all-paths prediction (paper Fig. 6), in deterministic
+            # path-enumeration order.
             report = self.predict_distribution(measure=True, max_paths=max_paths)
             details["distribution"] = {
                 "paths": [

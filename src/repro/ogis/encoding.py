@@ -87,20 +87,9 @@ class SynthesisEncoder:
             the SAT encoding small; final artifacts can be re-checked at
             any width with :meth:`semantic_difference` or the program's
             ``equivalent_to``.
-        reencode_each_check: forwarded to the underlying
-            :class:`~repro.smt.solver.SmtSolver`; when True each query
-            re-bit-blasts its whole encoding (the pre-incremental
-            behaviour, kept as a benchmark baseline).  *Deprecated in
-            favour of* ``config``.
-        solver_options: extra keyword arguments forwarded verbatim to
-            every :class:`~repro.smt.solver.SmtSolver` the encoder builds
-            (the perf-suite ablation knobs: ``simplify_terms``,
-            ``polarity_aware``, ``gc_dead_clauses``).  *Deprecated in
-            favour of* ``config``.
         config: an :class:`~repro.api.config.EngineConfig` (or any object
             with a compatible ``solver_options()`` method) providing the
-            solver flags in one place; takes precedence over the legacy
-            ``reencode_each_check`` / ``solver_options`` kwargs.
+            solver flags in one place (defaults to ``EngineConfig()``).
         solver_factory: callable returning the :class:`SmtSolver` to use
             for the shared persistent session.  This is how
             :class:`~repro.api.pool.SolverPool` leases a pooled
@@ -132,8 +121,6 @@ class SynthesisEncoder:
         num_outputs: int,
         width: int = 8,
         outputs_from_components: bool = True,
-        reencode_each_check: bool = False,
-        solver_options: dict | None = None,
         config=None,
         solver_factory: Callable[[], SmtSolver] | None = None,
     ):
@@ -146,9 +133,8 @@ class SynthesisEncoder:
         if config is None:
             from repro.api.config import EngineConfig
 
-            config = EngineConfig.from_legacy(reencode_each_check, solver_options)
+            config = EngineConfig()
         self._solver_kwargs = config.solver_options()
-        self.reencode_each_check = self._solver_kwargs["reencode_each_check"]
         self._solver_factory = solver_factory
         self.num_lines = num_inputs + len(self.library)
         # The encoding compares locations against the constant ``num_lines``
@@ -175,7 +161,6 @@ class SynthesisEncoder:
         self._retired_sat_statistics = SatStatistics()
         self._smt_base = SmtStatistics()
         self._sat_base = SatStatistics()
-        self._speculative_tags = 0
 
     # -- variable factories ------------------------------------------------
 
@@ -425,16 +410,6 @@ class SynthesisEncoder:
             encoded.append(examples[number])
         return solver, locations
 
-    def prepare(self, examples: Sequence[IOExample] = ()) -> None:
-        """Force the persistent solver (and its base scope) to exist now.
-
-        Speculative OGIS builds its replica encoder lazily but must open
-        the replica's skeleton base scope on the *coordinating* thread —
-        intern-scope bookkeeping is a global LIFO — before any query runs
-        on the speculative thread.  Idempotent.
-        """
-        self._synced_solver(list(examples))
-
     def smt_statistics(self) -> SmtStatistics:
         """SMT work counters over the encoder's lifetime (across resets).
 
@@ -491,43 +466,6 @@ class SynthesisEncoder:
             )
         self.statistics.sat_results += 1
         return self._program_from_model(solver, locations)
-
-    def speculative_synthesis(
-        self, examples: Sequence[IOExample], extra: IOExample
-    ) -> LoopFreeProgram | None:
-        """Synthesis against ``examples`` plus one *uncommitted* example.
-
-        This is the speculative-OGIS query: the extra example is encoded
-        inside a push/pop scope with a tag never reused for committed
-        examples, so the persistent solver's committed example set is
-        untouched whether or not the speculation pans out.  Returns the
-        candidate, or ``None`` when the extended example set is
-        unrealizable (the committed loop will discover that itself if the
-        speculated example is confirmed).
-
-        Raises:
-            BudgetExceededError: when the query is undecided.
-        """
-        self.statistics.synthesis_queries += 1
-        solver, locations = self._synced_solver(examples)
-        tag = f"spec{self._speculative_tags}"
-        self._speculative_tags += 1
-        solver.push()
-        try:
-            solver.add(*self.example_constraints(locations, extra, tag=tag))
-            verdict = solver.check()
-            if verdict is SmtResult.UNKNOWN:
-                raise BudgetExceededError(
-                    "speculative synthesis undecided: solver budget or "
-                    "deadline exhausted"
-                )
-            if verdict is not SmtResult.SAT:
-                self.statistics.unsat_results += 1
-                return None
-            self.statistics.sat_results += 1
-            return self._program_from_model(solver, locations)
-        finally:
-            solver.pop()
 
     def _symbolic_execution(
         self, program: LoopFreeProgram, input_terms: Sequence[BitVecTerm]

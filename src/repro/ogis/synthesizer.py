@@ -80,14 +80,6 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
         max_iterations: bound on candidate/distinguishing-input rounds.
         initial_examples: number of random seed inputs queried up front.
         seed: RNG seed for the random seed inputs.
-        reencode_each_check: forwarded to the encoder's SMT solvers; when
-            True each deductive query re-bit-blasts its whole encoding
-            instead of reusing the persistent incremental solvers (kept as
-            a benchmark baseline).  *Deprecated*: prefer ``config``.
-        solver_options: forwarded to the encoder's SMT solvers (the
-            perf-suite ablation knobs, see
-            :class:`~repro.ogis.encoding.SynthesisEncoder`).
-            *Deprecated*: prefer ``config``.
         config: an :class:`~repro.api.config.EngineConfig` carrying all
             solver flags in one place; the preferred entry point is
             :class:`repro.api.SciductionEngine` with a
@@ -113,8 +105,6 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
         max_iterations: int = 32,
         initial_examples: int = 1,
         seed: int = 0,
-        reencode_each_check: bool = False,
-        solver_options: dict | None = None,
         config=None,
         solver_factory=None,
         examples: Sequence[IOExample] | None = None,
@@ -122,15 +112,11 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
         self.library = list(library)
         self.oracle = oracle
         self.width = width if width is not None else min(oracle.width, 8)
-        self._config = config
-        self._solver_factory = solver_factory
         self.encoder = SynthesisEncoder(
             self.library,
             num_inputs=oracle.num_inputs,
             num_outputs=oracle.num_outputs,
             width=self.width,
-            reencode_each_check=reencode_each_check,
-            solver_options=solver_options,
             config=config,
             solver_factory=solver_factory,
         )
@@ -138,15 +124,6 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
         self.initial_examples = max(1, initial_examples)
         self._rng = random.Random(seed)
         self.trace = SynthesisTrace()
-        # Speculative-OGIS lane state (see _launch_speculation): the
-        # replica lease/encoder live for one synthesize() call; win/loss
-        # counters mirror the lease's intra-job counters for tests.
-        self._spec_lease = None
-        self._spec_encoder: SynthesisEncoder | None = None
-        self._spec_task = None
-        self._spec_disabled = False
-        self.speculation_wins = 0
-        self.speculation_losses = 0
         if examples:
             mask = (1 << self.width) - 1
             self.trace.examples.extend(
@@ -219,124 +196,6 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
         error.partial = partial
         return error
 
-    # -- speculative lane ---------------------------------------------------------
-
-    def _speculation_available(self) -> bool:
-        """Whether the speculative lane can (still) run.
-
-        Requires ``config.speculative_ogis`` plus a pooled lease that can
-        hand out replica sessions; a lane-side failure (fault drill,
-        budget) permanently disables speculation for the rest of the run.
-        """
-        return (
-            not self._spec_disabled
-            and bool(getattr(self._config, "speculative_ogis", False))
-            and self._solver_factory is not None
-            and getattr(self._solver_factory, "replica", None) is not None
-        )
-
-    def _launch_speculation(self, candidate: LoopFreeProgram):
-        """Start the speculative round for ``candidate`` on the replica lane.
-
-        The lane re-runs the distinguishing-input query for the current
-        candidate on a *replica* session, queries the oracle on its own
-        answer (silently — the committed trace's ``oracle_queries`` never
-        sees it; the oracle is a pure function, so the extra call is
-        unobservable), and pre-solves the synthesis query for the next
-        candidate under a push scope.  Everything it computes is
-        throwaway: the primary session's sequential trace alone decides
-        what is committed, which is what makes results byte-identical
-        with speculation on or off.  Returns the running
-        :class:`~repro.api.intra.SpeculativeTask` (or ``None``).
-        """
-        if not self._speculation_available():
-            return None
-        from repro.api.intra import SpeculativeTask
-        from repro.testing.faults import fault_point
-
-        if self._spec_encoder is None:
-            self._spec_lease = self._solver_factory.replica()
-            self._spec_encoder = SynthesisEncoder(
-                self.library,
-                num_inputs=self.oracle.num_inputs,
-                num_outputs=self.oracle.num_outputs,
-                width=self.width,
-                config=self._config,
-                solver_factory=self._spec_lease,
-            )
-            # Base-scope and intern-scope bookkeeping must happen on the
-            # coordinating thread (global LIFO); the speculative thread
-            # only ever extends the example set and runs checks.
-            self._spec_encoder.prepare(self.trace.examples)
-        encoder = self._spec_encoder
-        committed = list(self.trace.examples)
-        mask = (1 << self.width) - 1
-        oracle = self.oracle
-
-        def speculate() -> IOExample | None:
-            fault_point("ogis.speculate")
-            spec_input = encoder.distinguishing_input(committed, candidate)
-            if spec_input is None:
-                return None
-            # Bypass Oracle.query(): the lane must not charge the query
-            # counter or the max_queries budget — both belong to the
-            # committed trace, and a speculative charge could change when
-            # the committed loop hits its budget.
-            outputs = oracle._query(spec_input)
-            example = IOExample(
-                inputs=tuple(int(value) & mask for value in spec_input),
-                outputs=tuple(int(value) & mask for value in outputs),
-            )
-            # Pre-solve candidate k+1 against the speculated example; the
-            # program itself is discarded (only the primary's sequential
-            # trace commits candidates), so UNSAT is fine too.
-            encoder.speculative_synthesis(committed, example)
-            return example
-
-        self._spec_task = SpeculativeTask(speculate, name="ogis-speculate")
-        return self._spec_task
-
-    def _score_speculation(
-        self,
-        outcome: tuple[IOExample | None, BaseException | None],
-        committed: IOExample | None,
-    ) -> None:
-        """Compare the joined speculative outcome with the committed one.
-
-        A *win* means the lane predicted exactly what the primary loop
-        committed (same distinguishing example, or agreement that none
-        exists) — a deterministic equality, never a wall-clock race.  A
-        lane-side error counts as a loss and disables speculation.
-        """
-        speculated, error = outcome
-        if error is not None:
-            self._spec_disabled = True
-            win = False
-        else:
-            win = speculated == committed
-        if win:
-            self.speculation_wins += 1
-        else:
-            self.speculation_losses += 1
-        count_intra = getattr(self._solver_factory, "count_intra", None)
-        if count_intra is not None:
-            count_intra("speculation_wins" if win else "speculation_losses")
-
-    def _release_speculation(self) -> None:
-        """Return the replica lease to the pool (LIFO: before the primary).
-
-        Any in-flight speculative task is joined first — the pool resets
-        a released session, which must never race a lane still using it
-        (e.g. when the *primary* query raised mid-overlap).
-        """
-        if self._spec_task is not None:
-            self._spec_task.outcome()
-            self._spec_task = None
-        if self._spec_lease is not None:
-            self._solver_factory.release_replica(self._spec_lease)
-            self._spec_lease = None
-            self._spec_encoder = None
-
     def synthesize(self) -> LoopFreeProgram:
         """Run the OGIS loop and return the synthesized program.
 
@@ -361,34 +220,20 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
                 self.trace.iterations += 1
                 candidate = self.encoder.synthesize(self.trace.examples)
                 self.trace.candidates.append(candidate)
-                # Overlap: the speculative lane re-answers this candidate's
-                # distinguishing query (plus the next synthesis round) on a
-                # replica session while the primary session runs the
-                # committed query below.  The lane is joined before the
-                # primary's oracle call so the oracle never runs
-                # concurrently with itself.
-                task = self._launch_speculation(candidate)
                 distinguishing = self.encoder.distinguishing_input(
                     self.trace.examples, candidate
                 )
-                speculated = task.outcome() if task is not None else None
                 if distinguishing is None:
-                    if speculated is not None:
-                        self._score_speculation(speculated, None)
                     candidate.input_names = tuple(
                         f"in{i}" for i in range(self.oracle.num_inputs)
                     )
                     return candidate
                 self.trace.distinguishing_inputs.append(distinguishing)
-                example = self._query_oracle(distinguishing)
-                if speculated is not None:
-                    self._score_speculation(speculated, example)
+                self._query_oracle(distinguishing)
         except BudgetExceededError as error:
             # SMT-level budgets (conflicts/deadline) surface here; keep the
             # evidence gathered so far attached to the error.
             raise self._attach_partial(error)
-        finally:
-            self._release_speculation()
         raise self._attach_partial(
             BudgetExceededError(
                 f"OGIS did not converge within {self.max_iterations} iterations"

@@ -26,12 +26,20 @@ once).  Interning is keyed on the immortal per-term ``_id`` counter of the
 children, never on ``id()``, so keys cannot collide after garbage
 collection.  Direct class instantiation bypasses the intern table; it stays
 legal but forfeits sharing.
+
+The intern table and its scopes are unsynchronized module globals: terms
+are built by one thread per process.  The engine runs each job start to
+finish on the thread that called it, worker processes each have their
+own table, and in the HTTP service the handler threads touch only the
+job queue while a single runner thread owns the engine (see
+:mod:`repro.service.queue`).  A component that builds terms from a second
+thread must first make :func:`_interned` and the scope functions
+thread-safe.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -53,36 +61,7 @@ _intern_table: dict[tuple, "Term"] = {}
 _intern_scopes: list[list[tuple]] = []
 
 
-#: Sticky thread-safety switch for the intern table.  The table is a plain
-#: dict with a check-then-insert race; single-threaded workloads (the vast
-#: majority) never pay for a lock.  Intra-job parallelism
-#: (:mod:`repro.api.intra`) flips this on — permanently for the process —
-#: the first time it fans term-building work across threads, after which
-#: every interning takes the lock.
-_intern_lock = threading.Lock()
-_intern_locking = False
-
-
-def enable_intern_locking() -> None:
-    """Make term interning thread-safe for the rest of the process.
-
-    Idempotent and one-way: once any component builds terms from more than
-    one thread, unsynchronized check-then-insert could intern two distinct
-    representatives for one structural key, silently breaking the
-    identity-equality contract for every downstream cache.
-    """
-    global _intern_locking
-    _intern_locking = True
-
-
 def _interned(key: tuple, build) -> "Term":
-    if _intern_locking:
-        with _intern_lock:
-            return _interned_unlocked(key, build)
-    return _interned_unlocked(key, build)
-
-
-def _interned_unlocked(key: tuple, build) -> "Term":
     term = _intern_table.get(key)
     if term is None:
         term = build()

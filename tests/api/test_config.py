@@ -34,21 +34,6 @@ class TestEngineConfig:
             "restart_strategy"
         ] == "glucose"
 
-    def test_from_legacy_matches_scattered_kwargs(self):
-        config = EngineConfig.from_legacy(
-            reencode_each_check=True,
-            solver_options={
-                "simplify_terms": False,
-                "polarity_aware": False,
-                "gc_dead_clauses": None,
-            },
-        )
-        assert config.reencode_each_check is True
-        assert config.simplify_terms is False
-        assert config.polarity_aware is False
-        assert config.gc_dead_clauses is None
-        assert config.solver_options()["reencode_each_check"] is True
-
     def test_config_is_immutable(self):
         with pytest.raises(Exception):
             EngineConfig().pool_size = 5

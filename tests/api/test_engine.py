@@ -259,6 +259,48 @@ class TestSchedulingDeterminism:
                 assert self._verdicts(config, order) == baseline
 
 
+class TestDistributionJobs:
+    DISTRIBUTION = TimingAnalysisProblem(
+        program="conditional_cascade", distribution=True, seed=0
+    )
+
+    @pytest.mark.sequential_only  # pool statistics of this process
+    def test_distribution_job_runs_on_one_session(self):
+        from repro.cfg import conditional_cascade
+        from repro.gametime import GameTime
+
+        engine = SciductionEngine(EngineConfig())
+        first = engine.run(self.DISTRIBUTION)
+        assert first.success
+        # Every path is checked on the job's own leased session: one
+        # solver for the whole job.
+        assert engine.statistics()["pool"]["solvers_created"] == 1
+
+        report = GameTime(conditional_cascade(), seed=0).predict_distribution(
+            measure=True
+        )
+        expected = [
+            (list(prediction.path.edges), prediction.predicted, prediction.measured)
+            for prediction in report.predictions
+        ]
+        paths = first.details["distribution"]["paths"]
+        assert [
+            (path["edges"], path["predicted"], path["measured"]) for path in paths
+        ] == expected
+        assert len(paths) > 1
+
+        # A repeated job lands on the same session, finds its sealed base
+        # scope, and answers every feasibility check from the local memo
+        # (re-sealing would have cleared it).
+        second = engine.run(self.DISTRIBUTION)
+        assert second.details["distribution"] == first.details["distribution"]
+        assert second.details["engine"]["session_reused"] is True
+        stats = second.details["engine"]["smt_job_statistics"]
+        assert stats["checks"] > 0
+        assert stats["check_memo_hits"] == stats["checks"]
+        assert engine.statistics()["pool"]["solvers_created"] == 1
+
+
 class TestResultSerialization:
     def test_result_json_roundtrip(self):
         engine = SciductionEngine()
@@ -332,9 +374,7 @@ class TestSharedStateLockDiscipline:
         try:
             engine.run_batch([DEOB, TIMING])
             stats = engine.statistics()
-            assert set(stats) == {
-                "pool", "scheduler", "workers", "shared_memo", "intra_job",
-            }
+            assert set(stats) == {"pool", "scheduler", "workers", "shared_memo"}
             json.dumps(stats)  # must stay JSON-ready
         finally:
             engine.close()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.cfg import (
     build_cfg,
     conditional_cascade,
@@ -69,7 +70,9 @@ class TestIncrementalFeasibility:
         program = modular_exponentiation(4, 16)
         cfg = build_cfg(program)
         incremental = PathConstraintBuilder(cfg)
-        reencode = PathConstraintBuilder(cfg, reencode_each_check=True)
+        reencode = PathConstraintBuilder(
+            cfg, config=EngineConfig(reencode_each_check=True)
+        )
         for path in enumerate_paths(cfg):
             incremental_witness = incremental.feasibility(path)
             reencode_witness = reencode.feasibility(path)
@@ -82,7 +85,9 @@ class TestIncrementalFeasibility:
         program = modular_exponentiation(4, 16)
         cfg = build_cfg(program)
         incremental = PathConstraintBuilder(cfg)
-        reencode = PathConstraintBuilder(cfg, reencode_each_check=True)
+        reencode = PathConstraintBuilder(
+            cfg, config=EngineConfig(reencode_each_check=True)
+        )
         for path in enumerate_paths(cfg):
             incremental.is_feasible(path)
             reencode.is_feasible(path)

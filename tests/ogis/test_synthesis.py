@@ -7,6 +7,7 @@ benchmark suite.
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.core import UnrealizableError
 from repro.ogis import (
     EnumerativeSynthesizer,
@@ -177,7 +178,7 @@ class TestIncrementalEncoder:
             oracle,
             width=4,
             seed=2,
-            reencode_each_check=True,
+            config=EngineConfig(reencode_each_check=True),
         )
         program_reencode = reencode.synthesize()
         assert program_incremental.equivalent_to(lambda v: ((5 * v[0]) % 16,), width=4)

@@ -224,22 +224,6 @@ class TestHttpSurface:
         assert "shared_memo" in stats["engine"]
         assert stats["config"]["workers"] == 1
 
-    def test_stats_intra_job_counters(self, service):
-        # Every engine reports the intra-job parallelism counters, even
-        # at the default intra_job_workers=1 / speculative_ogis=False.
-        status, stats = call(service, "GET", "/stats")
-        assert status == 200
-        intra = stats["engine"]["intra_job"]
-        assert set(intra) == {
-            "sweep_tasks",
-            "sweep_feasible",
-            "speculation_wins",
-            "speculation_losses",
-            "replica_leases",
-            "replicated_scope_seals",
-        }
-        assert all(isinstance(value, int) for value in intra.values())
-
     def test_stats_histograms(self, service):
         # At least one job was submitted and harvested by earlier tests.
         submit_and_wait(service, {"problem": dict(DEOB)})
