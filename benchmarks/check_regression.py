@@ -9,10 +9,12 @@ regressed:
   that was true must still be true (verdict parity, byte-identical
   parallel results, the clause-reduction floor, steal counter, the
   cross-worker memo hit, ...);
-* **counts** — SAT clause/variable totals per workload and config, the
-  batch stream's pooled/fresh encoding work, and workload verdict lists
-  are compared **exactly**: the whole stack is deterministic, so any
-  drift is a real encoding change.  Improvements fail too, on purpose —
+* **counts** — SAT clause/variable/propagation totals per workload and
+  config, the batch stream's pooled/fresh encoding and search work, and
+  workload verdict lists are compared **exactly**: the whole stack is
+  deterministic, so any drift is a real encoding or search change (a
+  faster CDCL loop must run the same search, propagation for
+  propagation).  Improvements fail too, on purpose —
   they mean the committed baseline is stale; regenerate it with
   ``python benchmarks/bench_perf_suite.py --output BENCH_perf.json`` and
   commit it with the change that moved the numbers;
@@ -51,9 +53,11 @@ EXACT_PATHS = (
     "batch.pooled.sat_variables",
     "batch.pooled.sat_clauses",
     "batch.pooled.conflicts",
+    "batch.pooled.propagations",
     "batch.fresh.sat_variables",
     "batch.fresh.sat_clauses",
     "batch.fresh.conflicts",
+    "batch.fresh.propagations",
     "batch.pooled.verdicts",
     "batch.fresh.verdicts",
     "scheduler.jobs",
@@ -162,7 +166,7 @@ def compare(baseline: dict, candidate: dict) -> Comparison:
     for config_name, config in (baseline.get("configs") or {}).items():
         for workload_name, workload in (config.get("workloads") or {}).items():
             prefix = f"configs.{config_name}.workloads.{workload_name}"
-            for metric in ("sat_clauses", "sat_variables", "verdicts"):
+            for metric in ("sat_clauses", "sat_variables", "propagations", "verdicts"):
                 result.check_exact(
                     f"{prefix}.{metric}",
                     workload.get(metric),

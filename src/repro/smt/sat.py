@@ -31,9 +31,21 @@ module implements the classic CDCL architecture from scratch:
   clauses on long-lived sessions,
 * solving under assumptions (used for incremental queries by the SMT layer).
 
-The implementation favours clarity over raw speed but is easily fast enough
-for the bit-blasted queries produced by the reproduction's benchmarks
-(thousands of variables, tens of thousands of clauses).
+Hot-loop design.  The solver is pure Python, so the inner loop is written
+for the interpreter: truth values live in one literal-indexed table
+(MiniSat's ``lit_value``: ``_lit_value[lit]`` is ``_TRUE``, ``_FALSE`` or
+``_UNASSIGNED``, both polarities written on assignment and cleared together
+on unassignment, a variable's value read as ``_lit_value[2 * v]``), and
+:meth:`CdclSolver._propagate`, :meth:`~CdclSolver._backtrack` and conflict
+analysis bind the tables they touch to locals and decode literals inline
+(``lit >> 1``, ``lit & 1``, ``lit ^ 1`` per the encoding documented in
+:mod:`repro.smt.cnf`).  Speed-ups here must keep the search itself
+unchanged — the same decisions, conflicts, propagations, learned clauses
+and restarts, the same literal order in every clause and watch list, the
+same order-heap pushes — so results and certificates stay byte-identical.
+``TestGoldenSearchCounts`` in ``tests/smt/test_sat.py`` pins the search
+counters of a seeded instance set, and ``benchmarks/check_regression.py``
+compares the perf suite's propagation and conflict counts exactly.
 """
 
 from __future__ import annotations
@@ -46,15 +58,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.exceptions import SolverError
-from repro.smt.cnf import (
-    CnfFormula,
-    literal_is_negative,
-    literal_variable,
-    make_literal,
-    negate,
-)
+from repro.smt.cnf import CnfFormula, literal_variable, make_literal, negate
 
-#: Truth values used on the solver trail.
+#: Truth values stored in the literal-indexed value table.
 _UNASSIGNED = -1
 _FALSE = 0
 _TRUE = 1
@@ -200,11 +206,16 @@ class CdclSolver:
         # pair, where the blocker is some other literal of the clause that
         # lets the hot loop skip the clause when it is already satisfied.
         self._watches: list[list[tuple[int, _Clause]]] = [[], []]
-        self._assignment: list[int] = [_UNASSIGNED]
+        # Truth value of every literal, indexed by the literal itself; slots
+        # 0 and 1 belong to the unused variable 0.
+        self._lit_value: list[int] = [_UNASSIGNED, _UNASSIGNED]
         self._level: list[int] = [0]
         self._reason: list[_Clause | None] = [None]
         self._activity: list[float] = [0.0]
         self._phase: list[bool] = [False]
+        # Conflict-analysis marks indexed by variable; every entry is False
+        # again by the time _analyze_conflict returns.
+        self._seen: list[bool] = [False]
         self._trail: list[int] = []
         self._trail_limits: list[int] = []
         self._propagation_head = 0
@@ -255,7 +266,9 @@ class CdclSolver:
     def new_variable(self) -> int:
         """Allocate a fresh variable and return its (positive) index."""
         self._num_vars += 1
-        self._assignment.append(_UNASSIGNED)
+        self._lit_value.append(_UNASSIGNED)
+        self._lit_value.append(_UNASSIGNED)
+        self._seen.append(False)
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
@@ -276,8 +289,8 @@ class CdclSolver:
         return self._num_vars
 
     @property
-    def num_fixed_assignments(self) -> int:
-        """Number of level-0 (fixed) assignments on the trail."""
+    def num_fixed_literals(self) -> int:
+        """Number of literals fixed at level 0 (the level-0 trail prefix)."""
         if self._trail_limits:
             return self._trail_limits[0]
         return len(self._trail)
@@ -301,7 +314,7 @@ class CdclSolver:
                 continue
             # Drop literals already false at level 0; satisfied clauses are
             # dropped entirely.
-            value = self._literal_value(literal)
+            value = self._lit_value[literal]
             if value == _TRUE and self._level[variable] == 0:
                 return
             if value == _FALSE and self._level[variable] == 0:
@@ -345,7 +358,16 @@ class CdclSolver:
         The model cached by a previous satisfiable call is invalidated on
         entry: after a non-SAT answer, :meth:`model` raises
         :class:`SolverError` instead of returning stale values.
+
+        Raises:
+            SolverError: if an assumption names a variable that is not
+                allocated (variable 0, or one above :attr:`num_variables`).
         """
+        assumption_queue = list(assumptions)
+        for literal in assumption_queue:
+            variable = literal_variable(literal)
+            if variable <= 0 or variable > self._num_vars:
+                raise SolverError(f"unallocated variable in assumption {literal}")
         self._cached_model = None
         if self._unsat:
             return SatResult.UNSAT
@@ -362,9 +384,7 @@ class CdclSolver:
         conflicts_until_restart = self._restart_base * luby(restart_count + 1)
         conflicts_since_restart = 0
 
-        # Enqueue assumptions as pseudo-decisions, one level each.
-        assumption_queue = list(assumptions)
-
+        # Assumptions are enqueued as pseudo-decisions, one level each.
         while True:
             conflict = self._propagate()
             if conflict is not None:
@@ -403,7 +423,7 @@ class CdclSolver:
             # restarts / backjumps).
             next_assumption = self._next_unhandled_assumption(assumption_queue)
             if next_assumption is not None:
-                value = self._literal_value(next_assumption)
+                value = self._lit_value[next_assumption]
                 if value == _FALSE:
                     self._backtrack(0)
                     return SatResult.UNSAT
@@ -428,7 +448,7 @@ class CdclSolver:
 
             literal = self._pick_branch_literal()
             if literal is None:
-                self._cached_model = [value == _TRUE for value in self._assignment]
+                self._cached_model = [value == _TRUE for value in self._lit_value[::2]]
                 self._backtrack(0)
                 return SatResult.SAT
             self.statistics.decisions += 1
@@ -553,43 +573,49 @@ class CdclSolver:
     def _decision_level(self) -> int:
         return len(self._trail_limits)
 
-    def _literal_value(self, literal: int) -> int:
-        value = self._assignment[literal_variable(literal)]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        if literal_is_negative(literal):
-            return _TRUE if value == _FALSE else _FALSE
-        return value
-
     def _enqueue(self, literal: int, reason: _Clause | None) -> bool:
-        value = self._literal_value(literal)
-        if value == _FALSE:
-            return False
-        if value == _TRUE:
-            return True
-        variable = literal_variable(literal)
-        self._assignment[variable] = _FALSE if literal_is_negative(literal) else _TRUE
-        self._level[variable] = self._decision_level()
+        lit_value = self._lit_value
+        value = lit_value[literal]
+        if value != _UNASSIGNED:
+            return value == _TRUE
+        lit_value[literal] = _TRUE
+        lit_value[literal ^ 1] = _FALSE
+        variable = literal >> 1
+        self._level[variable] = len(self._trail_limits)
         self._reason[variable] = reason
-        self._phase[variable] = not literal_is_negative(literal)
+        self._phase[variable] = not (literal & 1)
         self._trail.append(literal)
         return True
 
     def _propagate(self) -> _Clause | None:
-        """Unit propagation; returns a conflicting clause or None."""
-        while self._propagation_head < len(self._trail):
-            literal = self._trail[self._propagation_head]
-            self._propagation_head += 1
-            self.statistics.propagations += 1
-            false_literal = negate(literal)
-            watch_list = self._watches[false_literal]
+        """Unit propagation; returns a conflicting clause or None.
+
+        The solver's hot loop: every table it touches is bound to a local,
+        the propagation head and count stay in locals until the call ends,
+        and the unit enqueue is inlined (same effect as :meth:`_enqueue`).
+        """
+        trail = self._trail
+        watches = self._watches
+        lit_value = self._lit_value
+        level = self._level
+        reasons = self._reason
+        phase = self._phase
+        decision_level = len(self._trail_limits)
+        start = head = self._propagation_head
+        while head < len(trail):
+            false_literal = trail[head] ^ 1
+            head += 1
+            watch_list = watches[false_literal]
+            # Only the removal below changes this list's length while it is
+            # scanned (a replacement watch never lands on a false literal).
             index = 0
-            while index < len(watch_list):
+            end = len(watch_list)
+            while index < end:
                 blocker, clause = watch_list[index]
                 # Blocking literal: if the cached literal is already true
                 # the clause is satisfied — skip it without touching its
                 # literal list (the common case on long watch lists).
-                if self._literal_value(blocker) == _TRUE:
+                if lit_value[blocker] == _TRUE:
                     index += 1
                     continue
                 literals = clause.literals
@@ -597,29 +623,39 @@ class CdclSolver:
                 if literals[0] == false_literal:
                     literals[0], literals[1] = literals[1], literals[0]
                 first = literals[0]
-                if first != blocker and self._literal_value(first) == _TRUE:
+                first_value = lit_value[first]
+                if first != blocker and first_value == _TRUE:
                     # Refresh the blocker so the next visit can skip early.
                     watch_list[index] = (first, clause)
                     index += 1
                     continue
                 # Look for a replacement watch.
-                replaced = False
                 for position in range(2, len(literals)):
                     candidate = literals[position]
-                    if self._literal_value(candidate) != _FALSE:
+                    if lit_value[candidate] != _FALSE:
                         literals[1], literals[position] = literals[position], literals[1]
                         watch_list[index] = watch_list[-1]
                         watch_list.pop()
-                        self._watches[candidate].append((first, clause))
-                        replaced = True
+                        end -= 1
+                        watches[candidate].append((first, clause))
                         break
-                if replaced:
-                    continue
-                # Clause is unit or conflicting.
-                if not self._enqueue(first, clause):
-                    self._propagation_head = len(self._trail)
-                    return clause
-                index += 1
+                else:
+                    # Clause is unit or conflicting (``first`` is not true:
+                    # the two checks above skipped every satisfied case).
+                    if first_value == _FALSE:
+                        self.statistics.propagations += head - start
+                        self._propagation_head = len(trail)
+                        return clause
+                    lit_value[first] = _TRUE
+                    lit_value[first ^ 1] = _FALSE
+                    variable = first >> 1
+                    level[variable] = decision_level
+                    reasons[variable] = clause
+                    phase[variable] = not (first & 1)
+                    trail.append(first)
+                    index += 1
+        self.statistics.propagations += head - start
+        self._propagation_head = head
         return None
 
     def _attach_clause(self, clause: _Clause) -> None:
@@ -632,18 +668,26 @@ class CdclSolver:
         self._watches[clause.literals[1]].append((clause.literals[0], clause))
 
     def _backtrack(self, target_level: int) -> None:
-        if self._decision_level() <= target_level:
+        trail_limits = self._trail_limits
+        if len(trail_limits) <= target_level:
             return
-        boundary = self._trail_limits[target_level]
-        for literal in reversed(self._trail[boundary:]):
-            variable = literal_variable(literal)
-            self._assignment[variable] = _UNASSIGNED
-            self._reason[variable] = None
-            heapq.heappush(self._order_heap, (-self._activity[variable], variable))
-        del self._trail[boundary:]
-        del self._trail_limits[target_level:]
+        boundary = trail_limits[target_level]
+        trail = self._trail
+        lit_value = self._lit_value
+        reasons = self._reason
+        activity = self._activity
+        order_heap = self._order_heap
+        heappush = heapq.heappush
+        for literal in reversed(trail[boundary:]):
+            lit_value[literal] = _UNASSIGNED
+            lit_value[literal ^ 1] = _UNASSIGNED
+            variable = literal >> 1
+            reasons[variable] = None
+            heappush(order_heap, (-activity[variable], variable))
+        del trail[boundary:]
+        del trail_limits[target_level:]
         del self._active_assumption_levels[target_level:]
-        self._propagation_head = min(self._propagation_head, len(self._trail))
+        self._propagation_head = min(self._propagation_head, len(trail))
 
     # -- internal: conflict analysis --------------------------------------
 
@@ -654,12 +698,19 @@ class CdclSolver:
         backjump level, and the clause's LBD (distinct decision levels).
         """
         learned: list[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self._num_vars + 1)
+        # The shared mark buffer needs no clearing pass: every variable
+        # marked below is unmarked again, current-level ones as they are
+        # resolved away and the rest by _minimise_clause.
+        seen = self._seen
+        level = self._level
+        reasons = self._reason
+        trail = self._trail
+        bump_variable = self._bump_variable
         counter = 0
         literal = -1
         reason: _Clause | None = conflict
-        trail_index = len(self._trail) - 1
-        current_level = self._decision_level()
+        trail_index = len(trail) - 1
+        current_level = len(self._trail_limits)
 
         while True:
             assert reason is not None
@@ -670,27 +721,27 @@ class CdclSolver:
             # position 0 and is skipped.
             start = 0 if literal == -1 else 1
             for clause_literal in reason.literals[start:]:
-                variable = literal_variable(clause_literal)
-                if seen[variable] or self._level[variable] == 0:
+                variable = clause_literal >> 1
+                if seen[variable] or level[variable] == 0:
                     continue
                 seen[variable] = True
-                self._bump_variable(variable)
-                if self._level[variable] == current_level:
+                bump_variable(variable)
+                if level[variable] == current_level:
                     counter += 1
                 else:
                     learned.append(clause_literal)
             # Find the next trail literal to resolve on.
-            while not seen[literal_variable(self._trail[trail_index])]:
+            while not seen[trail[trail_index] >> 1]:
                 trail_index -= 1
-            literal = self._trail[trail_index]
-            variable = literal_variable(literal)
+            literal = trail[trail_index]
+            variable = literal >> 1
             seen[variable] = False
             trail_index -= 1
             counter -= 1
             if counter == 0:
-                learned[0] = negate(literal)
+                learned[0] = literal ^ 1
                 break
-            reason = self._reason[variable]
+            reason = reasons[variable]
 
         # Clause minimisation: drop literals implied by the rest (cheap,
         # reason-subsumption based check).
@@ -698,7 +749,7 @@ class CdclSolver:
 
         # LBD ("glue"): number of distinct decision levels in the learned
         # clause, measured before backtracking invalidates the levels.
-        lbd = len({self._level[literal_variable(lit)] for lit in learned})
+        lbd = len({level[lit >> 1] for lit in learned})
 
         if len(learned) == 1:
             backjump_level = 0
@@ -706,38 +757,42 @@ class CdclSolver:
             # Move the literal with the highest level (other than the
             # asserting one) into position 1.
             best = 1
+            best_level = level[learned[1] >> 1]
             for position in range(2, len(learned)):
-                if (
-                    self._level[literal_variable(learned[position])]
-                    > self._level[literal_variable(learned[best])]
-                ):
-                    best = position
+                position_level = level[learned[position] >> 1]
+                if position_level > best_level:
+                    best, best_level = position, position_level
             learned[1], learned[best] = learned[best], learned[1]
-            backjump_level = self._level[literal_variable(learned[1])]
+            backjump_level = best_level
         return learned, backjump_level, lbd
 
     def _minimise_clause(self, learned: list[int], seen: list[bool]) -> list[int]:
-        for literal in learned[1:]:
-            seen[literal_variable(literal)] = True
+        """Drop each literal whose reason's other literals are all marked
+        (in the clause) or fixed at level 0.
+
+        On entry ``seen`` marks exactly the variables of ``learned[1:]``
+        (conflict analysis leaves them marked); on exit they are unmarked.
+        """
+        level = self._level
+        reasons = self._reason
         result = [learned[0]]
         for literal in learned[1:]:
-            variable = literal_variable(literal)
-            reason = self._reason[variable]
+            variable = literal >> 1
+            reason = reasons[variable]
             if reason is None:
                 result.append(literal)
                 continue
-            redundant = True
             for reason_literal in reason.literals:
-                reason_variable = literal_variable(reason_literal)
-                if reason_variable == variable:
-                    continue
-                if not seen[reason_variable] and self._level[reason_variable] > 0:
-                    redundant = False
+                reason_variable = reason_literal >> 1
+                if (
+                    reason_variable != variable
+                    and not seen[reason_variable]
+                    and level[reason_variable] > 0
+                ):
+                    result.append(literal)  # not implied by the rest
                     break
-            if not redundant:
-                result.append(literal)
         for literal in learned[1:]:
-            seen[literal_variable(literal)] = False
+            seen[literal >> 1] = False
         return result
 
     def _learn_clause(self, learned: list[int], lbd: int) -> None:
@@ -753,13 +808,14 @@ class CdclSolver:
     # -- internal: heuristics ---------------------------------------------
 
     def _bump_variable(self, variable: int) -> None:
-        self._activity[variable] += self._variable_increment
-        if self._activity[variable] > 1e100:
+        activity = self._activity
+        activity[variable] += self._variable_increment
+        if activity[variable] > 1e100:
             for index in range(1, self._num_vars + 1):
-                self._activity[index] *= 1e-100
+                activity[index] *= 1e-100
             self._variable_increment *= 1e-100
-        if self._assignment[variable] == _UNASSIGNED:
-            heapq.heappush(self._order_heap, (-self._activity[variable], variable))
+        if self._lit_value[2 * variable] == _UNASSIGNED:
+            heapq.heappush(self._order_heap, (-activity[variable], variable))
 
     def _bump_clause(self, clause: _Clause) -> None:
         if not clause.learned:
@@ -773,7 +829,8 @@ class CdclSolver:
         # Glucose-style dynamic LBD: a clause participating in a conflict
         # has all its literals assigned, so its current LBD is well defined;
         # keep the minimum ever observed (clauses can only become "gluier").
-        lbd = len({self._level[literal_variable(lit)] for lit in clause.literals})
+        level = self._level
+        lbd = len({level[lit >> 1] for lit in clause.literals})
         if lbd < clause.lbd:
             clause.lbd = lbd
 
@@ -793,7 +850,7 @@ class CdclSolver:
             self._order_heap = [
                 (-self._activity[variable], variable)
                 for variable in range(1, self._num_vars + 1)
-                if self._assignment[variable] == _UNASSIGNED
+                if self._lit_value[2 * variable] == _UNASSIGNED
             ]
             heapq.heapify(self._order_heap)
         # Pop the lazy heap until an unassigned variable surfaces.  Stale
@@ -806,7 +863,7 @@ class CdclSolver:
             # by shrink_variables.
             if (
                 variable <= self._num_vars
-                and self._assignment[variable] == _UNASSIGNED
+                and self._lit_value[2 * variable] == _UNASSIGNED
             ):
                 return make_literal(variable, negative=not self._phase[variable])
         # Heap exhausted: scan forward from the low-water mark (covers
@@ -818,7 +875,7 @@ class CdclSolver:
         variable = self._fallback_head
         num_vars = self._num_vars
         while variable <= num_vars:
-            if self._assignment[variable] == _UNASSIGNED:
+            if self._lit_value[2 * variable] == _UNASSIGNED:
                 self._fallback_head = variable + 1
                 return make_literal(variable, negative=not self._phase[variable])
             variable += 1
@@ -1014,7 +1071,8 @@ class CdclSolver:
         for literal in self._trail:
             self._reason[literal_variable(literal)] = None
         self._propagation_head = len(self._trail)
-        del self._assignment[num_vars + 1:]
+        del self._lit_value[2 * num_vars + 2:]
+        del self._seen[num_vars + 1:]
         del self._level[num_vars + 1:]
         del self._reason[num_vars + 1:]
         del self._activity[num_vars + 1:]
@@ -1063,13 +1121,11 @@ class CdclSolver:
         removed = 0
         for clause in self._clauses:
             literals = clause.literals
-            if any(self._literal_value(lit) == _TRUE for lit in literals):
+            if any(self._lit_value[lit] == _TRUE for lit in literals):
                 removed += 1  # fixed-satisfied: drop wholesale
                 continue
             # Strip fixed-false literals (every assignment is level 0 here).
-            remaining = [
-                lit for lit in literals if self._literal_value(lit) != _FALSE
-            ]
+            remaining = [lit for lit in literals if self._lit_value[lit] != _FALSE]
             if len(remaining) < len(literals):
                 if not remaining:
                     # All literals fixed false without a prior conflict

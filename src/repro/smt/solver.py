@@ -743,7 +743,7 @@ class SmtSolver:
         """
         if self._sat_solver is None:
             return 0
-        return self._sat_solver.num_fixed_assignments
+        return self._sat_solver.num_fixed_literals
 
     def sat_statistics(self) -> SatStatistics:
         """Aggregated CDCL counters over the solver's lifetime.

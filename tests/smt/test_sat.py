@@ -122,6 +122,18 @@ class TestBasicSolving:
         assert solver.solve([make_literal(x, True)]) is SatResult.SAT
         assert solver.value(y) is True
 
+    def test_assumptions_on_unallocated_variables_rejected(self):
+        solver = CdclSolver()
+        x = solver.new_variable()
+        solver.add_clause([make_literal(x)])
+        # Above num_variables, variable 0 (either polarity), negative ints.
+        for assumption in (make_literal(5), make_literal(x + 1, True), 0, 1, -2):
+            with pytest.raises(SolverError, match="unallocated"):
+                solver.solve([assumption])
+        # A rejected call leaves the solver usable.
+        assert solver.solve([make_literal(x)]) is SatResult.SAT
+        assert solver.model() == [False, True]
+
     def test_conflict_budget_returns_unknown(self):
         rng = random.Random(7)
         solver = CdclSolver(max_conflicts=1)
@@ -373,28 +385,39 @@ class TestCdclVersusDpll:
                 assert _model_satisfies(solver.model(), clauses)
 
     def test_incremental_with_gc_agrees_with_dpll(self):
-        # Interleave solving, clause addition and level-0 GC: the verdict
-        # stream must match a reference decision on the accumulated CNF.
+        # Interleave solving under random assumptions, clause addition,
+        # level-0 GC and heuristic resets: the verdict stream must match a
+        # reference decision on the accumulated CNF plus the assumptions
+        # as units, and every SAT model must satisfy both.
         rng = random.Random(4321)
-        for _ in range(30):
+        for _ in range(40):
             num_vars = rng.randint(3, 8)
-            solver = CdclSolver()
+            solver = CdclSolver(restart_base=rng.choice([1, 100]))
             solver.ensure_variables(num_vars)
             accumulated = []
-            alive = True
             for _ in range(6):
                 batch = _random_clauses(rng, num_vars, rng.randint(1, 6))
                 accumulated.extend(batch)
-                if alive:
-                    for clause in batch:
-                        solver.add_clause(clause)
-                result = solver.solve()
-                expected = _dpll(accumulated, num_vars)
+                for clause in batch:
+                    solver.add_clause(clause)
+                assumptions = [
+                    make_literal(variable, rng.random() < 0.5)
+                    for variable in rng.sample(
+                        range(1, num_vars + 1), rng.randint(0, min(3, num_vars))
+                    )
+                ]
+                units = [[literal] for literal in assumptions]
+                result = solver.solve(assumptions)
+                expected = _dpll(accumulated + units, num_vars)
                 assert (result is SatResult.SAT) == expected
-                alive = result is SatResult.SAT
-                if not alive:
+                if expected:
+                    assert _model_satisfies(solver.model(), accumulated + units)
+                if not _dpll(accumulated, num_vars):
                     break
-                solver.simplify_database()
+                if rng.random() < 0.5:
+                    solver.reset_search_state()
+                else:
+                    solver.simplify_database()
 
 
 class TestSimplifyDatabase:
@@ -638,12 +661,17 @@ class TestSessionRetentionHooks:
         watermark = solver.num_variables
         c = solver.new_variable()
         solver.add_clause([make_literal(b, negative=True), make_literal(c)])
+        solver.add_clause([make_literal(c)])  # fixes c at level 0
         removed = solver.shrink_variables(watermark)
         assert removed == 1
         assert solver.num_variables == watermark
-        # The retained clause still solves; fresh variables reuse indices.
+        # The retained clause still solves; fresh variables reuse indices
+        # and start unassigned in both polarities, whatever the dropped
+        # variable at that index was fixed to.
         d = solver.new_variable()
         assert d == watermark + 1
+        assert solver._lit_value[make_literal(d)] == -1
+        assert solver._lit_value[make_literal(d, negative=True)] == -1
         solver.add_clause([make_literal(d, negative=True)])
         assert solver.solve() is SatResult.SAT
         model = solver.model()
@@ -715,3 +743,103 @@ class TestSessionRetentionHooks:
             first.statistics.decisions,
             first.statistics.propagations,
         ) == tuple(2 * value for value in base_stats)
+
+
+def _golden_three_sat(seed, num_vars, restart_strategy):
+    """Seeded random 3-SAT at the 4.26 clause/variable threshold."""
+    rng = random.Random(seed)
+    solver = CdclSolver(restart_base=20, restart_strategy=restart_strategy)
+    solver.ensure_variables(num_vars)
+    for _ in range(round(4.26 * num_vars)):
+        variables = rng.sample(range(1, num_vars + 1), 3)
+        solver.add_clause([make_literal(v, rng.random() < 0.5) for v in variables])
+    return solver, solver.solve()
+
+
+def _search_counts(solver):
+    statistics = solver.statistics
+    return (
+        statistics.decisions,
+        statistics.conflicts,
+        statistics.propagations,
+        statistics.learned_clauses,
+        statistics.restarts,
+    )
+
+
+class TestGoldenSearchCounts:
+    """Pins the exact search of a seeded instance set.
+
+    Any speed-up of the solver must leave these counters unchanged: a
+    different count means a different search (another decision,
+    propagation order or learned clause), which can change models and
+    therefore results and certificates downstream.
+    """
+
+    # (seed, variables, restart strategy) -> (verdict, search counts)
+    THREE_SAT = {
+        (1, 60, "luby"): ("sat", (116, 73, 1187, 73, 2)),
+        (2, 60, "glucose"): ("unsat", (120, 97, 1574, 96, 0)),
+        (4, 130, "luby"): ("unsat", (2150, 1694, 47159, 1693, 33)),
+        (5, 130, "glucose"): ("sat", (178, 125, 3723, 125, 0)),
+        # Long enough for the in-search learned-clause reduction to fire.
+        (6, 170, "luby"): ("unsat", (5202, 4064, 135085, 4063, 69)),
+    }
+
+    # One (verdict, counts) entry per solve() of _incremental_counts.
+    INCREMENTAL = [
+        ("sat", (24, 2, 56, 2, 0)),
+        ("sat", (39, 4, 115, 4, 0)),
+        ("sat", (69, 8, 181, 8, 0)),
+        ("unsat", (69, 8, 185, 8, 0)),
+        ("sat", (78, 9, 235, 9, 0)),
+        ("sat", (86, 10, 285, 10, 0)),
+        ("sat", (95, 12, 333, 12, 0)),
+        ("sat", (105, 18, 451, 18, 0)),
+        ("sat", (118, 22, 543, 22, 0)),
+        ("unsat", (122, 27, 613, 26, 0)),
+        ("unsat", (131, 37, 752, 35, 0)),
+        ("unsat", (141, 46, 832, 43, 0)),
+    ]
+
+    @staticmethod
+    def _incremental_counts():
+        """Solve under assumptions between clause batches, cycling through
+        reduce_learned, reset_search_state and simplify_database."""
+        rng = random.Random(7)
+        num_vars = 40
+        solver = CdclSolver(restart_base=10)
+        solver.ensure_variables(num_vars)
+
+        def add_batch(count):
+            for _ in range(count):
+                variables = rng.sample(range(1, num_vars + 1), 3)
+                solver.add_clause(
+                    [make_literal(v, rng.random() < 0.5) for v in variables]
+                )
+
+        add_batch(100)
+        observed = []
+        for step in range(12):
+            assumptions = [
+                make_literal(v, rng.random() < 0.5)
+                for v in rng.sample(range(1, num_vars + 1), 4)
+            ]
+            result = solver.solve(assumptions)
+            observed.append((result.value, _search_counts(solver)))
+            if step % 3 == 0:
+                solver.reduce_learned(2)
+            elif step % 3 == 1:
+                solver.reset_search_state()
+            else:
+                solver.simplify_database()
+            add_batch(5)
+        return observed
+
+    def test_search_counts_are_pinned(self):
+        for (seed, num_vars, strategy), expected in self.THREE_SAT.items():
+            solver, result = _golden_three_sat(seed, num_vars, strategy)
+            assert (result.value, _search_counts(solver)) == expected, seed
+            if num_vars == 170:
+                assert solver.statistics.deleted_clauses > 0
+        assert self._incremental_counts() == self.INCREMENTAL
