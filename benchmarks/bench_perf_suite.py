@@ -9,7 +9,9 @@ from this PR onward.  It runs three workloads
 * **deobfuscation** — the Figure 8 OGIS loops (candidate-program and
   distinguishing-input queries on one persistent solver),
 * **gametime**    — per-path feasibility sweeps over CFGs (Figure 6 /
-  Section 3), with a full model audit of every feasible path,
+  Section 3), with a full model audit of every feasible path, plus one
+  structural basis-path extraction per CFG (candidates examined, rank
+  reached, wall time of the exact rank test),
 * **hybrid**      — a bounded-reachability unrolling of a discretized
   two-mode hybrid automaton (Section 5 flavour: mode switching plus a
   per-step disturbance input), checked depth by depth in push/pop scopes,
@@ -70,7 +72,12 @@ if str(_ROOT / "src") not in sys.path:  # standalone execution support
     sys.path.insert(0, str(_ROOT / "src"))
 
 from repro.api import EngineConfig
-from repro.cfg import build_cfg, enumerate_paths, modular_exponentiation
+from repro.cfg import (
+    build_cfg,
+    enumerate_paths,
+    extract_basis_paths,
+    modular_exponentiation,
+)
 from repro.cfg.programs import bounded_linear_search
 from repro.cfg.ssa import PathConstraintBuilder
 from repro.ogis import (
@@ -154,9 +161,11 @@ def _run_gametime(options: dict, quick: bool) -> dict:
     verdicts = []
     models_ok = True
     variables = clauses = propagations = gc_removed = gc_runs = 0
+    cfgs = []
     start = time.perf_counter()
     for _, program in programs:
         cfg = build_cfg(program)
+        cfgs.append(cfg)
         builder = PathConstraintBuilder(cfg, config=EngineConfig(**options))
         solver = builder.solver
         for path in enumerate_paths(cfg):
@@ -180,6 +189,15 @@ def _run_gametime(options: dict, quick: bool) -> dict:
         gc_removed += sat_statistics.gc_removed_clauses
         gc_runs += sat_statistics.gc_runs
     seconds = time.perf_counter() - start
+    # Structural basis extraction (no solver, so no SAT count moves): the
+    # exact rank test's candidate and rank counts, and its wall time.
+    basis_candidates = basis_rank = 0
+    basis_start = time.perf_counter()
+    for cfg in cfgs:
+        basis = extract_basis_paths(cfg, check_feasibility=False)
+        basis_candidates += basis.paths_considered
+        basis_rank += basis.achieved_rank
+    basis_seconds = time.perf_counter() - basis_start
     return {
         "programs": [name for name, _ in programs],
         "verdicts": verdicts,
@@ -192,6 +210,9 @@ def _run_gametime(options: dict, quick: bool) -> dict:
         "propagations_per_sec": propagations / seconds if seconds else 0.0,
         "gc_removed_clauses": gc_removed,
         "gc_runs": gc_runs,
+        "basis_candidates": basis_candidates,
+        "basis_rank": basis_rank,
+        "basis_seconds": basis_seconds,
     }
 
 

@@ -17,7 +17,10 @@ regressed:
   propagation).  Improvements fail too, on purpose —
   they mean the committed baseline is stale; regenerate it with
   ``python benchmarks/bench_perf_suite.py --output BENCH_perf.json`` and
-  commit it with the change that moved the numbers;
+  commit it with the change that moved the numbers.  The gametime
+  workload's basis-extraction counts (``basis_candidates``,
+  ``basis_rank``) are gated the same way; a count the baseline does not
+  have yet is reported as new, not failed;
 * **wall ratios** — the pooled-vs-fresh wall-time ratio may drift with
   machine noise, so it only fails when it is worse than baseline by more
   than ``WALL_RATIO_TOLERANCE`` (15%, one-sided: getting faster never
@@ -44,6 +47,17 @@ from pathlib import Path
 
 #: One-sided relative tolerance for wall-clock ratio metrics.
 WALL_RATIO_TOLERANCE = 0.15
+
+#: Per-config workload metrics compared exactly.  The basis counts exist
+#: only on the gametime workload.
+WORKLOAD_EXACT_METRICS = (
+    "sat_clauses",
+    "sat_variables",
+    "propagations",
+    "verdicts",
+    "basis_candidates",
+    "basis_rank",
+)
 
 #: Dotted paths of count metrics compared exactly (plus the per-config
 #: workload counts discovered dynamically).
@@ -119,7 +133,9 @@ class Comparison:
 
     def check_exact(self, path: str, baseline, candidate) -> None:
         if baseline is None:
-            return  # metric did not exist in the baseline yet
+            if candidate is not None:
+                self.add(path, "missing", candidate, "new (not in baseline)")
+            return
         if candidate == baseline:
             self.add(path, baseline, candidate, "ok")
         else:
@@ -166,7 +182,7 @@ def compare(baseline: dict, candidate: dict) -> Comparison:
     for config_name, config in (baseline.get("configs") or {}).items():
         for workload_name, workload in (config.get("workloads") or {}).items():
             prefix = f"configs.{config_name}.workloads.{workload_name}"
-            for metric in ("sat_clauses", "sat_variables", "propagations", "verdicts"):
+            for metric in WORKLOAD_EXACT_METRICS:
                 result.check_exact(
                     f"{prefix}.{metric}",
                     workload.get(metric),

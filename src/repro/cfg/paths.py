@@ -6,12 +6,18 @@ coordinate per edge), and the set of such vectors spans a subspace of
 dimension ``m - n + 2``.  Basis paths (:mod:`repro.cfg.basis`) are a basis
 of that subspace; any path's predicted execution time is obtained from its
 coordinates in that basis (paper Section 3.2).
+
+Which candidate paths enter the basis is decided by an exact rank test
+(:class:`RationalRankTracker`): fraction-free Gaussian elimination over
+the integers, so the same candidates are accepted on every run and the
+basis, its test cases and every prediction built on it are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -104,16 +110,27 @@ def execution_path(cfg: ControlFlowGraph, inputs) -> Path:
 
 
 class RationalRankTracker:
-    """Incremental exact rank computation over the rationals.
+    """Incremental exact rank of a set of integral vectors.
 
-    Used by the basis-path extractor: path vectors are integral, so exact
-    Gaussian elimination over :class:`fractions.Fraction` avoids the
-    numerical-tolerance pitfalls of floating-point rank tests.
+    Used by the basis-path extractor.  The rank is computed by
+    fraction-free Gaussian elimination: rows are integer lists, a row is
+    reduced against a pivot row ``b`` as ``p * a - f * b`` (``p`` the pivot
+    entry, ``f`` the row's entry in the pivot column) and then divided by
+    the gcd of its entries to keep them small.  Every stored row is a
+    nonzero rational multiple of the row that elimination over the
+    rationals would produce, so the rank is exact over the rationals.
+    Exactness matters because each accept/reject decision picks the
+    basis: a floating-point rank test with a tolerance could flip one and
+    change the basis, its test cases and every prediction from run to run.
+
+    Vectors must be integral (path indicator vectors are 0/1); a
+    non-integral entry raises :class:`CompilationError` instead of being
+    rounded.
     """
 
     def __init__(self, dimension: int):
         self.dimension = dimension
-        self._rows: list[list[Fraction]] = []
+        self._rows: list[list[int]] = []
         self._pivot_columns: list[int] = []
 
     @property
@@ -121,17 +138,39 @@ class RationalRankTracker:
         """Current rank of the tracked set of vectors."""
         return len(self._rows)
 
-    def _reduce(self, vector: Sequence[float]) -> list[Fraction]:
-        row = [Fraction(value).limit_denominator(10**9) for value in vector]
+    def _integral_row(self, vector: Sequence[float]) -> list[int]:
+        values = vector.tolist() if isinstance(vector, np.ndarray) else list(vector)
+        if len(values) != self.dimension:
+            raise CompilationError(
+                f"vector has {len(values)} entries, expected {self.dimension}"
+            )
+        try:
+            row = [int(value) for value in values]
+        except (TypeError, ValueError, OverflowError) as error:
+            raise CompilationError(
+                f"rank tracking needs integral vectors: {error}"
+            ) from error
+        if row != values:
+            raise CompilationError("rank tracking needs integral vectors")
+        return row
+
+    def _reduce(self, vector: Sequence[float]) -> list[int]:
+        row = self._integral_row(vector)
         for pivot_row, pivot_column in zip(self._rows, self._pivot_columns):
-            if row[pivot_column] != 0:
-                factor = row[pivot_column] / pivot_row[pivot_column]
-                row = [a - factor * b for a, b in zip(row, pivot_row)]
+            factor = row[pivot_column]
+            if factor:
+                pivot = pivot_row[pivot_column]
+                row = [pivot * a - factor * b for a, b in zip(row, pivot_row)]
+                divisor = math.gcd(*row)
+                if not divisor:  # the row reduced to zero: dependent
+                    break
+                if divisor > 1:
+                    row = [value // divisor for value in row]
         return row
 
     def would_increase_rank(self, vector: Sequence[float]) -> bool:
         """Return True iff adding ``vector`` would increase the rank."""
-        return any(value != 0 for value in self._reduce(vector))
+        return any(self._reduce(vector))
 
     def add(self, vector: Sequence[float]) -> bool:
         """Add ``vector`` if it is independent of the tracked set.
@@ -141,7 +180,7 @@ class RationalRankTracker:
         """
         row = self._reduce(vector)
         for column, value in enumerate(row):
-            if value != 0:
+            if value:
                 self._rows.append(row)
                 self._pivot_columns.append(column)
                 return True
@@ -158,9 +197,12 @@ def expansion_coefficients(
     the residual is checked to guard against an incomplete basis.
 
     Raises:
-        CompilationError: if ``target`` lies outside the span (residual not
-            numerically zero), which indicates the basis is incomplete.
+        CompilationError: if ``basis_vectors`` is empty, or if ``target``
+            lies outside the span (residual not numerically zero), which
+            indicates the basis is incomplete.
     """
+    if len(basis_vectors) == 0:
+        raise CompilationError("no basis vectors to expand in")
     matrix = np.stack(basis_vectors, axis=1)
     coefficients, _, _, _ = np.linalg.lstsq(matrix, target, rcond=None)
     residual = np.linalg.norm(matrix @ coefficients - target)

@@ -1,8 +1,14 @@
 """Tests for path vectors, enumeration, rank tracking, and basis extraction."""
 
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.api import timing_program_names
 from repro.core import CompilationError
 from repro.cfg import (
     RationalRankTracker,
@@ -17,6 +23,7 @@ from repro.cfg import (
     path_from_edges,
     saturating_add,
 )
+from repro.cfg import programs
 from repro.cfg.ssa import PathConstraintBuilder
 
 
@@ -73,6 +80,77 @@ class TestRankTracker:
         assert tracker.would_increase_rank([0, 1])
         assert tracker.rank == 1
 
+    def test_non_integral_entries_rejected_not_rounded(self):
+        tracker = RationalRankTracker(2)
+        with pytest.raises(CompilationError):
+            tracker.add([1e-10, 0])
+        assert tracker.rank == 0
+        tracker.add([1, 0])
+        with pytest.raises(CompilationError):
+            tracker.would_increase_rank([1, 1e-10])
+        with pytest.raises(CompilationError):
+            tracker.add(np.array([0.5, 0.0]))
+        with pytest.raises(CompilationError):
+            tracker.add([float("nan"), 0])
+        assert tracker.rank == 1
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(CompilationError):
+            RationalRankTracker(3).add([1, 0])
+
+
+class _FractionRank:
+    """Independent reference: Gaussian elimination over ``Fraction``, with
+    each pivot row scaled to a leading 1."""
+
+    def __init__(self):
+        self.rows = {}  # pivot column -> row, in insertion order
+
+    def add(self, vector):
+        row = [Fraction(value) for value in vector]
+        for column, pivot_row in self.rows.items():
+            factor = row[column]
+            if factor:
+                row = [a - factor * b for a, b in zip(row, pivot_row)]
+        column = next((c for c, value in enumerate(row) if value), None)
+        if column is None:
+            return False
+        self.rows[column] = [value / row[column] for value in row]
+        return True
+
+
+class TestRankTrackerDifferential:
+    def _vectors(self, rng, dimension):
+        vectors = []
+        for _ in range(rng.randint(1, 2 * dimension + 3)):
+            roll = rng.random()
+            if roll < 0.1:
+                vectors.append([0] * dimension)
+            elif roll < 0.25 and vectors:
+                vectors.append(list(rng.choice(vectors)))
+            elif roll < 0.4 and vectors:
+                scale = rng.choice([-3, -2, -1, 2, 3])
+                vectors.append([scale * value for value in rng.choice(vectors)])
+            else:
+                vectors.append([rng.randint(-3, 3) for _ in range(dimension)])
+        return vectors
+
+    def test_matches_fraction_elimination_on_random_vectors(self):
+        rng = random.Random(20120603)
+        for trial in range(80):
+            dimension = rng.randint(1, 40) if trial >= 40 else trial + 1
+            vectors = self._vectors(rng, dimension)
+            reference = _FractionRank()
+            tracker = RationalRankTracker(dimension)
+            rank = 0
+            for vector in vectors:
+                increases = reference.add(vector)
+                assert tracker.would_increase_rank(vector) is increases
+                assert tracker.rank == rank  # the probe left no trace
+                assert tracker.add(vector) is increases
+                rank += increases
+                assert tracker.rank == rank
+
 
 class TestExpansionCoefficients:
     def test_exact_expansion(self):
@@ -85,6 +163,10 @@ class TestExpansionCoefficients:
         basis = [np.array([1.0, 0.0, 0.0])]
         with pytest.raises(CompilationError):
             expansion_coefficients(basis, np.array([0.0, 1.0, 0.0]))
+
+    def test_empty_basis_rejected(self):
+        with pytest.raises(CompilationError):
+            expansion_coefficients([], np.array([1.0, 0.0]))
 
 
 class TestBasisExtraction:
@@ -125,3 +207,58 @@ class TestBasisExtraction:
         assert result.achieved_rank == 2
         assert not result.complete
         assert result.infeasible_skipped >= 1
+
+
+#: Every registered timing program, with the argument sets of the
+#: ``gametime-sweep`` benchmark's shape catalogue.
+GOLDEN_SHAPES = [
+    ("modular_exponentiation", {"exponent_bits": 6}),
+    ("modular_exponentiation", {"exponent_bits": 8}),
+    ("modular_exponentiation", {"exponent_bits": 10}),
+    ("conditional_cascade", {"depth": 4}),
+    ("conditional_cascade", {"depth": 6}),
+    ("bounded_linear_search", {"length": 4}),
+    ("figure4_toy", {}),
+    ("saturating_add", {}),
+    ("absolute_difference", {}),
+]
+
+GOLDEN_BASIS = json.loads(
+    (Path(__file__).parent / "data" / "golden_basis.json").read_text()
+)
+
+
+def _shape_label(name, args):
+    arguments = ", ".join(f"{key}={value}" for key, value in args.items())
+    return f"{name}({arguments})"
+
+
+def _golden_key(name, args, width):
+    return f"{_shape_label(name, args)} w{width}"
+
+
+class TestGoldenBasisSelection:
+    """Which candidates enter the basis, pinned: any change to the rank
+    test or the candidate order shows up here as a different basis."""
+
+    def test_golden_covers_every_registered_program(self):
+        assert {name for name, _ in GOLDEN_SHAPES} == set(timing_program_names())
+        assert set(GOLDEN_BASIS) == {
+            _golden_key(name, args, width)
+            for name, args in GOLDEN_SHAPES
+            for width in (16, 31)
+        }
+
+    @pytest.mark.parametrize("width", [16, 31])
+    @pytest.mark.parametrize(
+        "name,args", GOLDEN_SHAPES, ids=[_shape_label(*shape) for shape in GOLDEN_SHAPES]
+    )
+    def test_basis_matches_golden(self, name, args, width):
+        program = getattr(programs, name)(**args, word_width=width)
+        result = extract_basis_paths(build_cfg(program))
+        golden = GOLDEN_BASIS[_golden_key(name, args, width)]
+        assert [list(item.path.edges) for item in result.basis] == golden["edges"]
+        assert result.test_cases() == golden["test_cases"]
+        assert result.paths_considered == golden["paths_considered"]
+        assert result.infeasible_skipped == golden["infeasible_skipped"]
+        assert result.achieved_rank == golden["achieved_rank"]
