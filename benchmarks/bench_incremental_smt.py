@@ -5,9 +5,8 @@ front end (paper Section 3) both issue long sequences of closely related
 deductive queries.  This benchmark measures what the incremental
 :class:`~repro.smt.solver.SmtSolver` — persistent CDCL solver +
 bit-blaster, activation-literal push/pop scopes, assumption-based
-``check(*extra)`` — saves over the pre-incremental re-encode-every-check
-design, which stays available through the ``reencode_each_check=True``
-escape hatch:
+``check(*extra)`` — saves over a fresh solver per query, which re-blasts
+the whole encoding every time:
 
 * the Figure 8 deobfuscation workloads: one persistent solver serves all
   candidate-program and distinguishing-input queries of an OGIS run.  The
@@ -17,8 +16,8 @@ escape hatch:
   flattered by architecture changes the old code never had;
 * the Figure 6 modexp front end: per-path feasibility queries share one
   solver, so structurally shared path prefixes are bit-blasted once.  The
-  baseline is the ``EngineConfig(reencode_each_check=True)`` escape hatch,
-  which matches the old fresh-solver-per-path behaviour exactly.
+  baseline builds a fresh :class:`~repro.cfg.ssa.PathConstraintBuilder`
+  (and with it a fresh solver) for every path.
 
 Both modes must issue identical verdicts; across the deobfuscation runs
 the incremental mode must generate at least 2x fewer SAT variables and
@@ -34,7 +33,6 @@ import pytest
 
 from conftest import print_table, run_once
 
-from repro.api import EngineConfig
 from repro.cfg import build_cfg, enumerate_paths, modular_exponentiation
 from repro.cfg.lang import Program
 from repro.cfg.programs import bounded_linear_search
@@ -181,15 +179,21 @@ def _run_deobfuscation(oneshot: bool):
     return rows
 
 
-def _run_feasibility_sweep(program: Program, reencode: bool):
+def _run_feasibility_sweep(program: Program, fresh_per_path: bool):
     cfg = build_cfg(program)
-    builder = PathConstraintBuilder(
-        cfg, config=EngineConfig(reencode_each_check=reencode)
-    )
+    shared = PathConstraintBuilder(cfg)
+    fresh_statistics = SmtStatistics()
+    verdicts = []
     start = time.perf_counter()
-    verdicts = [builder.is_feasible(path) for path in enumerate_paths(cfg)]
+    for path in enumerate_paths(cfg):
+        if fresh_per_path:
+            fresh = PathConstraintBuilder(cfg)
+            verdicts.append(fresh.is_feasible(path))
+            fresh_statistics = fresh_statistics.merged_with(fresh.smt_statistics)
+        else:
+            verdicts.append(shared.is_feasible(path))
     elapsed = time.perf_counter() - start
-    statistics = builder.smt_statistics
+    statistics = fresh_statistics if fresh_per_path else shared.smt_statistics
     return {
         "verdicts": verdicts,
         "feasible": sum(verdicts),
@@ -203,12 +207,12 @@ def _run_all():
     return {
         "ogis": {
             "incremental": _run_deobfuscation(oneshot=False),
-            "reencode": _run_deobfuscation(oneshot=True),
+            "oneshot": _run_deobfuscation(oneshot=True),
         },
         "sweeps": {
             name: {
-                "incremental": _run_feasibility_sweep(program, reencode=False),
-                "reencode": _run_feasibility_sweep(program, reencode=True),
+                "incremental": _run_feasibility_sweep(program, fresh_per_path=False),
+                "oneshot": _run_feasibility_sweep(program, fresh_per_path=True),
             }
             for name, program in (
                 ("modexp(8)", modular_exponentiation(8, 16)),
@@ -222,16 +226,16 @@ def test_incremental_smt(benchmark):
     results = run_once(benchmark, _run_all)
 
     table_rows = []
-    for incremental, reencode in zip(
-        results["ogis"]["incremental"], results["ogis"]["reencode"]
+    for incremental, oneshot in zip(
+        results["ogis"]["incremental"], results["ogis"]["oneshot"]
     ):
         table_rows.append(
             [
                 incremental["task"],
                 str(incremental["iterations"]),
-                f"{incremental['variables']} / {reencode['variables']}",
-                f"{incremental['clauses']} / {reencode['clauses']}",
-                f"{incremental['seconds']:.2f} / {reencode['seconds']:.2f}",
+                f"{incremental['variables']} / {oneshot['variables']}",
+                f"{incremental['clauses']} / {oneshot['clauses']}",
+                f"{incremental['seconds']:.2f} / {oneshot['seconds']:.2f}",
             ]
         )
     print_table(
@@ -241,49 +245,48 @@ def test_incremental_smt(benchmark):
     )
     sweep_rows = []
     for name, modes in results["sweeps"].items():
-        incremental, reencode = modes["incremental"], modes["reencode"]
+        incremental, oneshot = modes["incremental"], modes["oneshot"]
         sweep_rows.append(
             [
                 name,
                 f"{incremental['feasible']}/{len(incremental['verdicts'])}",
-                f"{incremental['variables']} / {reencode['variables']}",
-                f"{incremental['clauses']} / {reencode['clauses']}",
-                f"{incremental['seconds']:.2f} / {reencode['seconds']:.2f}",
+                f"{incremental['variables']} / {oneshot['variables']}",
+                f"{incremental['clauses']} / {oneshot['clauses']}",
+                f"{incremental['seconds']:.2f} / {oneshot['seconds']:.2f}",
             ]
         )
     print_table(
-        "Path-feasibility sweeps — incremental / re-encode-each-check",
+        "Path-feasibility sweeps — incremental / fresh builder per path",
         ["program", "feasible paths", "SAT vars", "SAT clauses", "seconds"],
         sweep_rows,
     )
 
     # Same verdicts in both modes.
-    for incremental, reencode in zip(
-        results["ogis"]["incremental"], results["ogis"]["reencode"]
+    for incremental, oneshot in zip(
+        results["ogis"]["incremental"], results["ogis"]["oneshot"]
     ):
-        assert incremental["ok"] and reencode["ok"], incremental["task"]
+        assert incremental["ok"] and oneshot["ok"], incremental["task"]
     for name, modes in results["sweeps"].items():
-        assert modes["incremental"]["verdicts"] == modes["reencode"]["verdicts"], name
+        assert modes["incremental"]["verdicts"] == modes["oneshot"]["verdicts"], name
 
     # >= 2x fewer SAT variables and clauses across the OGIS runs.
     incremental_variables = sum(r["variables"] for r in results["ogis"]["incremental"])
-    reencode_variables = sum(r["variables"] for r in results["ogis"]["reencode"])
+    oneshot_variables = sum(r["variables"] for r in results["ogis"]["oneshot"])
     incremental_clauses = sum(r["clauses"] for r in results["ogis"]["incremental"])
-    reencode_clauses = sum(r["clauses"] for r in results["ogis"]["reencode"])
-    assert reencode_variables >= 2 * incremental_variables
-    assert reencode_clauses >= 2 * incremental_clauses
+    oneshot_clauses = sum(r["clauses"] for r in results["ogis"]["oneshot"])
+    assert oneshot_variables >= 2 * incremental_variables
+    assert oneshot_clauses >= 2 * incremental_clauses
     # The sweeps share one solver per CFG too.  Clause counts can tie on
-    # heavily sliced encodings (and the persistent solver's one-time
-    # true-constant clause can tip an exact tie by one); the variable
-    # reduction is the structural win.
+    # heavily sliced encodings; the variable reduction is the structural
+    # win.
     for modes in results["sweeps"].values():
-        assert modes["incremental"]["variables"] < modes["reencode"]["variables"]
-        assert modes["incremental"]["clauses"] <= modes["reencode"]["clauses"] + 1
+        assert modes["incremental"]["variables"] < modes["oneshot"]["variables"]
+        assert modes["incremental"]["clauses"] <= modes["oneshot"]["clauses"]
 
     benchmark.extra_info.update(
         {
-            "ogis_variable_reduction": reencode_variables / max(incremental_variables, 1),
-            "ogis_clause_reduction": reencode_clauses / max(incremental_clauses, 1),
+            "ogis_variable_reduction": oneshot_variables / max(incremental_variables, 1),
+            "ogis_clause_reduction": oneshot_clauses / max(incremental_clauses, 1),
         }
     )
 

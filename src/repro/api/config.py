@@ -1,14 +1,9 @@
 """One configuration surface for the whole sciduction engine.
 
-Before :mod:`repro.api`, the solver knobs introduced by the incremental
-and query-shrinking passes (``reencode_each_check``, ``simplify_terms``,
-``polarity_aware``, ``gc_dead_clauses``) were hand-threaded as loose
-kwargs through :class:`~repro.ogis.encoding.SynthesisEncoder`,
-:class:`~repro.ogis.synthesizer.OgisSynthesizer` and
-:class:`~repro.cfg.ssa.PathConstraintBuilder`, each copy drifting
-independently.  :class:`EngineConfig` replaces all of them: one frozen,
-JSON-serializable dataclass that every layer consumes via
-:meth:`EngineConfig.solver_options`.
+:class:`EngineConfig` is one frozen, JSON-serializable dataclass that
+every layer consumes: solver sessions are built from
+:meth:`EngineConfig.solver_options`, and the pool, engine and service
+read the remaining fields directly.
 
 The module deliberately imports nothing from the application layers so it
 can be imported from anywhere in the package without cycles.
@@ -32,13 +27,10 @@ class EngineConfig:
             (ablation knob).
         gc_dead_clauses: dead-scope clause threshold triggering SAT
             database garbage collection; ``None`` disables it.
-        reencode_each_check: rebuild a fresh SAT solver for every check
-            (the pre-incremental escape hatch / benchmark baseline).
-        adaptive_restarts: use glucose-style LBD-moving-average restarts
-            instead of the default Luby sequence.
         max_conflicts: default per-check CDCL conflict budget (``None``
-            = unlimited); per-*job* budgets are set at submit time and
-            override nothing here — both limits apply independently.
+            = unlimited; negative budgets are rejected); per-*job* budgets
+            are set at submit time and override nothing here — both
+            limits apply independently.
         workers: number of worker *processes* backing
             :meth:`~repro.api.engine.SciductionEngine.run_batch`.  The
             default of 1 runs jobs sequentially in-process; ``workers > 1``
@@ -57,26 +49,6 @@ class EngineConfig:
         reuse_sessions: when False the pool hands out a fresh solver for
             every lease (the per-job-fresh baseline measured by the
             batch-throughput benchmark).
-        release_clause_lbd: LBD retention threshold applied to a pooled
-            session's learned clauses when a job releases its lease:
-            learned clauses with LBD above the threshold are dropped, so
-            the warm clause database stays lean enough that session reuse
-            is a wall-time win, not just an encoding win.  The default of
-            0 drops *all* learned clauses — together with the release-time
-            heuristic reset this makes a warm session replay exactly the
-            search a fresh solver would run, minus the encoding work;
-            ``N >= 1`` additionally keeps glue/binary clauses with LBD ≤ N
-            (cross-job lemma transfer, which can help or perturb);
-            ``None`` disables the trim entirely.
-        memoize_checks: let every solver memoize decided ``check``
-            answers keyed by the exact asserted-formula sequence (see
-            :class:`~repro.smt.solver.SmtSolver`).  On a warm shape-routed
-            session a repeated job replays the same query sequence, so
-            its checks answer from the memo without running the SAT
-            search — this is the warm-cache hit that makes pooled
-            throughput beat per-job-fresh solving.  Fresh solvers carry
-            the same flag (one config governs both), they just never see
-            a repeat within their one-job lifetime.
         shared_check_memo: additionally share decided check answers
             *across* solver sessions and worker processes through a
             :class:`~repro.api.memo.SharedCheckMemo` owned by the engine
@@ -86,19 +58,8 @@ class EngineConfig:
             short-circuits the same check on worker B — the situation a
             long-lived service creates whenever a problem shape moves
             between workers (re-planned batches, stolen shape queues,
-            sessions recycled past the pool bound).  Requires
-            ``memoize_checks``; ignored without it.
+            sessions recycled past the pool bound).
         shared_memo_size: LRU entry bound of the shared check memo.
-        gc_freeze_sessions: move each pooled session's long-lived object
-            graph (clause database, watch lists, bit-blast caches) into
-            the cyclic garbage collector's permanent generation the first
-            time the session is released (``gc.collect()`` then
-            ``gc.freeze()``, the standard long-lived-service pattern).
-            Without this, every generation-2 collection re-walks the warm
-            sessions' graphs and session reuse loses its wall-time edge
-            over fresh solvers.  The freeze affects the whole process:
-            objects alive at freeze time are exempted from cyclic
-            collection (reference counting still frees them normally).
         intern_table_limit: once the global hash-consing table exceeds
             this many entries, the pool evicts each finished job's
             interned terms at lease release and recycles the session
@@ -124,22 +85,21 @@ class EngineConfig:
     simplify_terms: bool = True
     polarity_aware: bool = True
     gc_dead_clauses: int | None = 2000
-    reencode_each_check: bool = False
-    adaptive_restarts: bool = False
     max_conflicts: int | None = None
     workers: int = 1
     pool_size: int = 4
     reuse_sessions: bool = True
-    release_clause_lbd: int | None = 0
-    memoize_checks: bool = True
     shared_check_memo: bool = True
     shared_memo_size: int = 4096
-    gc_freeze_sessions: bool = True
     intern_table_limit: int | None = 1_000_000
     job_retry_limit: int = 1
     retry_backoff: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.max_conflicts is not None and self.max_conflicts < 0:
+            raise ReproError("max_conflicts must be non-negative")
+        if self.pool_size < 1:
+            raise ReproError("pool_size must be at least 1")
         if self.workers < 1:
             raise ReproError("workers must be at least 1")
         if self.shared_memo_size < 1:
@@ -153,12 +113,10 @@ class EngineConfig:
         """Keyword arguments for :class:`~repro.smt.solver.SmtSolver`."""
         return {
             "max_conflicts": self.max_conflicts,
-            "reencode_each_check": self.reencode_each_check,
             "simplify_terms": self.simplify_terms,
             "polarity_aware": self.polarity_aware,
             "gc_dead_clauses": self.gc_dead_clauses,
-            "restart_strategy": "glucose" if self.adaptive_restarts else "luby",
-            "memoize_checks": self.memoize_checks,
+            "memoize_checks": True,
         }
 
     def to_dict(self) -> dict:

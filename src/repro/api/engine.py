@@ -243,7 +243,7 @@ class _WorkerFleet:
         self._executors: dict[int, ProcessPoolExecutor] = {}
         self._memo_manager: Any = None
         self._memo_proxy: Any = None
-        if config.shared_check_memo and config.memoize_checks:
+        if config.shared_check_memo:
             self._memo_manager, self._memo_proxy = start_shared_memo(
                 config.shared_memo_size, context=_fork_context()
             )
@@ -339,7 +339,7 @@ class SciductionEngine:
         #: manager-hosted store (see :class:`_WorkerFleet`).
         self._memo_store: SharedCheckMemo | None = None
         memo_backend = None
-        if self.config.shared_check_memo and self.config.memoize_checks:
+        if self.config.shared_check_memo:
             self._memo_store = SharedCheckMemo(self.config.shared_memo_size)
             memo_backend = MemoClient(self._memo_store, "local")
         self.pool = pool or SolverPool(self.config, memo_backend=memo_backend)

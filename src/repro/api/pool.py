@@ -18,11 +18,11 @@ small set of long-lived incremental solvers and *leases* them to jobs:
   scoped; releasing the lease pops back to the root, which permanently
   falsifies the scope's activation literal and retires the job's clauses
   without touching the rest of the database;
-* at release the session's learned-clause database is trimmed with an
-  LBD threshold (``config.release_clause_lbd``): only glucose-style
-  good-glue clauses survive into the next job, which keeps propagation on
-  warm sessions as fast as on fresh solvers (the regression the
-  batch-throughput benchmark guards against);
+* at release the session drops every learned clause and resets its
+  branching heuristics, so the next job replays exactly the search a
+  fresh solver would run, minus the encoding work; the first release
+  also moves the session's long-lived object graph into the cyclic
+  garbage collector's permanent generation (``gc.freeze()``);
 * each lease snapshots the solver's statistics at hand-over, so per-job
   accounting is a delta, never the pool-lifetime cumulative counts;
 * each lease opens a hash-consing intern scope
@@ -72,7 +72,7 @@ class PoolStatistics:
     routing_hits: int = 0
     #: Leases that found no same-shape idle session and started cold.
     routing_misses: int = 0
-    #: Learned clauses dropped by the release-time LBD retention pass.
+    #: Learned clauses dropped at lease release.
     trimmed_learned_clauses: int = 0
 
 
@@ -257,16 +257,13 @@ class SolverPool:
         config: engine configuration; up to ``pool_size`` idle sessions
             are kept warm, solvers are constructed with
             ``config.solver_options()``, and ``reuse_sessions`` /
-            ``release_clause_lbd`` / ``intern_table_limit`` govern reuse,
-            learned-clause retention and intern-table cleanup.
+            ``intern_table_limit`` govern reuse and intern-table cleanup.
     """
 
     def __init__(
         self, config: EngineConfig | None = None, memo_backend: Any | None = None
     ) -> None:
         self.config = config or EngineConfig()
-        if self.config.pool_size < 1:
-            raise SolverError("pool_size must be at least 1")
         #: Idle (not currently leased) warm sessions, unordered; recency
         #: is tracked by each session's ``stamp``.
         self._idle: list[_SessionRecord] = []
@@ -340,7 +337,7 @@ class SolverPool:
         reused = record is not None
         if record is None:
             solver = SmtSolver(**self.config.solver_options())
-            if self._memo_backend is not None and self.config.memoize_checks:
+            if self._memo_backend is not None:
                 solver.set_memo_backend(self._memo_backend)
             record = _SessionRecord(
                 solver, shape, self._clock, root_depth=solver.scope_depth
@@ -353,13 +350,13 @@ class SolverPool:
         return lease
 
     def release(self, lease: SolverLease) -> None:
-        """Return a lease: pop to the root, trim learned clauses, clean up.
+        """Return a lease: pop to the root, drop learned clauses, clean up.
 
         The session is put back on the idle list keyed by the lease's
         shape (evicting the least-recently-used session past
-        ``pool_size``).  Its learned-clause database is trimmed to
-        ``config.release_clause_lbd`` so the warmth the next tenant
-        inherits is good glue, not drag.  Below
+        ``pool_size``).  Every learned clause is dropped and the search
+        heuristics are reset, so the next tenant runs the search a fresh
+        solver would, over the warm encoding.  Below
         ``config.intern_table_limit`` the job's interned terms are kept
         so later jobs can share them (and hit the warm bit-blast caches);
         past the limit the terms are evicted together with the session
@@ -411,10 +408,7 @@ class SolverPool:
             # job's variables, gate definitions and job-local learned
             # clauses all go; the base scope's encoding stays.
             lease.solver.rollback_to(lease._record.frontier)
-        if self.config.release_clause_lbd is not None:
-            self.statistics.trimmed_learned_clauses += lease.solver.trim_learned(
-                self.config.release_clause_lbd
-            )
+        self.statistics.trimmed_learned_clauses += lease.solver.trim_learned(0)
         # Hand the next tenant a pristine search state over the warm
         # encoding: without this, the previous job's VSIDS activities and
         # saved phases steer the next search off the trajectory a fresh
@@ -427,7 +421,7 @@ class SolverPool:
                 or lease.solver.level0_facts() != lease._record.level0_mark
             )
         )
-        if self.config.gc_freeze_sessions and not lease._record.frozen:
+        if not lease._record.frozen:
             # The session's clause database, watch lists and blaster
             # caches are long-lived from here on; without a freeze every
             # generation-2 cyclic collection re-walks them, which alone

@@ -11,6 +11,7 @@ instead of tracebacks.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any
 
 from repro.api.problems import problem_from_dict
@@ -34,9 +35,18 @@ def _optional_number(payload: dict, key: str, kind: type) -> Any:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise WireError(f"{key!r} must be a number, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise WireError(f"{key!r} must be finite, got {value}")
     if value < 0:
         raise WireError(f"{key!r} must be non-negative, got {value}")
-    return kind(value)
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise WireError(f"{key!r} must be an integer, got {value}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise WireError(f"{key!r} must be finite, got {value}") from None
 
 
 def parse_job_request(payload: Any) -> dict:

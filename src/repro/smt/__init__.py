@@ -34,10 +34,10 @@ How a query flows through the stack
 
 4. **CDCL search** (:mod:`repro.smt.sat`).  Clauses land in a persistent
    incremental solver: scopes are activation literals, ``check`` extras
-   are assumptions, learned clauses carry LBD and are reduced
-   glucose-style, watch lists carry blocking literals, and scopes retired
-   by ``pop`` are garbage-collected at level 0 once enough dead volume
-   accumulates.
+   are assumptions, restarts follow the Luby sequence, learned clauses
+   carry LBD and are reduced glucose-style, watch lists carry blocking
+   literals, and scopes retired by ``pop`` are garbage-collected at
+   level 0 once enough dead volume accumulates.
 
 5. **Model extraction** (:mod:`repro.smt.solver`).  A SAT answer yields a
    :class:`~repro.smt.solver.Model` lazily; declared variables keep their

@@ -12,13 +12,7 @@ module implements the classic CDCL architecture from scratch:
   backjumping,
 * VSIDS-style variable activities with exponential decay,
 * phase saving,
-* Luby-sequence restarts (the default), plus optional glucose-style
-  adaptive restarts driven by LBD moving averages
-  (``restart_strategy="glucose"``): restart when the average LBD of the
-  last 50 learned clauses exceeds the lifetime average by the glucose
-  factor (recent avg > lifetime avg / 0.8, i.e. 1.25×) — the recent
-  clauses are "worse glue" than usual, so the current search region is
-  unpromising,
+* Luby-sequence restarts,
 * glucose-style learned-clause management: every learned clause carries
   its LBD ("literals block distance" — the number of distinct decision
   levels among its literals); reduction deletes high-LBD clauses first
@@ -53,7 +47,6 @@ from __future__ import annotations
 import enum
 import heapq
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -181,14 +174,6 @@ class CdclSolver:
     calls (incremental solving).
     """
 
-    #: Number of recent learned-clause LBDs averaged by the glucose
-    #: restart heuristic, and its scaling factor K: a restart fires when
-    #: ``recent_avg * K > lifetime_avg``, i.e. the recent average must
-    #: exceed ``lifetime_avg / K`` (1.25× at K = 0.8).  *Raising* K makes
-    #: restarts more frequent.
-    GLUCOSE_LBD_WINDOW = 50
-    GLUCOSE_MARGIN = 0.8
-
     def __init__(
         self,
         variable_decay: float = 0.95,
@@ -196,10 +181,7 @@ class CdclSolver:
         restart_base: int = 100,
         max_learned_ratio: float = 0.5,
         max_conflicts: int | None = None,
-        restart_strategy: str = "luby",
     ):
-        if restart_strategy not in {"luby", "glucose"}:
-            raise SolverError(f"unknown restart strategy {restart_strategy!r}")
         self._num_vars = 0
         self._clauses: list[_Clause] = []
         # Watch lists indexed by literal; each entry is a (blocker, clause)
@@ -226,13 +208,6 @@ class CdclSolver:
         self._restart_base = restart_base
         self._max_learned_ratio = max_learned_ratio
         self._max_conflicts = max_conflicts
-        self._restart_strategy = restart_strategy
-        # Moving window of recent learned-clause LBDs plus running sums for
-        # the glucose restart heuristic (cheap to maintain even under Luby).
-        self._lbd_recent: deque[int] = deque(maxlen=self.GLUCOSE_LBD_WINDOW)
-        self._lbd_recent_sum = 0
-        self._lbd_lifetime_sum = 0
-        self._lbd_lifetime_count = 0
         # Job-level limits (see :meth:`set_limits`): an absolute ceiling on
         # ``statistics.conflicts`` and a ``time.monotonic()`` deadline,
         # both answering UNKNOWN when exceeded.  Unlike ``max_conflicts``
@@ -403,17 +378,14 @@ class CdclSolver:
                 learned, backjump_level, lbd = self._analyze_conflict(conflict)
                 self._backtrack(max(backjump_level, len(self._active_assumption_levels)))
                 self._learn_clause(learned, lbd)
-                self._record_lbd(lbd)
                 self._decay_activities()
                 continue
 
-            if self._restart_due(conflicts_since_restart, conflicts_until_restart):
+            if conflicts_since_restart >= conflicts_until_restart:
                 restart_count += 1
                 self.statistics.restarts += 1
                 conflicts_since_restart = 0
                 conflicts_until_restart = self._restart_base * luby(restart_count + 1)
-                self._lbd_recent.clear()
-                self._lbd_recent_sum = 0
                 self._backtrack(len(self._active_assumption_levels))
                 continue
 
@@ -498,7 +470,7 @@ class CdclSolver:
         """
         return self._cached_model
 
-    # -- job limits & restart policy --------------------------------------
+    # -- job limits --------------------------------------------------------
 
     def set_limits(
         self,
@@ -537,30 +509,6 @@ class CdclSolver:
         ):
             return True
         return False
-
-    def _record_lbd(self, lbd: int) -> None:
-        """Feed one learned clause's LBD into the restart moving averages."""
-        self._lbd_lifetime_sum += lbd
-        self._lbd_lifetime_count += 1
-        if len(self._lbd_recent) == self.GLUCOSE_LBD_WINDOW:
-            self._lbd_recent_sum -= self._lbd_recent[0]
-        self._lbd_recent.append(lbd)
-        self._lbd_recent_sum += lbd
-
-    def _restart_due(
-        self, conflicts_since_restart: int, conflicts_until_restart: int
-    ) -> bool:
-        """Decide whether to restart under the configured strategy."""
-        if self._restart_strategy == "glucose":
-            # Adaptive: the last window's average LBD (scaled by the
-            # glucose margin) exceeding the lifetime average means recent
-            # learned clauses are unusually poor glue — restart.
-            if len(self._lbd_recent) < self.GLUCOSE_LBD_WINDOW:
-                return False
-            recent_average = self._lbd_recent_sum / self.GLUCOSE_LBD_WINDOW
-            lifetime_average = self._lbd_lifetime_sum / self._lbd_lifetime_count
-            return recent_average * self.GLUCOSE_MARGIN > lifetime_average
-        return conflicts_since_restart >= conflicts_until_restart
 
     # -- internal: assignment & propagation ------------------------------
 
@@ -967,13 +915,13 @@ class CdclSolver:
         """Reset every branching heuristic to its pristine state (level 0).
 
         Clears VSIDS activities, phase saving, clause activities, the
-        decay increments, the lazy order heap, and the glucose LBD
-        windows — everything the *search* accumulated, while the clause
-        database and the level-0 trail stay.  A pooled solver session
-        calls this between jobs so the next tenant starts from the same
-        heuristic state a fresh solver would: the warm session then
-        replays the fresh search over its warm encoding instead of being
-        steered off it by a previous job's activities and phases.
+        decay increments and the lazy order heap — everything the
+        *search* accumulated, while the clause database and the level-0
+        trail stay.  A pooled solver session calls this between jobs so
+        the next tenant starts from the same heuristic state a fresh
+        solver would: the warm session then replays the fresh search over
+        its warm encoding instead of being steered off it by a previous
+        job's activities and phases.
 
         Args:
             simplify: run a level-0 database simplification after
@@ -1016,10 +964,6 @@ class CdclSolver:
         # the same content a fresh solver's heap holds after allocation.
         self._order_heap = [(0.0, index) for index in range(1, self._num_vars + 1)]
         self._fallback_head = 1
-        self._lbd_recent.clear()
-        self._lbd_recent_sum = 0
-        self._lbd_lifetime_sum = 0
-        self._lbd_lifetime_count = 0
         self._conflicts_at_last_reduction = self.statistics.conflicts
 
     def shrink_variables(self, num_vars: int) -> int:

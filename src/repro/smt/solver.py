@@ -24,10 +24,9 @@ retires) every clause of the scope without touching the rest of the
 database.  ``check(*extra)`` formulas are likewise passed as assumptions,
 so they constrain only the one query.
 
-The previous re-blast-on-demand design is still available as an escape
-hatch (``SmtSolver(reencode_each_check=True)``): it rebuilds a fresh SAT
-solver and blaster for every check, which is useful for benchmarking the
-incremental speedup and as a maximally-simple reference semantics.
+The reference semantics is a fresh solver per check: ``check(*extra)``
+answers exactly what ``solve(assertions + extra)`` would, and the tests
+compare the incremental stack against that.
 
 Every query is shrunk before it reaches the SAT core, in three layers
 that can each be disabled independently (the ablation knobs used by
@@ -185,25 +184,12 @@ class SmtStatistics:
         )
 
 
-def _merge_sat_statistics(left: SatStatistics, right: SatStatistics) -> SatStatistics:
-    """Field-wise sum of two CDCL statistics records (max for level depth)."""
-    return left.merged_with(right)
-
-
 class SmtSolver:
     """A QF_BV SMT solver built on bit-blasting + CDCL SAT.
 
     Args:
         max_conflicts: optional conflict budget per ``check`` (returns
             :data:`SmtResult.UNKNOWN` when exhausted).
-        reencode_each_check: when True, every ``check`` rebuilds a fresh
-            SAT solver and re-blasts the whole assertion stack (the
-            pre-incremental behaviour, kept as an escape hatch and as a
-            benchmark baseline).  When False (the default), one persistent
-            SAT solver and bit-blaster serve all checks; scopes are
-            realised with activation literals and ``extra`` formulas with
-            solver assumptions, so learned clauses and branching
-            activities carry over between checks.
         simplify_terms: run the word-level simplifier over every formula
             before bit-blasting (default True; ablation knob).
         polarity_aware: blast asserted formulas under positive polarity
@@ -212,9 +198,6 @@ class SmtSolver:
             accumulated by ``pop`` that triggers a level-0 garbage
             collection of the SAT clause database; ``None`` disables the
             collection (ablation knob).
-        restart_strategy: CDCL restart policy — ``"luby"`` (default) or
-            ``"glucose"`` (adaptive, LBD-moving-average driven; see
-            :class:`~repro.smt.sat.CdclSolver`).
         memoize_checks: cache decided ``check`` answers keyed by the
             exact asserted-formula sequence plus the ``extra`` assumptions
             (hash-consed terms make the key cheap and exact).  A repeated
@@ -236,21 +219,17 @@ class SmtSolver:
     def __init__(
         self,
         max_conflicts: int | None = None,
-        reencode_each_check: bool = False,
         simplify_terms: bool = True,
         polarity_aware: bool = True,
         gc_dead_clauses: int | None = 2000,
-        restart_strategy: str = "luby",
         memoize_checks: bool = False,
     ):
         self._assertions: list[BoolTerm] = []
         self._scopes: list[int] = []
         self._max_conflicts = max_conflicts
-        self._reencode_each_check = reencode_each_check
         self._simplify_terms = simplify_terms
         self._assert_polarity = POSITIVE if polarity_aware else BOTH
         self._gc_dead_clauses = gc_dead_clauses
-        self._restart_strategy = restart_strategy
         self._memoize_checks = memoize_checks
         # (assertion tuple, extra tuple) → (verdict, model bits | None).
         # Keys hold strong references to the hash-consed terms, so key
@@ -283,8 +262,6 @@ class SmtSolver:
         self._dead_clauses = 0
         # Prefix of ``_assertions`` already encoded into the SAT solver.
         self._encoded_count = 0
-        # SAT statistics of solvers retired by reencode_each_check mode.
-        self._retired_sat_statistics = SatStatistics()
 
     # -- assertion stack --------------------------------------------------
 
@@ -300,57 +277,53 @@ class SmtSolver:
     def push(self) -> None:
         """Push a backtracking scope."""
         self._scopes.append(len(self._assertions))
-        if not self._reencode_each_check:
-            sat_solver, _ = self._core()
-            self._activations.append(make_literal(sat_solver.new_variable()))
-            self._scope_clause_marks.append(sat_solver.statistics.clauses_added)
-            self.statistics.variables_generated += 1
+        sat_solver, _ = self._core()
+        self._activations.append(make_literal(sat_solver.new_variable()))
+        self._scope_clause_marks.append(sat_solver.statistics.clauses_added)
+        self.statistics.variables_generated += 1
 
     def pop(self) -> None:
         """Pop the most recent scope, discarding its assertions.
 
-        In incremental mode the scope's clauses stay in the SAT solver,
-        permanently satisfied by the falsified activation literal.  Their
-        volume is tracked, and once it crosses the ``gc_dead_clauses``
-        threshold the solver's level-0 database simplification reclaims
-        them (together with anything else fixed-satisfied by then).
+        The scope's clauses stay in the SAT solver, permanently satisfied
+        by the falsified activation literal.  Their volume is tracked, and
+        once it crosses the ``gc_dead_clauses`` threshold the solver's
+        level-0 database simplification reclaims them (together with
+        anything else fixed-satisfied by then).
         """
         if not self._scopes:
             raise SolverError("pop without matching push")
         boundary = self._scopes.pop()
         del self._assertions[boundary:]
-        if not self._reencode_each_check:
-            activation = self._activations.pop()
-            mark = self._scope_clause_marks.pop()
-            if self._encoded_count > boundary:
-                # Clauses of this scope are already in the SAT solver;
-                # permanently falsifying the activation literal satisfies
-                # (and thereby retires) all of them.
-                sat_solver, _ = self._core()
-                clauses_before = sat_solver.statistics.clauses_added
-                sat_solver.add_clause([negate(activation)])
-                self.statistics.clauses_generated += (
-                    sat_solver.statistics.clauses_added - clauses_before
-                )
-                self._encoded_count = boundary
-                total = sat_solver.statistics.clauses_added
-                dead_span = max(0, total - mark)
-                self._dead_clauses += dead_span
-                # Advance each enclosing scope's watermark by exactly the
-                # span counted here, so this scope's clauses are not
-                # counted again when the enclosing scopes pop — while the
-                # enclosing scopes' own clauses stay in their accounting.
-                self._scope_clause_marks = [
-                    outer_mark + dead_span for outer_mark in self._scope_clause_marks
-                ]
-                if (
-                    self._gc_dead_clauses is not None
-                    and self._dead_clauses >= self._gc_dead_clauses
-                ):
-                    self.statistics.clauses_collected += (
-                        sat_solver.simplify_database()
-                    )
-                    self._dead_clauses = 0
+        activation = self._activations.pop()
+        mark = self._scope_clause_marks.pop()
+        if self._encoded_count > boundary:
+            # Clauses of this scope are already in the SAT solver;
+            # permanently falsifying the activation literal satisfies
+            # (and thereby retires) all of them.
+            sat_solver, _ = self._core()
+            clauses_before = sat_solver.statistics.clauses_added
+            sat_solver.add_clause([negate(activation)])
+            self.statistics.clauses_generated += (
+                sat_solver.statistics.clauses_added - clauses_before
+            )
+            self._encoded_count = boundary
+            total = sat_solver.statistics.clauses_added
+            dead_span = max(0, total - mark)
+            self._dead_clauses += dead_span
+            # Advance each enclosing scope's watermark by exactly the
+            # span counted here, so this scope's clauses are not
+            # counted again when the enclosing scopes pop — while the
+            # enclosing scopes' own clauses stay in their accounting.
+            self._scope_clause_marks = [
+                outer_mark + dead_span for outer_mark in self._scope_clause_marks
+            ]
+            if (
+                self._gc_dead_clauses is not None
+                and self._dead_clauses >= self._gc_dead_clauses
+            ):
+                self.statistics.clauses_collected += sat_solver.simplify_database()
+                self._dead_clauses = 0
 
     @property
     def assertions(self) -> Sequence[BoolTerm]:
@@ -409,13 +382,10 @@ class SmtSolver:
     def _core(self) -> tuple[CdclSolver, BitBlaster]:
         """The persistent SAT solver + blaster pair (created on first use)."""
         if self._sat_solver is None:
-            self._sat_solver = CdclSolver(
-                max_conflicts=self._max_conflicts,
-                restart_strategy=self._restart_strategy,
-            )
+            self._sat_solver = CdclSolver(max_conflicts=self._max_conflicts)
             self._blaster = BitBlaster(self._sat_solver)
-            # Count the blaster's true-constant variable and unit clause so
-            # both solver modes measure the same encoding work.
+            # Count the blaster's true-constant variable and unit clause
+            # as encoding work.
             self.statistics.variables_generated += self._sat_solver.num_variables
             self.statistics.clauses_generated += (
                 self._sat_solver.statistics.clauses_added
@@ -458,10 +428,9 @@ class SmtSolver:
     def check(self, *extra: BoolTerm) -> SmtResult:
         """Check satisfiability of the asserted formulas (plus ``extra``).
 
-        ``extra`` formulas constrain this check only: in incremental mode
-        they are encoded once (their definitional clauses stay cached) but
-        asserted via solver assumptions, so they leave no trace on later
-        checks.
+        ``extra`` formulas constrain this check only: they are encoded
+        once (their definitional clauses stay cached) but asserted via
+        solver assumptions, so they leave no trace on later checks.
 
         Returns:
             :data:`SmtResult.SAT`, :data:`SmtResult.UNSAT`, or
@@ -473,8 +442,6 @@ class SmtSolver:
                 raise SolverError(
                     f"only Boolean terms can be checked, got {type(formula).__name__}"
                 )
-        if self._reencode_each_check:
-            return self._check_reencoding(extra)
         sat_solver, blaster = self._core()
         variables_before = sat_solver.num_variables
         clauses_before = sat_solver.statistics.clauses_added
@@ -625,35 +592,14 @@ class SmtSolver:
         self._check_memo.clear()
         self._digest_cache.clear()
 
-    def _check_reencoding(self, extra: Sequence[BoolTerm]) -> SmtResult:
-        """One-shot check: fresh SAT solver, full re-blast (escape hatch)."""
-        sat_solver = CdclSolver(
-            max_conflicts=self._max_conflicts,
-            restart_strategy=self._restart_strategy,
-        )
-        blaster = BitBlaster(sat_solver)
-        for formula in list(self._assertions) + list(extra):
-            blaster.assert_formula(self._prepare(formula), self._assert_polarity)
-        self.statistics.variables_generated += sat_solver.num_variables
-        self.statistics.clauses_generated += sat_solver.statistics.clauses_added
-        self._install_job_limits(sat_solver)
-        result = sat_solver.solve()
-        self._charge_job_conflicts(sat_solver, 0)
-        self._retired_sat_statistics = _merge_sat_statistics(
-            self._retired_sat_statistics, sat_solver.statistics
-        )
-        return self._record_result(result, sat_solver, blaster)
-
     def flush(self) -> None:
         """Encode every pending assertion into the SAT core now.
 
         Normally encoding is lazy (it happens at ``check`` time); flushing
         makes the solver's variable frontier reflect exactly the
         assertions made so far, which is what :meth:`frontier` needs to
-        capture a meaningful watermark.  A no-op in re-encode mode.
+        capture a meaningful watermark.
         """
-        if self._reencode_each_check:
-            return
         sat_solver, _ = self._core()
         variables_before = sat_solver.num_variables
         clauses_before = sat_solver.statistics.clauses_added
@@ -665,14 +611,11 @@ class SmtSolver:
             sat_solver.statistics.clauses_added - clauses_before
         )
 
-    def frontier(self) -> int | None:
+    def frontier(self) -> int:
         """The current SAT variable watermark (see :meth:`rollback_to`).
 
         Call :meth:`flush` first so pending assertions are included.
-        Returns None in re-encode mode (there is no persistent frontier).
         """
-        if self._reencode_each_check:
-            return None
         sat_solver, _ = self._core()
         return sat_solver.num_variables
 
@@ -691,7 +634,7 @@ class SmtSolver:
         Returns:
             The number of SAT clauses removed.
         """
-        if self._reencode_each_check or self._sat_solver is None:
+        if self._sat_solver is None:
             return 0
         if frontier >= self._sat_solver.num_variables:
             return 0
@@ -714,8 +657,7 @@ class SmtSolver:
         good-glue learned clauses, but sheds the high-LBD clauses a
         finished job left behind, which would otherwise slow down
         propagation for every later tenant; ``max_lbd <= 0`` drops every
-        learned clause.  A no-op in re-encode mode (there is no
-        persistent SAT solver).
+        learned clause.
 
         Returns:
             The number of learned clauses removed.
@@ -727,8 +669,7 @@ class SmtSolver:
     def reset_search_state(self, simplify: bool = True) -> None:
         """Reset the SAT core's branching heuristics to a pristine state.
 
-        See :meth:`repro.smt.sat.CdclSolver.reset_search_state`; a no-op
-        in re-encode mode (every check builds a fresh solver anyway).
+        See :meth:`repro.smt.sat.CdclSolver.reset_search_state`.
         """
         if self._sat_solver is not None:
             self._sat_solver.reset_search_state(simplify=simplify)
@@ -746,17 +687,13 @@ class SmtSolver:
         return self._sat_solver.num_fixed_literals
 
     def sat_statistics(self) -> SatStatistics:
-        """Aggregated CDCL counters over the solver's lifetime.
+        """A copy of the persistent SAT solver's lifetime CDCL counters.
 
-        In incremental mode this is the persistent SAT solver's record; in
-        re-encode mode the counters of every discarded per-check solver
-        are summed.
+        A copy, so callers can keep it as a baseline snapshot.
         """
         if self._sat_solver is None:
-            return self._retired_sat_statistics
-        return _merge_sat_statistics(
-            self._retired_sat_statistics, self._sat_solver.statistics
-        )
+            return SatStatistics()
+        return replace(self._sat_solver.statistics)
 
     def _record_result(
         self, result: SatResult, sat_solver: CdclSolver, blaster: BitBlaster

@@ -1,8 +1,11 @@
 """Tests for the unified EngineConfig surface."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.api import EngineConfig
+from repro.core import ReproError
 
 
 class TestEngineConfig:
@@ -10,7 +13,6 @@ class TestEngineConfig:
         config = EngineConfig(
             simplify_terms=False,
             gc_dead_clauses=None,
-            adaptive_restarts=True,
             max_conflicts=123,
             pool_size=3,
             reuse_sessions=False,
@@ -29,11 +31,44 @@ class TestEngineConfig:
         # Every option must be a real SmtSolver kwarg (constructing with
         # them all is the proof).
         SmtSolver(**options)
-        assert options["restart_strategy"] == "luby"
-        assert EngineConfig(adaptive_restarts=True).solver_options()[
-            "restart_strategy"
-        ] == "glucose"
+        # Engine sessions always memoize decided checks.
+        assert options["memoize_checks"] is True
 
     def test_config_is_immutable(self):
         with pytest.raises(Exception):
             EngineConfig().pool_size = 5
+
+    def test_field_names_are_pinned(self):
+        assert [field.name for field in fields(EngineConfig)] == [
+            "simplify_terms",
+            "polarity_aware",
+            "gc_dead_clauses",
+            "max_conflicts",
+            "workers",
+            "pool_size",
+            "reuse_sessions",
+            "shared_check_memo",
+            "shared_memo_size",
+            "intern_table_limit",
+            "job_retry_limit",
+            "retry_backoff",
+        ]
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("pool_size", [0, -1])
+    def test_pool_size_below_one_rejected(self, pool_size):
+        with pytest.raises(ReproError, match="pool_size"):
+            EngineConfig(pool_size=pool_size)
+
+    def test_negative_max_conflicts_rejected(self):
+        with pytest.raises(ReproError, match="max_conflicts"):
+            EngineConfig(max_conflicts=-1)
+
+    def test_zero_and_unlimited_max_conflicts_accepted(self):
+        assert EngineConfig(max_conflicts=0).max_conflicts == 0
+        assert EngineConfig(max_conflicts=None).max_conflicts is None
+
+    def test_from_dict_applies_range_checks(self):
+        with pytest.raises(ReproError, match="pool_size"):
+            EngineConfig.from_dict({"pool_size": 0})

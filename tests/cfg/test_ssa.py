@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.api import EngineConfig
 from repro.cfg import (
     build_cfg,
     conditional_cascade,
@@ -66,17 +65,14 @@ class TestFeasibility:
 
 
 class TestIncrementalFeasibility:
-    def test_incremental_and_reencode_builders_agree(self):
+    def test_incremental_builder_matches_fresh_builder_per_path(self):
         program = modular_exponentiation(4, 16)
         cfg = build_cfg(program)
         incremental = PathConstraintBuilder(cfg)
-        reencode = PathConstraintBuilder(
-            cfg, config=EngineConfig(reencode_each_check=True)
-        )
         for path in enumerate_paths(cfg):
             incremental_witness = incremental.feasibility(path)
-            reencode_witness = reencode.feasibility(path)
-            assert (incremental_witness is None) == (reencode_witness is None)
+            fresh_witness = PathConstraintBuilder(cfg).feasibility(path)
+            assert (incremental_witness is None) == (fresh_witness is None)
             if incremental_witness is not None:
                 replay = execution_path(cfg, incremental_witness.test_case)
                 assert replay.edges == path.edges
@@ -85,26 +81,18 @@ class TestIncrementalFeasibility:
         program = modular_exponentiation(4, 16)
         cfg = build_cfg(program)
         incremental = PathConstraintBuilder(cfg)
-        reencode = PathConstraintBuilder(
-            cfg, config=EngineConfig(reencode_each_check=True)
-        )
+        fresh_variables = fresh_clauses = 0
         for path in enumerate_paths(cfg):
             incremental.is_feasible(path)
-            reencode.is_feasible(path)
-        assert (
-            incremental.smt_statistics.variables_generated
-            < reencode.smt_statistics.variables_generated
-        )
+            fresh = PathConstraintBuilder(cfg)
+            fresh.is_feasible(path)
+            fresh_variables += fresh.smt_statistics.variables_generated
+            fresh_clauses += fresh.smt_statistics.clauses_generated
+        assert incremental.smt_statistics.variables_generated < fresh_variables
         # Clause counts can tie on heavily sliced encodings (one scoped
-        # clause per assertion plus one scope-retirement unit per pop vs.
-        # one unit per assertion plus one true-constant unit per check),
-        # with the persistent solver's one-time true-constant clause able
-        # to tip an exact tie by one; the variable reduction above is the
-        # structural win.
-        assert (
-            incremental.smt_statistics.clauses_generated
-            <= reencode.smt_statistics.clauses_generated + 1
-        )
+        # clause per assertion plus one scope-retirement unit per path
+        # either way); the variable reduction above is the structural win.
+        assert incremental.smt_statistics.clauses_generated <= fresh_clauses
 
     def test_infeasible_path_scope_does_not_leak(self):
         # A path rejected as infeasible must not constrain later queries on

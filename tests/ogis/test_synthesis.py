@@ -7,7 +7,6 @@ benchmark suite.
 
 import pytest
 
-from repro.api import EngineConfig
 from repro.core import UnrealizableError
 from repro.ogis import (
     EnumerativeSynthesizer,
@@ -165,30 +164,6 @@ class TestIncrementalEncoder:
         # results: the persistent solver is rebuilt.
         program = encoder.synthesize([IOExample((2, 7), (5,))])
         assert program.run((2, 7), width=4) == (5,)
-
-    def test_reencode_mode_matches_incremental(self):
-        oracle = _oracle(lambda v: ((5 * v[0]) % 16,), 1, 1)
-        incremental = OgisSynthesizer(
-            [component_shift_left(2), component_add()], oracle, width=4, seed=2
-        )
-        program_incremental = incremental.synthesize()
-        oracle = _oracle(lambda v: ((5 * v[0]) % 16,), 1, 1)
-        reencode = OgisSynthesizer(
-            [component_shift_left(2), component_add()],
-            oracle,
-            width=4,
-            seed=2,
-            config=EngineConfig(reencode_each_check=True),
-        )
-        program_reencode = reencode.synthesize()
-        assert program_incremental.equivalent_to(lambda v: ((5 * v[0]) % 16,), width=4)
-        assert program_reencode.equivalent_to(lambda v: ((5 * v[0]) % 16,), width=4)
-        incremental_stats = incremental.encoder.smt_statistics()
-        reencode_stats = reencode.encoder.smt_statistics()
-        assert (
-            incremental_stats.variables_generated
-            < reencode_stats.variables_generated
-        )
 
     def test_distinguishing_assumption_does_not_leak(self):
         # Two consecutive distinguishing queries against *different*

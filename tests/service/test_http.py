@@ -174,6 +174,12 @@ class TestHttpSurface:
         assert status == 400 and "unknown problem kind" in error["error"]
         status, error = call(service, "POST", "/jobs", {"nope": 1})
         assert status == 400
+        # json.dumps writes inf as Infinity, which the server's parser
+        # reads back as inf (as it does 1e400).
+        status, error = call(
+            service, "POST", "/jobs", {"problem": dict(DEOB), "max_conflicts": float("inf")}
+        )
+        assert status == 400 and "finite" in error["error"]
 
     def test_keepalive_survives_error_replies(self, service):
         """Error paths must drain unread request bodies: under HTTP/1.1

@@ -49,6 +49,13 @@ class TestParseJobRequest:
             ({"problem": _valid_problem(), "timeout": -1}, "non-negative"),
             ({"problem": _valid_problem(), "max_conflicts": True}, "'max_conflicts'"),
             ({"problem": _valid_problem(), "label": 7}, "'label'"),
+            # JSON's 1e400 and Infinity parse to inf, NaN to nan.
+            ({"problem": _valid_problem(), "max_conflicts": float("inf")}, "finite"),
+            ({"problem": _valid_problem(), "max_conflicts": float("nan")}, "finite"),
+            ({"problem": _valid_problem(), "timeout": float("inf")}, "finite"),
+            ({"problem": _valid_problem(), "timeout": float("nan")}, "finite"),
+            ({"problem": _valid_problem(), "timeout": 10**400}, "finite"),
+            ({"problem": _valid_problem(), "max_conflicts": 2.5}, "integer"),
         ],
     )
     def test_malformed_requests_fail_with_400(self, payload, fragment):
@@ -56,3 +63,7 @@ class TestParseJobRequest:
             parse_job_request(payload)
         assert excinfo.value.status == 400
         assert fragment in str(excinfo.value)
+
+    def test_integral_float_conflict_budget_is_accepted(self):
+        parsed = parse_job_request({"problem": _valid_problem(), "max_conflicts": 3.0})
+        assert parsed["max_conflicts"] == 3 and isinstance(parsed["max_conflicts"], int)

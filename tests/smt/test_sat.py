@@ -303,6 +303,36 @@ class TestIncrementalSolving:
         # The relaxed problem is still satisfiable afterwards.
         assert solver.solve([make_literal(guard, True)]) is SatResult.SAT
 
+    def test_job_limits_span_solve_calls(self):
+        # A conflict ceiling is absolute: on an instance that cannot be
+        # decided without conflicts (pigeonhole 4-into-3), a ceiling of 0
+        # forces UNKNOWN on every solve until the limits are cleared.
+        pigeons, holes = 4, 3
+        solver = CdclSolver()
+        variables = {
+            (pigeon, hole): solver.new_variable()
+            for pigeon in range(pigeons)
+            for hole in range(holes)
+        }
+        for pigeon in range(pigeons):
+            solver.add_clause(
+                [make_literal(variables[(pigeon, hole)]) for hole in range(holes)]
+            )
+        for hole in range(holes):
+            for first in range(pigeons):
+                for second in range(first + 1, pigeons):
+                    solver.add_clause(
+                        [
+                            make_literal(variables[(first, hole)], negative=True),
+                            make_literal(variables[(second, hole)], negative=True),
+                        ]
+                    )
+        solver.set_limits(conflict_ceiling=0)
+        assert solver.solve() is SatResult.UNKNOWN
+        assert solver.solve() is SatResult.UNKNOWN  # ceiling spans calls
+        solver.set_limits(None, None)
+        assert solver.solve() is SatResult.UNSAT
+
     def test_clauses_added_counter(self):
         solver = CdclSolver()
         x, y = solver.new_variable(), solver.new_variable()
@@ -533,85 +563,6 @@ class TestDifferential:
             assert _model_satisfies(model, clauses)
 
 
-class TestAdaptiveRestarts:
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(SolverError, match="restart strategy"):
-            CdclSolver(restart_strategy="geometric")
-
-    def test_glucose_agrees_with_brute_force(self):
-        # Differential fuzz: glucose-style adaptive restarts change only
-        # the search schedule, never the verdict or model validity.
-        rng = random.Random(23)
-        for _ in range(120):
-            num_vars = rng.randint(1, 8)
-            clauses = _random_clauses(rng, num_vars, rng.randint(1, 30))
-            expected = _brute_force_sat(num_vars, clauses)
-            solver = CdclSolver(restart_strategy="glucose")
-            solver.ensure_variables(num_vars)
-            for clause in clauses:
-                solver.add_clause(clause)
-            result = solver.solve()
-            assert (result is SatResult.SAT) == expected
-            if expected:
-                assert _model_satisfies(solver.model(), clauses)
-
-    def test_glucose_restarts_fire_on_hard_instances(self):
-        # Pigeonhole 7-into-6 forces many LBD windows of conflicts, so the
-        # adaptive policy must restart at least once.
-        pigeons, holes = 7, 6
-        solver = CdclSolver(restart_strategy="glucose")
-        variables = {
-            (pigeon, hole): solver.new_variable()
-            for pigeon in range(pigeons)
-            for hole in range(holes)
-        }
-        for pigeon in range(pigeons):
-            solver.add_clause(
-                [make_literal(variables[(pigeon, hole)]) for hole in range(holes)]
-            )
-        for hole in range(holes):
-            for first in range(pigeons):
-                for second in range(first + 1, pigeons):
-                    solver.add_clause(
-                        [
-                            make_literal(variables[(first, hole)], negative=True),
-                            make_literal(variables[(second, hole)], negative=True),
-                        ]
-                    )
-        assert solver.solve() is SatResult.UNSAT
-        assert solver.statistics.restarts >= 1
-
-    def test_job_limits_span_solve_calls(self):
-        # A conflict ceiling is absolute: on an instance that cannot be
-        # decided without conflicts (pigeonhole 4-into-3), a ceiling of 0
-        # forces UNKNOWN on every solve until the limits are cleared.
-        pigeons, holes = 4, 3
-        solver = CdclSolver()
-        variables = {
-            (pigeon, hole): solver.new_variable()
-            for pigeon in range(pigeons)
-            for hole in range(holes)
-        }
-        for pigeon in range(pigeons):
-            solver.add_clause(
-                [make_literal(variables[(pigeon, hole)]) for hole in range(holes)]
-            )
-        for hole in range(holes):
-            for first in range(pigeons):
-                for second in range(first + 1, pigeons):
-                    solver.add_clause(
-                        [
-                            make_literal(variables[(first, hole)], negative=True),
-                            make_literal(variables[(second, hole)], negative=True),
-                        ]
-                    )
-        solver.set_limits(conflict_ceiling=0)
-        assert solver.solve() is SatResult.UNKNOWN
-        assert solver.solve() is SatResult.UNKNOWN  # ceiling spans calls
-        solver.set_limits(None, None)
-        assert solver.solve() is SatResult.UNSAT
-
-
 class TestSessionRetentionHooks:
     """reduce_learned / shrink_variables / reset_search_state (pool hooks)."""
 
@@ -745,10 +696,10 @@ class TestSessionRetentionHooks:
         ) == tuple(2 * value for value in base_stats)
 
 
-def _golden_three_sat(seed, num_vars, restart_strategy):
+def _golden_three_sat(seed, num_vars):
     """Seeded random 3-SAT at the 4.26 clause/variable threshold."""
     rng = random.Random(seed)
-    solver = CdclSolver(restart_base=20, restart_strategy=restart_strategy)
+    solver = CdclSolver(restart_base=20)
     solver.ensure_variables(num_vars)
     for _ in range(round(4.26 * num_vars)):
         variables = rng.sample(range(1, num_vars + 1), 3)
@@ -776,14 +727,14 @@ class TestGoldenSearchCounts:
     therefore results and certificates downstream.
     """
 
-    # (seed, variables, restart strategy) -> (verdict, search counts)
+    # (seed, variables) -> (verdict, search counts)
     THREE_SAT = {
-        (1, 60, "luby"): ("sat", (116, 73, 1187, 73, 2)),
-        (2, 60, "glucose"): ("unsat", (120, 97, 1574, 96, 0)),
-        (4, 130, "luby"): ("unsat", (2150, 1694, 47159, 1693, 33)),
-        (5, 130, "glucose"): ("sat", (178, 125, 3723, 125, 0)),
+        (1, 60): ("sat", (116, 73, 1187, 73, 2)),
+        (2, 60): ("unsat", (119, 96, 1483, 95, 3)),
+        (4, 130): ("unsat", (2150, 1694, 47159, 1693, 33)),
+        (5, 130): ("sat", (220, 134, 4279, 134, 5)),
         # Long enough for the in-search learned-clause reduction to fire.
-        (6, 170, "luby"): ("unsat", (5202, 4064, 135085, 4063, 69)),
+        (6, 170): ("unsat", (5202, 4064, 135085, 4063, 69)),
     }
 
     # One (verdict, counts) entry per solve() of _incremental_counts.
@@ -837,8 +788,8 @@ class TestGoldenSearchCounts:
         return observed
 
     def test_search_counts_are_pinned(self):
-        for (seed, num_vars, strategy), expected in self.THREE_SAT.items():
-            solver, result = _golden_three_sat(seed, num_vars, strategy)
+        for (seed, num_vars), expected in self.THREE_SAT.items():
+            solver, result = _golden_three_sat(seed, num_vars)
             assert (result.value, _search_counts(solver)) == expected, seed
             if num_vars == 170:
                 assert solver.statistics.deleted_clauses > 0

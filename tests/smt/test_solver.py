@@ -95,8 +95,8 @@ class TestSmtSolver:
         assert solver.statistics.variables_generated > 0
 
     def test_repeated_check_reuses_encoding(self):
-        # In incremental mode an unchanged assertion stack must not be
-        # re-bit-blasted: no new SAT variables or clauses appear.
+        # An unchanged assertion stack must not be re-bit-blasted: no new
+        # SAT variables or clauses appear.
         solver = SmtSolver()
         x = bv_var("x", 8)
         solver.add((x * bv_const(3, 8)).eq(bv_const(33, 8)))
@@ -106,15 +106,6 @@ class TestSmtSolver:
         assert solver.check() is SmtResult.SAT
         assert solver.statistics.variables_generated == variables_first
         assert solver.statistics.clauses_generated == clauses_first
-
-    def test_reencode_mode_pays_per_check(self):
-        solver = SmtSolver(reencode_each_check=True)
-        x = bv_var("x", 8)
-        solver.add((x * bv_const(3, 8)).eq(bv_const(33, 8)))
-        assert solver.check() is SmtResult.SAT
-        variables_first = solver.statistics.variables_generated
-        assert solver.check() is SmtResult.SAT
-        assert solver.statistics.variables_generated == 2 * variables_first
 
     def test_model_value_resolves_single_names(self):
         solver = SmtSolver()
@@ -135,12 +126,11 @@ class TestSmtSolver:
         assert model["x"] > 60
 
 
-@pytest.mark.parametrize("reencode", [False, True], ids=["incremental", "reencode"])
 class TestScopesAndAssumptions:
-    """Push/pop and check-time extras, in both solver modes."""
+    """Push/pop and check-time extras on the incremental solver."""
 
-    def test_popped_scope_does_not_constrain_later_checks(self, reencode):
-        solver = SmtSolver(reencode_each_check=reencode)
+    def test_popped_scope_does_not_constrain_later_checks(self):
+        solver = SmtSolver()
         x = bv_var("x", 4)
         solver.add(x.ult(bv_const(8, 4)))
         solver.push()
@@ -154,8 +144,8 @@ class TestScopesAndAssumptions:
         assert solver.model()["x"] == 5
         solver.pop()
 
-    def test_popped_unsat_scope_recovers(self, reencode):
-        solver = SmtSolver(reencode_each_check=reencode)
+    def test_popped_unsat_scope_recovers(self):
+        solver = SmtSolver()
         x = bv_var("x", 4)
         solver.add(x.ult(bv_const(8, 4)))
         solver.push()
@@ -165,8 +155,8 @@ class TestScopesAndAssumptions:
         assert solver.check() is SmtResult.SAT
         assert solver.model()["x"] < 8
 
-    def test_nested_scopes(self, reencode):
-        solver = SmtSolver(reencode_each_check=reencode)
+    def test_nested_scopes(self):
+        solver = SmtSolver()
         x = bv_var("x", 4)
         solver.add(x.ult(bv_const(8, 4)))
         solver.push()
@@ -180,8 +170,8 @@ class TestScopesAndAssumptions:
         solver.pop()
         assert solver.check(x.eq(bv_const(1, 4))) is SmtResult.SAT
 
-    def test_extra_formulas_do_not_persist(self, reencode):
-        solver = SmtSolver(reencode_each_check=reencode)
+    def test_extra_formulas_do_not_persist(self):
+        solver = SmtSolver()
         x = bv_var("x", 4)
         solver.add(x.ult(bv_const(8, 4)))
         assert solver.check(x.eq(bv_const(9, 4))) is SmtResult.UNSAT
@@ -194,8 +184,9 @@ class TestScopesAndAssumptions:
             assert solver.check(x.eq(bv_const(value, 4))) is SmtResult.SAT
             assert solver.model()["x"] == value
 
-    def test_incremental_and_reencode_agree(self, reencode):
-        del reencode  # this test runs the comparison itself
+    def test_incremental_matches_fresh_solver_per_check(self):
+        # Reference semantics: each check answers what a fresh solver
+        # given the live assertions plus the extras would answer.
         x, y = bv_var("x", 8), bv_var("y", 8)
         script = [
             ("add", (x + y).eq(bv_const(10, 8))),
@@ -209,25 +200,30 @@ class TestScopesAndAssumptions:
             ("check", x.eq(y)),
             ("check", None),
         ]
-        verdicts = []
-        for mode in (False, True):
-            solver = SmtSolver(reencode_each_check=mode)
-            run = []
-            for action, payload in script:
-                if action == "add":
-                    solver.add(payload)
-                elif action == "push":
-                    solver.push()
-                elif action == "pop":
-                    solver.pop()
-                else:
-                    extras = (payload,) if payload is not None else ()
-                    run.append(solver.check(*extras))
-            verdicts.append(run)
-        assert verdicts[0] == verdicts[1]
+        solver = SmtSolver()
+        incremental, fresh = [], []
+        for action, payload in script:
+            if action == "add":
+                solver.add(payload)
+            elif action == "push":
+                solver.push()
+            elif action == "pop":
+                solver.pop()
+            else:
+                extras = (payload,) if payload is not None else ()
+                incremental.append(solver.check(*extras))
+                fresh.append(solve(list(solver.assertions) + list(extras))[0])
+        assert incremental == fresh
+        assert incremental == [
+            SmtResult.SAT,
+            SmtResult.SAT,
+            SmtResult.UNSAT,
+            SmtResult.SAT,
+            SmtResult.SAT,
+        ]
 
-    def test_only_bool_terms_checkable(self, reencode):
-        solver = SmtSolver(reencode_each_check=reencode)
+    def test_only_bool_terms_checkable(self):
+        solver = SmtSolver()
         with pytest.raises(SolverError):
             solver.check(bv_var("x", 4))
 
