@@ -20,6 +20,7 @@ result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, ClassVar
 
@@ -441,6 +442,32 @@ class SwitchingLogicProblem(ProblemSpec):
     integration_step: float = 0.02
     horizon: float = 60.0
     validate_corners: bool = False
+
+    def __post_init__(self) -> None:
+        # Validated at decode, so a malformed spec is a 400 at submission
+        # instead of a simulation that never ends (a NaN step) or a
+        # meaningless verdict (a NaN dwell time or horizon).
+        if not isinstance(self.system, str):
+            raise ReproError(f"'system' must be a string, got {type(self.system).__name__}")
+        if not isinstance(self.validate_corners, bool):
+            raise ReproError(
+                "'validate_corners' must be a boolean, "
+                f"got {type(self.validate_corners).__name__}"
+            )
+        for name in ("dwell_time", "omega_step", "integration_step", "horizon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ReproError(f"{name!r} must be a number, got {type(value).__name__}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond float range
+                finite = False
+            if not finite:
+                raise ReproError(f"{name!r} must be finite, got {value}")
+            if name == "dwell_time" and value < 0:
+                raise ReproError(f"{name!r} must be non-negative, got {value}")
+            if name != "dwell_time" and value <= 0:
+                raise ReproError(f"{name!r} must be positive, got {value}")
 
     def build(self, context: JobContext | None = None) -> SciductionProcedure:
         from repro.hybrid import make_transmission_synthesizer

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.exceptions import StructureHypothesisError
 from repro.core.hypothesis import GridSpec, StructureHypothesis
 from repro.core.inductive import Interval

@@ -15,21 +15,19 @@ switching logic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from repro.core.exceptions import SimulationError
 from repro.hybrid.hyperbox import Hyperbox
-from repro.hybrid.ode import IntegratorConfig, OdeIntegrator, euler_step, rk4_step
+from repro.hybrid.ode import IntegratorConfig, rk4_step
 
-#: A mode's vector field: f(state) -> derivative.
-ModeDynamics = Callable[[np.ndarray], np.ndarray]
+#: A mode's vector field over plain-float state tuples: f(state) -> derivative.
+ModeDynamics = Callable[[tuple[float, ...]], tuple[float, ...]]
 
 #: The safety property: safe(mode_name, state) -> bool.  Mode-dependent
 #: because quantities such as the transmission efficiency depend on the
 #: active mode.
-SafetyPredicate = Callable[[str, np.ndarray], bool]
+SafetyPredicate = Callable[[str, tuple[float, ...]], bool]
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ class MultiModalSystem:
     transitions: list[Transition]
     safety: SafetyPredicate
     initial_mode: str
-    initial_state: np.ndarray
+    initial_state: tuple[float, ...]
 
     def __post_init__(self) -> None:
         for transition in self.transitions:
@@ -89,7 +87,7 @@ class MultiModalSystem:
                 )
         if self.initial_mode not in self.modes:
             raise SimulationError(f"unknown initial mode {self.initial_mode!r}")
-        self.initial_state = np.array(self.initial_state, dtype=float)
+        self.initial_state = tuple(float(v) for v in self.initial_state)
 
     def transition_named(self, name: str) -> Transition:
         """Look up a transition by guard name."""
@@ -106,11 +104,11 @@ class MultiModalSystem:
         """Incoming transitions of ``mode``."""
         return [t for t in self.transitions if t.target == mode]
 
-    def state_dict(self, state: np.ndarray) -> dict[str, float]:
+    def state_dict(self, state: Sequence[float]) -> dict[str, float]:
         """Convert a state vector to a name→value mapping."""
         return dict(zip(self.state_names, (float(v) for v in state)))
 
-    def is_safe(self, mode: str, state: np.ndarray) -> bool:
+    def is_safe(self, mode: str, state: tuple[float, ...]) -> bool:
         """Evaluate the safety predicate."""
         return bool(self.safety(mode, state))
 
@@ -125,7 +123,7 @@ class HybridTracePoint:
 
     time: float
     mode: str
-    state: np.ndarray
+    state: tuple[float, ...]
 
 
 @dataclass
@@ -143,7 +141,7 @@ class HybridTrace:
     safe: bool = True
 
     @property
-    def final_state(self) -> np.ndarray:
+    def final_state(self) -> tuple[float, ...]:
         """State at the end of the trace."""
         if not self.points:
             raise SimulationError("empty trace")
@@ -169,7 +167,9 @@ class HybridTrace:
         intervals.append((current_mode, enter_time, self.points[-1].time))
         return intervals
 
-    def series(self, extractor: Callable[[str, np.ndarray], float]) -> list[tuple[float, float]]:
+    def series(
+        self, extractor: Callable[[str, tuple[float, ...]], float]
+    ) -> list[tuple[float, float]]:
         """Extract a (time, value) series, e.g. the efficiency of Fig. 10."""
         return [
             (point.time, extractor(point.mode, point.state)) for point in self.points
@@ -187,7 +187,7 @@ class HybridAutomaton:
     ):
         self.system = system
         self.switching_logic = dict(switching_logic)
-        self.integrator = OdeIntegrator(integrator or IntegratorConfig())
+        self.integrator = integrator or IntegratorConfig()
         missing = [
             t.name for t in system.transitions if t.name not in self.switching_logic
         ]
@@ -198,7 +198,7 @@ class HybridAutomaton:
         """The guard hyperbox of a transition."""
         return self.switching_logic[transition_name]
 
-    def guard_holds(self, transition_name: str, state: np.ndarray) -> bool:
+    def guard_holds(self, transition_name: str, state: tuple[float, ...]) -> bool:
         """Whether the guard of ``transition_name`` holds in ``state``."""
         return self.guard(transition_name).contains_vector(
             state, self.system.state_names
@@ -236,15 +236,14 @@ class HybridAutomaton:
         """
         if switch_policy not in {"latest", "asap"}:
             raise SimulationError(f"unknown switch policy {switch_policy!r}")
-        step = self.integrator.config.step
-        stepper = rk4_step if self.integrator.config.method == "rk4" else euler_step
+        step = self.integrator.step
         record_interval = record_interval or step
         system = self.system
         mode_name = system.initial_mode
-        state = np.array(system.initial_state, dtype=float)
+        state = system.initial_state
         time = 0.0
         trace = HybridTrace()
-        trace.points.append(HybridTracePoint(time, mode_name, state.copy()))
+        trace.points.append(HybridTracePoint(time, mode_name, state))
         last_record = time
         schedule_index = 0
         time_in_mode = 0.0
@@ -267,12 +266,14 @@ class HybridAutomaton:
                 else:
                     # Peek one step ahead: switch if the guard (or safety)
                     # would stop holding, or if the mode's dynamics make no
-                    # progress (e.g. Neutral), in which case waiting longer
-                    # changes nothing.
-                    next_state = stepper(
-                        lambda s, t: mode.dynamics(s), state, time, step
+                    # progress (no coordinate moves by more than 1e-12 plus
+                    # 1e-5 of its value, e.g. Neutral), in which case
+                    # waiting longer changes nothing.
+                    next_state = rk4_step(mode.dynamics, state, step)
+                    stalled = all(
+                        abs(a - b) <= 1e-12 + 1e-5 * abs(b)
+                        for a, b in zip(next_state, state)
                     )
-                    stalled = bool(np.allclose(next_state, state, atol=1e-12))
                     if (
                         stalled
                         or not self.guard_holds(transition.name, next_state)
@@ -283,16 +284,16 @@ class HybridAutomaton:
                 trace.transitions_taken.append(transition.name)
                 mode_name = transition.target
                 time_in_mode = 0.0
-                trace.points.append(HybridTracePoint(time, mode_name, state.copy()))
+                trace.points.append(HybridTracePoint(time, mode_name, state))
                 schedule_index += 1
                 continue
-            state = stepper(lambda s, t: mode.dynamics(s), state, time, step)
+            state = rk4_step(mode.dynamics, state, step)
             time += step
             time_in_mode += step
             if time - last_record >= record_interval - 1e-12:
                 if not system.is_safe(mode_name, state):
                     trace.safe = False
-                trace.points.append(HybridTracePoint(time, mode_name, state.copy()))
+                trace.points.append(HybridTracePoint(time, mode_name, state))
                 last_record = time
-        trace.points.append(HybridTracePoint(time, mode_name, state.copy()))
+        trace.points.append(HybridTracePoint(time, mode_name, state))
         return trace

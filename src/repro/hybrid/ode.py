@@ -5,81 +5,43 @@ as safe or unsafe by *numerical simulation* of the intra-mode continuous
 dynamics — the paper argues that a numerical simulator is a deductive
 engine (it solves systems of constraints by applying rules about the
 underlying theory).  The paper used a MATLAB simulator; this module
-provides a classic fixed-step fourth-order Runge–Kutta integrator with
-event (predicate) detection, which is more than accurate enough for the
-smooth transmission dynamics of the paper's example.
+provides one classic fixed-step fourth-order Runge–Kutta step over
+plain-float state tuples, which is more than accurate enough for the
+smooth, autonomous transmission dynamics of the paper's example.  The
+step loops themselves live with their callers (the reachability oracle
+and the closed-loop simulator), which decide when to stop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from repro.core.exceptions import SimulationError
 
-#: A vector field: f(state, time) -> derivative (both numpy arrays).
-VectorField = Callable[[np.ndarray, float], np.ndarray]
 
-#: A predicate over (state, time), used for event detection.
-StatePredicate = Callable[[np.ndarray, float], bool]
+def rk4_step(
+    dynamics: Callable[[tuple[float, ...]], Sequence[float]],
+    state: tuple[float, ...],
+    step: float,
+) -> tuple[float, ...]:
+    """One classical Runge–Kutta (RK4) step of the autonomous ``dynamics``.
 
-
-@dataclass
-class Trajectory:
-    """A sampled trajectory of an ODE system.
-
-    Attributes:
-        times: sample times (monotonically increasing).
-        states: state vectors, one row per sample time.
-        terminated_by_event: whether integration stopped because the stop
-            predicate became true (as opposed to reaching the horizon).
+    The operation order — ``s + (step/2)*k`` at the midpoints and
+    ``s + (step/6)*(((k1 + 2k2) + 2k3) + k4)`` at the end — is fixed, so
+    trajectories are reproducible bit for bit.
     """
-
-    times: list[float] = field(default_factory=list)
-    states: list[np.ndarray] = field(default_factory=list)
-    terminated_by_event: bool = False
-
-    def append(self, time: float, state: np.ndarray) -> None:
-        """Record one sample."""
-        self.times.append(time)
-        self.states.append(np.array(state, dtype=float))
-
-    @property
-    def final_state(self) -> np.ndarray:
-        """The last recorded state."""
-        if not self.states:
-            raise SimulationError("empty trajectory")
-        return self.states[-1]
-
-    @property
-    def final_time(self) -> float:
-        """The last recorded time."""
-        if not self.times:
-            raise SimulationError("empty trajectory")
-        return self.times[-1]
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(times, states)`` as numpy arrays."""
-        return np.asarray(self.times), np.stack(self.states, axis=0)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-def rk4_step(field: VectorField, state: np.ndarray, time: float, step: float) -> np.ndarray:
-    """One classical Runge–Kutta (RK4) step."""
-    k1 = field(state, time)
-    k2 = field(state + 0.5 * step * k1, time + 0.5 * step)
-    k3 = field(state + 0.5 * step * k2, time + 0.5 * step)
-    k4 = field(state + step * k3, time + step)
-    return state + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def euler_step(field: VectorField, state: np.ndarray, time: float, step: float) -> np.ndarray:
-    """One forward-Euler step (kept for convergence-order tests)."""
-    return state + step * field(state, time)
+    half = 0.5 * step
+    k1 = dynamics(state)
+    k2 = dynamics(tuple(s + half * k for s, k in zip(state, k1)))
+    k3 = dynamics(tuple(s + half * k for s, k in zip(state, k2)))
+    k4 = dynamics(tuple(s + step * k for s, k in zip(state, k3)))
+    sixth = step / 6.0
+    return tuple(
+        s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+    )
 
 
 @dataclass(frozen=True)
@@ -87,76 +49,13 @@ class IntegratorConfig:
     """Configuration of the fixed-step integrator.
 
     Attributes:
-        step: integration step size (seconds).
-        max_time: maximum integration horizon per call.
-        method: ``"rk4"`` or ``"euler"``.
+        step: integration step size (seconds); finite and positive.
     """
 
     step: float = 0.01
-    max_time: float = 1000.0
-    method: str = "rk4"
 
     def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise SimulationError("integrator step must be positive")
-        if self.max_time <= 0:
-            raise SimulationError("integration horizon must be positive")
-        if self.method not in {"rk4", "euler"}:
-            raise SimulationError(f"unknown integration method {self.method!r}")
-
-
-class OdeIntegrator:
-    """Fixed-step ODE integrator with optional event detection."""
-
-    def __init__(self, config: IntegratorConfig | None = None):
-        self.config = config or IntegratorConfig()
-        self._stepper = rk4_step if self.config.method == "rk4" else euler_step
-
-    def integrate(
-        self,
-        field: VectorField,
-        initial_state: Sequence[float],
-        start_time: float = 0.0,
-        horizon: float | None = None,
-        stop_when: StatePredicate | None = None,
-        record: bool = True,
-    ) -> Trajectory:
-        """Integrate ``field`` from ``initial_state``.
-
-        Args:
-            field: the vector field.
-            initial_state: initial state vector.
-            start_time: initial time.
-            horizon: integration duration (defaults to ``config.max_time``).
-            stop_when: optional predicate; integration stops at the first
-                sample where it holds (the sample is included).
-            record: when False only the first and last samples are kept
-                (cheaper for long labeling runs).
-
-        Returns:
-            The sampled :class:`Trajectory`.
-        """
-        horizon = horizon if horizon is not None else self.config.max_time
-        if horizon < 0:
-            raise SimulationError("horizon must be non-negative")
-        state = np.array(initial_state, dtype=float)
-        time = float(start_time)
-        end_time = time + horizon
-        trajectory = Trajectory()
-        trajectory.append(time, state)
-        if stop_when is not None and stop_when(state, time):
-            trajectory.terminated_by_event = True
-            return trajectory
-        while time < end_time - 1e-12:
-            step = min(self.config.step, end_time - time)
-            state = self._stepper(field, state, time, step)
-            time += step
-            if record or len(trajectory.times) < 2:
-                trajectory.append(time, state)
-            else:
-                trajectory.times[-1] = time
-                trajectory.states[-1] = np.array(state, dtype=float)
-            if stop_when is not None and stop_when(state, time):
-                trajectory.terminated_by_event = True
-                break
-        return trajectory
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise SimulationError(
+                f"integrator step must be finite and positive, got {self.step!r}"
+            )

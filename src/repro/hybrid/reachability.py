@@ -23,14 +23,12 @@ import time as _time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.core.deductive import DeductiveAnswer, DeductiveEngine, DeductiveQuery
 from repro.core.exceptions import BudgetExceededError
 from repro.core.oracle import LabelingOracle
 from repro.hybrid.hyperbox import Hyperbox
 from repro.hybrid.mds import MultiModalSystem
-from repro.hybrid.ode import IntegratorConfig, OdeIntegrator, euler_step, rk4_step
+from repro.hybrid.ode import IntegratorConfig, rk4_step
 
 
 @dataclass
@@ -38,7 +36,7 @@ class ReachabilityQuery:
     """One labeling query: enter ``mode`` at ``state`` with these exit guards."""
 
     mode: str
-    state: np.ndarray
+    state: tuple[float, ...]
     exit_guards: dict[str, Hyperbox]
     min_dwell: float = 0.0
 
@@ -67,7 +65,7 @@ class ReachabilityOracle(DeductiveEngine[ReachabilityQuery, ReachabilityVerdict]
 
     Args:
         system: the multi-modal dynamical system.
-        integrator: integration settings (step / method).
+        integrator: integration settings (the RK4 step size).
         horizon: maximum simulated time per query.
         allow_no_exit: when True (default), a trajectory that remains safe
             for the whole horizon without reaching any exit guard is
@@ -85,7 +83,7 @@ class ReachabilityOracle(DeductiveEngine[ReachabilityQuery, ReachabilityVerdict]
     ):
         super().__init__()
         self.system = system
-        self.integrator = OdeIntegrator(integrator or IntegratorConfig())
+        self.integrator = integrator or IntegratorConfig()
         self.horizon = horizon
         self.allow_no_exit = allow_no_exit
         self.simulations = 0
@@ -144,10 +142,8 @@ class ReachabilityOracle(DeductiveEngine[ReachabilityQuery, ReachabilityVerdict]
         self.simulations += 1
         system = self.system
         dynamics = system.modes[mode].dynamics
-        step = self.integrator.config.step
-        stepper = rk4_step if self.integrator.config.method == "rk4" else euler_step
-        field = lambda s, t: dynamics(s)
-        state_vector = np.array(state, dtype=float)
+        step = self.integrator.step
+        state_vector = tuple(float(v) for v in state)
         non_empty_guards = [
             (name, guard) for name, guard in exit_guards.items() if not guard.is_empty
         ]
@@ -168,7 +164,7 @@ class ReachabilityOracle(DeductiveEngine[ReachabilityQuery, ReachabilityVerdict]
                         )
             if time >= self.horizon:
                 return ReachabilityVerdict(safe=self.allow_no_exit)
-            state_vector = stepper(field, state_vector, time, step)
+            state_vector = rk4_step(dynamics, state_vector, step)
             time += step
 
     # -- DeductiveEngine interface -------------------------------------------------
@@ -214,9 +210,7 @@ class SwitchingStateLabeler(LabelingOracle[dict[str, float], bool]):
         self.min_dwell = min_dwell
 
     def _label(self, example: dict[str, float]) -> bool:
-        state = np.array(
-            [example[name] for name in self.oracle.system.state_names], dtype=float
-        )
+        state = tuple(float(example[name]) for name in self.oracle.system.state_names)
         verdict = self.oracle.label_state(
             self.mode, state, self.exit_guards, self.min_dwell
         )

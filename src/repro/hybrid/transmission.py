@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from repro.core.hypothesis import GridSpec
 from repro.hybrid.hyperbox import Hyperbox
 from repro.hybrid.mds import Mode, MultiModalSystem, Transition
@@ -76,18 +74,18 @@ def safe_speed_range(gear: int) -> tuple[float, float]:
 def _gear_dynamics(gear: int, throttle: float):
     """Vector field of a gear mode over the state (θ, ω)."""
 
-    def field(state: np.ndarray) -> np.ndarray:
+    def field(state: tuple[float, ...]) -> tuple[float, float]:
         omega = state[1]
-        return np.array([omega, throttle * efficiency(gear, omega)])
+        return (omega, throttle * efficiency(gear, omega))
 
     return field
 
 
-def _neutral_dynamics(state: np.ndarray) -> np.ndarray:
-    return np.zeros(2)
+def _neutral_dynamics(state: tuple[float, ...]) -> tuple[float, float]:
+    return (0.0, 0.0)
 
 
-def transmission_safety(mode: str, state: np.ndarray) -> bool:
+def transmission_safety(mode: str, state: tuple[float, ...]) -> bool:
     """The safety property φS, evaluated against the active mode."""
     omega = float(state[1])
     if omega < 0.0 or omega > MAX_SPEED:
@@ -139,7 +137,7 @@ def build_transmission_system(
         transitions=transitions,
         safety=transmission_safety,
         initial_mode="N",
-        initial_state=np.array([0.0, 0.0]),
+        initial_state=(0.0, 0.0),
     )
 
 
@@ -224,8 +222,9 @@ def make_transmission_synthesizer(
         dwell_time: 0 for the Eq. 3 experiment, 5.0 for Eq. 4.
         omega_step: grid precision on ω (the paper's results are reported
             to two decimals, i.e. a 0.01 grid).
-        integration_step: RK4 step size.
-        horizon: per-query simulation horizon.
+        integration_step: step size of the reachability oracle's RK4
+            stepper.
+        horizon: simulated seconds per labeling query.
         theta_max: target distance.
         validate_corners: re-check learned guard corners (slower).
     """
@@ -233,7 +232,7 @@ def make_transmission_synthesizer(
     grids = transmission_grids(omega_step=omega_step, theta_max=theta_max)
     oracle = ReachabilityOracle(
         system,
-        integrator=IntegratorConfig(step=integration_step, max_time=horizon),
+        integrator=IntegratorConfig(step=integration_step),
         horizon=horizon,
         allow_no_exit=True,
     )

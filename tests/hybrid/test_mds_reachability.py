@@ -242,3 +242,28 @@ class TestHybridAutomaton:
         x_at_switch_asap = asap.points[[p.mode for p in asap.points].index("COOL")].state[0]
         x_at_switch_latest = latest.points[[p.mode for p in latest.points].index("COOL")].state[0]
         assert x_at_switch_asap <= x_at_switch_latest
+
+    @pytest.mark.parametrize("rate, stalled", [(1e-4, True), (1e-2, False)])
+    def test_latest_policy_switches_at_once_when_the_mode_stalls(self, rate, stalled):
+        # x = 5 moves by rate * 0.05 per step.  The stall tolerance is
+        # 1e-12 plus 1e-5 of the current value (5e-5 here), so the slow
+        # mode counts as stalled and the fast one does not.
+        system = MultiModalSystem(
+            name="creep",
+            state_names=("x",),
+            modes={
+                "A": Mode("A", lambda state: (rate,)),
+                "B": Mode("B", lambda state: (0.0,)),
+            },
+            transitions=[Transition("toB", "A", "B")],
+            safety=lambda mode, state: True,
+            initial_mode="A",
+            initial_state=(5.0,),
+        )
+        logic = {"toB": Hyperbox.from_bounds({"x": (0.0, 10.0)})}
+        automaton = HybridAutomaton(system, logic, IntegratorConfig(step=0.05))
+        # Without a stall the guard holds for the whole horizon, so the
+        # latest policy never switches.
+        trace = automaton.simulate_schedule(["toB"], horizon=1.0)
+        assert trace.transitions_taken == (["toB"] if stalled else [])
+        assert trace.points[1].mode == ("B" if stalled else "A")

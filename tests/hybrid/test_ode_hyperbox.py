@@ -1,6 +1,7 @@
-"""Tests for the ODE integrator, hyperboxes, and the hyperbox hypothesis."""
+"""Tests for the RK4 stepper, hyperboxes, and the hyperbox hypothesis."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,84 +12,100 @@ from repro.hybrid import (
     Hyperbox,
     HyperboxHypothesis,
     IntegratorConfig,
-    OdeIntegrator,
     bounding_box,
-    euler_step,
+    build_transmission_system,
     rk4_step,
 )
 
 
+def numpy_rk4_step(field, state, time, step):
+    """The array-based RK4 step the float-tuple stepper replaced.
+
+    Kept verbatim as the reference of the differential test: the tuple
+    stepper must reproduce it bit for bit.
+    """
+    k1 = field(state, time)
+    k2 = field(state + 0.5 * step * k1, time + 0.5 * step)
+    k3 = field(state + 0.5 * step * k2, time + 0.5 * step)
+    k4 = field(state + step * k3, time + step)
+    return state + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def assert_bit_identical(dynamics, initial, step, steps=500):
+    """Step both implementations side by side; every state must be ``==``."""
+    reference = np.array(initial, dtype=float)
+    field = lambda state, time: np.array(dynamics(state))
+    state = tuple(float(value) for value in initial)
+    for _ in range(steps):
+        reference = numpy_rk4_step(field, reference, 0.0, step)
+        state = rk4_step(dynamics, state, step)
+        assert state == tuple(float(value) for value in reference)
+
+
+def integrate(dynamics, state, step, steps):
+    for _ in range(steps):
+        state = rk4_step(dynamics, state, step)
+    return state
+
+
+class TestStepperDifferential:
+    @pytest.mark.parametrize("step", [0.01, 0.02, 0.25])
+    @pytest.mark.parametrize(
+        "mode", ["N", "G1U", "G1D", "G2U", "G2D", "G3U", "G3D"]
+    )
+    def test_transmission_trajectories_match_the_array_stepper(self, mode, step):
+        # 7 modes x 3 steps x 10 seeds = 210 trajectories of 500 steps.
+        dynamics = build_transmission_system().modes[mode].dynamics
+        rng = random.Random(f"{mode}/{step}")
+        for _ in range(10):
+            initial = (rng.uniform(0.0, 1700.0), rng.uniform(0.0, 60.0))
+            assert_bit_identical(dynamics, initial, step)
+
+    def test_one_dimensional_field(self):
+        assert_bit_identical(lambda s: (math.sin(s[0]) - 0.5 * s[0],), (2.0,), 0.01)
+
+    def test_three_dimensional_chaotic_field(self):
+        # Lorenz: chaotic, so a one-ulp difference anywhere would grow.
+        def lorenz(s):
+            x, y, z = s
+            return (10.0 * (y - x), x * (28.0 - z) - y, x * y - (8.0 / 3.0) * z)
+
+        assert_bit_identical(lorenz, (1.0, 1.0, 1.0), 0.01)
+
+
 class TestIntegrator:
     def test_exponential_decay_accuracy(self):
-        integrator = OdeIntegrator(IntegratorConfig(step=0.01))
-        trajectory = integrator.integrate(
-            lambda state, time: -state, [1.0], horizon=1.0
-        )
-        assert trajectory.final_state[0] == pytest.approx(math.exp(-1.0), rel=1e-5)
-        assert trajectory.final_time == pytest.approx(1.0)
-
-    def test_rk4_order_beats_euler(self):
-        field = lambda state, time: np.array([state[0]])  # y' = y
-        exact = math.exp(1.0)
-        rk4 = OdeIntegrator(IntegratorConfig(step=0.1, method="rk4")).integrate(
-            field, [1.0], horizon=1.0
-        )
-        euler = OdeIntegrator(IntegratorConfig(step=0.1, method="euler")).integrate(
-            field, [1.0], horizon=1.0
-        )
-        assert abs(rk4.final_state[0] - exact) < abs(euler.final_state[0] - exact) / 100
+        final = integrate(lambda s: (-s[0],), (1.0,), 0.01, 100)
+        assert final[0] == pytest.approx(math.exp(-1.0), rel=1e-5)
 
     def test_halving_step_reduces_rk4_error_by_about_16x(self):
-        field = lambda state, time: np.array([math.sin(time) * state[0]])
+        # y' = sin(t) y, made autonomous by carrying t as a second state.
+        field = lambda s: (math.sin(s[1]) * s[0], 1.0)
         exact = math.exp(1.0 - math.cos(2.0))
-        errors = []
-        for step in (0.2, 0.1):
-            result = OdeIntegrator(IntegratorConfig(step=step)).integrate(
-                field, [1.0], horizon=2.0
-            )
-            errors.append(abs(result.final_state[0] - exact))
+        errors = [
+            abs(integrate(field, (1.0, 0.0), step, steps)[0] - exact)
+            for step, steps in ((0.2, 10), (0.1, 20))
+        ]
         assert errors[1] < errors[0] / 8  # ~16x for a 4th-order method
 
-    def test_event_detection_stops_early(self):
-        integrator = OdeIntegrator(IntegratorConfig(step=0.01))
-        trajectory = integrator.integrate(
-            lambda state, time: np.array([1.0]),
-            [0.0],
-            horizon=10.0,
-            stop_when=lambda state, time: state[0] >= 2.0,
-        )
-        assert trajectory.terminated_by_event
-        assert trajectory.final_time == pytest.approx(2.0, abs=0.02)
-
-    def test_record_false_keeps_endpoints_only(self):
-        integrator = OdeIntegrator(IntegratorConfig(step=0.1))
-        trajectory = integrator.integrate(
-            lambda state, time: np.array([1.0]), [0.0], horizon=1.0, record=False
-        )
-        assert len(trajectory) == 2
-        assert trajectory.times[0] == 0.0
-        assert trajectory.final_time == pytest.approx(1.0)
-
     def test_two_dimensional_system(self):
-        # Harmonic oscillator: energy is conserved by RK4 to high accuracy.
-        field = lambda state, time: np.array([state[1], -state[0]])
-        trajectory = OdeIntegrator(IntegratorConfig(step=0.01)).integrate(
-            field, [1.0, 0.0], horizon=2.0 * math.pi
+        # Harmonic oscillator: one period returns RK4 to the start.
+        steps = 628
+        final = integrate(
+            lambda s: (s[1], -s[0]), (1.0, 0.0), 2.0 * math.pi / steps, steps
         )
-        assert trajectory.final_state[0] == pytest.approx(1.0, abs=1e-4)
-        assert trajectory.final_state[1] == pytest.approx(0.0, abs=1e-4)
+        assert final[0] == pytest.approx(1.0, abs=1e-4)
+        assert final[1] == pytest.approx(0.0, abs=1e-4)
 
-    def test_invalid_config_rejected(self):
+    @pytest.mark.parametrize(
+        "step", [0.0, -0.1, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_invalid_config_rejected(self, step):
         with pytest.raises(SimulationError):
-            IntegratorConfig(step=0.0)
-        with pytest.raises(SimulationError):
-            IntegratorConfig(method="leapfrog")
+            IntegratorConfig(step=step)
 
-    def test_steppers_agree_to_first_order(self):
-        field = lambda state, time: np.array([2.0])
-        state = np.array([1.0])
-        assert rk4_step(field, state, 0.0, 0.1)[0] == pytest.approx(1.2)
-        assert euler_step(field, state, 0.0, 0.1)[0] == pytest.approx(1.2)
+    def test_constant_field_step(self):
+        assert rk4_step(lambda s: (2.0,), (1.0,), 0.1)[0] == pytest.approx(1.2)
 
 
 class TestHyperbox:

@@ -180,6 +180,15 @@ class TestHttpSurface:
             service, "POST", "/jobs", {"problem": dict(DEOB), "max_conflicts": float("inf")}
         )
         assert status == 400 and "finite" in error["error"]
+        # A NaN integration step would spin the simulation oracle until
+        # the job deadline; it is refused at submission instead.
+        status, error = call(
+            service,
+            "POST",
+            "/jobs",
+            {"problem": {"kind": "switching-logic", "integration_step": float("nan")}},
+        )
+        assert status == 400 and "'integration_step' must be finite" in error["error"]
 
     def test_keepalive_survives_error_replies(self, service):
         """Error paths must drain unread request bodies: under HTTP/1.1

@@ -64,6 +64,47 @@ class TestParseJobRequest:
         assert excinfo.value.status == 400
         assert fragment in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "fields, fragment",
+        [
+            ({"integration_step": 0}, "positive"),
+            ({"integration_step": -0.1}, "positive"),
+            ({"integration_step": float("nan")}, "finite"),
+            ({"integration_step": "x"}, "number"),
+            ({"horizon": -5}, "positive"),
+            ({"horizon": float("nan")}, "finite"),
+            ({"horizon": float("inf")}, "finite"),
+            ({"horizon": 10**400}, "finite"),
+            ({"omega_step": 0}, "positive"),
+            ({"omega_step": True}, "number"),
+            ({"dwell_time": -1}, "non-negative"),
+            ({"dwell_time": float("nan")}, "finite"),
+            ({"validate_corners": 3}, "boolean"),
+            ({"system": 7}, "string"),
+        ],
+    )
+    def test_malformed_switching_specs_fail_with_400(self, fields, fragment):
+        problem = {"kind": "switching-logic", **fields}
+        with pytest.raises(WireError) as excinfo:
+            parse_job_request({"problem": problem})
+        assert excinfo.value.status == 400
+        assert fragment in str(excinfo.value)
+        assert next(iter(fields)) in str(excinfo.value)
+
+    def test_switching_spec_boundaries_are_accepted(self):
+        problem = {
+            "kind": "switching-logic",
+            "dwell_time": 0,
+            "omega_step": 1,
+            "integration_step": 0.5,
+            "horizon": 10,
+            "validate_corners": True,
+        }
+        parsed = parse_job_request({"problem": problem})
+        # Validation never rewrites a value: the wire form (and with it
+        # the spec's certificate fingerprint) is exactly what was sent.
+        assert parsed["problem"] == {"system": "transmission", **problem}
+
     def test_integral_float_conflict_budget_is_accepted(self):
         parsed = parse_job_request({"problem": _valid_problem(), "max_conflicts": 3.0})
         assert parsed["max_conflicts"] == 3 and isinstance(parsed["max_conflicts"], int)
