@@ -367,6 +367,31 @@ class TimingAnalysisProblem(ProblemSpec):
     distribution: bool = False
     max_paths: int = 4096
 
+    def __post_init__(self) -> None:
+        # Validated at decode, so a malformed spec is a 400 at submission
+        # instead of a silent wrong verdict (a NaN bound) or a failure
+        # after the whole analysis has run.
+        if not isinstance(self.program, str):
+            raise ReproError(f"'program' must be a string, got {type(self.program).__name__}")
+        if not isinstance(self.program_args, dict):
+            raise ReproError(
+                f"'program_args' must be an object, got {type(self.program_args).__name__}"
+            )
+        for name, minimum in (("bound", None), ("trials", 1), ("seed", None), ("max_paths", 1)):
+            value = getattr(self, name)
+            if value is None and name in ("bound", "trials"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ReproError(f"{name!r} must be an integer, got {type(value).__name__}")
+            if minimum is not None and value < minimum:
+                raise ReproError(f"{name!r} must be at least {minimum}, got {value}")
+        if self.start_state not in ("cold", "warm"):
+            raise ReproError(f"'start_state' must be 'cold' or 'warm', got {self.start_state!r}")
+        if not isinstance(self.distribution, bool):
+            raise ReproError(
+                f"'distribution' must be a boolean, got {type(self.distribution).__name__}"
+            )
+
     def shape_key(self) -> str:
         width = self.program_args.get("word_width", "default")
         return f"{self.kind}/{self.program}/w{width}"

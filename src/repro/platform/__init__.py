@@ -1,9 +1,12 @@
 """Simulated embedded platform (the environment ``E`` of Section 3).
 
 A RISC-style ISA, a task-language compiler, set-associative instruction and
-data caches, an in-order pipeline timing model, a cycle-level simulator and
-an end-to-end measurement harness — standing in for the SimIt-ARM /
-StrongARM-1100 testbed used by the paper.
+data caches, a cycle-level simulator and an end-to-end measurement harness —
+standing in for the SimIt-ARM / StrongARM-1100 testbed used by the paper.
+The simulator decodes each binary once and runs it in one loop that charges
+the in-order pipeline's timing and the cache costs itself; every
+measurement starts cold (flushed caches) or warm (program footprint
+pre-loaded).
 """
 
 from repro.platform.cache import Cache, CacheConfig, CacheStatistics
@@ -19,8 +22,7 @@ from repro.platform.measurement import (
     PerturbationModel,
     TimingOracle,
 )
-from repro.platform.pipeline import PipelineConfig, PipelineModel, PipelineState
-from repro.platform.processor import PlatformConfig, Processor, RunResult
+from repro.platform.processor import PipelineConfig, PlatformConfig, Processor, RunResult
 
 __all__ = [
     "Binary",
@@ -33,8 +35,6 @@ __all__ = [
     "Opcode",
     "PerturbationModel",
     "PipelineConfig",
-    "PipelineModel",
-    "PipelineState",
     "PlatformConfig",
     "Processor",
     "RunResult",

@@ -10,8 +10,8 @@ accesses.
 
 Cache *state* (the set of resident lines and their recency) is the part of
 the platform's environment state that GameTime treats adversarially; the
-simulator exposes it so experiments can run from cold, warm, or arbitrary
-starting states.
+simulator exposes it so experiments can run from cold or warm starting
+states.
 """
 
 from __future__ import annotations
@@ -132,13 +132,3 @@ class Cache:
     def snapshot(self) -> list[list[int]]:
         """Return a copy of the full cache state (per-set LRU-ordered tags)."""
         return [list(ways) for ways in self._sets]
-
-    def restore(self, snapshot: list[list[int]]) -> None:
-        """Restore a state captured by :meth:`snapshot`."""
-        if len(snapshot) != self.config.num_sets:
-            raise SimulationError("snapshot geometry mismatch")
-        self._sets = [list(ways) for ways in snapshot]
-
-    def reset_statistics(self) -> None:
-        """Zero the hit/miss counters (state unchanged)."""
-        self.statistics = CacheStatistics()

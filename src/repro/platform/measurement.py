@@ -6,10 +6,10 @@ program on a chosen input and record the end-to-end execution time
 measurements on the target platform").  This module packages that
 interface:
 
-* :class:`MeasurementHarness` — compiles-once, runs-many; controls the
-  starting environment state (cold / warm / captured snapshot) so every
-  measurement starts from the *fixed starting state of E* required by the
-  problem statement ⟨TA⟩;
+* :class:`MeasurementHarness` — compiles-once, runs-many; resets the
+  environment to a cold or warm start before every measurement, so each
+  one starts from the *fixed starting state of E* required by the problem
+  statement ⟨TA⟩;
 * :class:`PerturbationModel` — optional bounded stochastic noise added to
   each measurement, modelling the path-dependent perturbation π of the
   paper's weight-perturbation structure hypothesis (mean bounded by
@@ -19,6 +19,7 @@ interface:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
@@ -29,7 +30,7 @@ from repro.platform.compiler import compile_program
 from repro.platform.isa import Binary
 from repro.platform.processor import PlatformConfig, Processor, RunResult
 
-StartState = Literal["cold", "warm", "snapshot"]
+StartState = Literal["cold", "warm"]
 
 
 @dataclass
@@ -50,8 +51,10 @@ class PerturbationModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mean < 0:
-            raise SimulationError("perturbation mean must be non-negative")
+        if not 0 <= self.mean < math.inf:
+            raise SimulationError(
+                f"perturbation mean must be finite and non-negative, got {self.mean!r}"
+            )
         self._rng = random.Random(self.seed)
 
     def sample(self) -> int:
@@ -69,12 +72,13 @@ class MeasurementHarness:
             and wrap in one step).
         platform: processor configuration (defaults mirror a small
             StrongARM-class core).
-        start_state: environment state restored before every measurement —
-            ``"cold"`` (flushed caches, the paper's experimental setting),
-            ``"warm"`` (program footprint pre-loaded), or ``"snapshot"``
-            (an arbitrary captured state supplied via ``snapshot``).
+        start_state: environment state set before every measurement —
+            ``"cold"`` (flushed caches, the paper's experimental setting)
+            or ``"warm"`` (flushed, then the program footprint pre-loaded).
         perturbation: optional measurement noise model.
-        snapshot: environment snapshot used when ``start_state="snapshot"``.
+
+    Raises:
+        SimulationError: for any other start state.
     """
 
     def __init__(
@@ -83,15 +87,15 @@ class MeasurementHarness:
         platform: PlatformConfig | None = None,
         start_state: StartState = "cold",
         perturbation: PerturbationModel | None = None,
-        snapshot: Mapping[str, list[list[int]]] | None = None,
     ):
+        if start_state not in ("cold", "warm"):
+            raise SimulationError(
+                f"start state must be 'cold' or 'warm', got {start_state!r}"
+            )
         self.binary = binary
         self.processor = Processor(platform)
         self.start_state = start_state
         self.perturbation = perturbation
-        self._snapshot = snapshot
-        if start_state == "snapshot" and snapshot is None:
-            raise SimulationError("start_state='snapshot' requires a snapshot")
         self.measurements_taken = 0
 
     @classmethod
@@ -102,14 +106,9 @@ class MeasurementHarness:
     # -- environment control -------------------------------------------------
 
     def _prepare_environment(self) -> None:
-        if self.start_state == "cold":
-            self.processor.flush_caches()
-        elif self.start_state == "warm":
-            self.processor.flush_caches()
+        self.processor.flush_caches()
+        if self.start_state == "warm":
             self.processor.warm_caches(self.binary)
-        else:  # snapshot
-            assert self._snapshot is not None
-            self.processor.restore_environment(self._snapshot)
 
     # -- measurement ----------------------------------------------------------
 

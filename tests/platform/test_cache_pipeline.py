@@ -1,11 +1,20 @@
-"""Tests for the cache and pipeline timing models."""
+"""Tests for the cache model and the processor's pipeline timing."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SimulationError
-from repro.platform import Cache, CacheConfig, PipelineConfig, PipelineModel
-from repro.platform.isa import Instruction, Opcode
+from repro.platform import (
+    Binary,
+    Cache,
+    CacheConfig,
+    Instruction,
+    Opcode,
+    PerturbationModel,
+    PipelineConfig,
+    PlatformConfig,
+    Processor,
+)
 
 
 class TestCacheConfig:
@@ -58,14 +67,6 @@ class TestCacheBehaviour:
         cache.warm([0, 2])
         assert cache.probe(0) and cache.probe(2)
 
-    def test_snapshot_restore(self):
-        cache = self._small_cache()
-        cache.access(0)
-        snapshot = cache.snapshot()
-        cache.access(4)   # evicts line 0
-        cache.restore(snapshot)
-        assert cache.probe(0)
-
     def test_negative_address_rejected(self):
         with pytest.raises(SimulationError):
             self._small_cache().access(-1)
@@ -87,35 +88,91 @@ class TestCacheBehaviour:
         assert first.snapshot() == second.snapshot()
 
 
-class TestPipelineModel:
-    def test_base_and_multiply_cost(self):
-        model = PipelineModel(PipelineConfig(base_cost=1, multiply_extra=3))
-        add = Instruction(Opcode.ADD, rd=0, ra=1, rb=2)
-        mul = Instruction(Opcode.MUL, rd=0, ra=1, rb=2)
-        assert model.cost(add) == 1
-        assert model.cost(mul) == 4
+def _binary(*instructions):
+    """A hand-built binary with one input ``x`` at data address 0."""
+    return Binary(
+        name="hand-built",
+        instructions=list(instructions),
+        variable_addresses={"x": 0},
+        parameters=("x",),
+        outputs=(),
+        word_width=8,
+        num_registers=4,
+    )
 
-    def test_load_use_stall(self):
-        model = PipelineModel(PipelineConfig(load_use_stall=2))
+
+def _processor(pipeline, max_instructions=1_000):
+    """A processor whose caches cost nothing, so cycles are pipeline cycles."""
+    free = CacheConfig(hit_latency=0, miss_penalty=0)
+    return Processor(PlatformConfig(
+        instruction_cache=free, data_cache=free, pipeline=pipeline,
+        max_instructions=max_instructions,
+    ))
+
+
+class TestPipelineTiming:
+    def test_base_and_multiply_cost(self):
+        processor = _processor(PipelineConfig(base_cost=1, multiply_extra=3))
+        operands = [Instruction(Opcode.LOADI, rd=1, immediate=3),
+                    Instruction(Opcode.LOADI, rd=2, immediate=5)]
+        add = _binary(*operands, Instruction(Opcode.ADD, rd=0, ra=1, rb=2), Instruction(Opcode.HALT))
+        mul = _binary(*operands, Instruction(Opcode.MUL, rd=0, ra=1, rb=2), Instruction(Opcode.HALT))
+        assert processor.run(add, {"x": 0}).cycles == 4
+        assert processor.run(mul, {"x": 0}).cycles == 4 + 3
+        # HALT is charged the base cost.
+        halt = _binary(Instruction(Opcode.HALT))
+        assert _processor(PipelineConfig(base_cost=2)).run(halt, {"x": 0}).cycles == 2
+
+    def test_load_use_stall_only_when_dependent(self):
+        processor = _processor(PipelineConfig(load_use_stall=2))
         load = Instruction(Opcode.LOAD, rd=3, address=0)
-        dependent = Instruction(Opcode.ADD, rd=4, ra=3, rb=3)
-        independent = Instruction(Opcode.ADD, rd=4, ra=1, rb=2)
-        model.cost(load)
-        assert model.cost(dependent) == 1 + 2
-        model.cost(load)
-        assert model.cost(independent) == 1
+        dependent = _binary(load, Instruction(Opcode.ADD, rd=0, ra=3, rb=3), Instruction(Opcode.HALT))
+        independent = _binary(load, Instruction(Opcode.ADD, rd=0, ra=1, rb=2), Instruction(Opcode.HALT))
+        # Only the instruction right after the load can stall.
+        later = _binary(load, Instruction(Opcode.LOADI, rd=1, immediate=0),
+                        Instruction(Opcode.ADD, rd=0, ra=3, rb=3), Instruction(Opcode.HALT))
+        assert processor.run(dependent, {"x": 0}).cycles == 3 + 2
+        assert processor.run(independent, {"x": 0}).cycles == 3
+        assert processor.run(later, {"x": 0}).cycles == 4
 
     def test_branch_penalty_only_when_taken(self):
-        model = PipelineModel(PipelineConfig(taken_branch_penalty=2))
-        branch = Instruction(Opcode.BEQZ, rd=1, target=0)
-        assert model.cost(branch, branch_taken=False) == 1
-        assert model.cost(branch, branch_taken=True) == 3
+        processor = _processor(PipelineConfig(load_use_stall=0, taken_branch_penalty=2))
+        binary = _binary(
+            Instruction(Opcode.LOAD, rd=1, address=0),
+            Instruction(Opcode.BEQZ, rd=1, target=3),
+            Instruction(Opcode.LOADI, rd=2, immediate=1),
+            Instruction(Opcode.HALT),
+        )
+        taken = processor.run(binary, {"x": 0})
+        not_taken = processor.run(binary, {"x": 1})
+        assert (taken.instructions_executed, taken.cycles) == (3, 3 + 2)
+        assert (not_taken.instructions_executed, not_taken.cycles) == (4, 4)
 
-    def test_halt_cost_and_reset(self):
-        model = PipelineModel()
+    def test_no_stall_carried_into_the_next_run(self):
+        processor = _processor(PipelineConfig(load_use_stall=5), max_instructions=2)
         load = Instruction(Opcode.LOAD, rd=3, address=0)
-        model.cost(load)
-        model.reset()
-        dependent = Instruction(Opcode.ADD, rd=4, ra=3, rb=3)
-        assert model.cost(dependent) == 1  # stall forgotten after reset
-        assert model.cost(Instruction(Opcode.HALT)) == 1
+        # Runs out of budget right after a load ...
+        with pytest.raises(SimulationError):
+            processor.run(_binary(load, load, Instruction(Opcode.HALT)), {"x": 0})
+        # ... and the next run's first instruction, which reads the
+        # loaded register, does not stall.
+        reader = _binary(Instruction(Opcode.ADD, rd=0, ra=3, rb=3), Instruction(Opcode.HALT))
+        assert processor.run(reader, {"x": 0}).cycles == 2
+        assert processor.run(reader, {"x": 0}).cycles == 2
+
+
+class TestPlatformConfigValidation:
+    @pytest.mark.parametrize("field", ["base_cost", "multiply_extra", "load_use_stall",
+                                       "taken_branch_penalty"])
+    @pytest.mark.parametrize("value", [-3, True, 1.5, None])
+    def test_pipeline_fields_must_be_non_negative_integers(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            PipelineConfig(**{field: value})
+
+    def test_zero_pipeline_costs_are_accepted(self):
+        PipelineConfig(base_cost=0, multiply_extra=0, load_use_stall=0, taken_branch_penalty=0)
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), -1.0])
+    def test_perturbation_mean_must_be_finite_and_non_negative(self, mean):
+        with pytest.raises(SimulationError, match="finite and non-negative"):
+            PerturbationModel(mean=mean)

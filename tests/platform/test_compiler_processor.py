@@ -135,17 +135,10 @@ class TestTiming:
         inputs = {"base": 3, "exponent": 21}
         assert warm.measure(inputs) < cold.measure(inputs)
 
-    def test_snapshot_start_state(self):
-        program = modular_exponentiation(4, 16)
-        binary = compile_program(program)
-        processor = Processor()
-        processor.flush_caches()
-        processor.run(binary, {"base": 1, "exponent": 15})
-        snapshot = processor.snapshot_environment()
-        harness = MeasurementHarness(binary, start_state="snapshot", snapshot=snapshot)
-        cold = MeasurementHarness(binary, start_state="cold")
-        inputs = {"base": 1, "exponent": 15}
-        assert harness.measure(inputs) <= cold.measure(inputs)
+    @pytest.mark.parametrize("start_state", ["snapshot", "hot", 7])
+    def test_unknown_start_state_rejected(self, start_state):
+        with pytest.raises(SimulationError, match="'cold' or 'warm'"):
+            MeasurementHarness.from_program(saturating_add(), start_state=start_state)
 
     def test_cache_misses_reported(self):
         harness = MeasurementHarness.from_program(saturating_add())

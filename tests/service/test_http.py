@@ -189,6 +189,15 @@ class TestHttpSurface:
             {"problem": {"kind": "switching-logic", "integration_step": float("nan")}},
         )
         assert status == 400 and "'integration_step' must be finite" in error["error"]
+        # An unknown start state used to fail the job late with an empty
+        # error; it is refused at submission instead.
+        status, error = call(
+            service,
+            "POST",
+            "/jobs",
+            {"problem": {"kind": "timing-analysis", "start_state": "hot"}},
+        )
+        assert status == 400 and "'start_state' must be 'cold' or 'warm'" in error["error"]
 
     def test_keepalive_survives_error_replies(self, service):
         """Error paths must drain unread request bodies: under HTTP/1.1

@@ -91,6 +91,48 @@ class TestParseJobRequest:
         assert fragment in str(excinfo.value)
         assert next(iter(fields)) in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "fields, fragment",
+        [
+            ({"start_state": "hot"}, "'cold' or 'warm'"),
+            ({"start_state": 7}, "'cold' or 'warm'"),
+            ({"start_state": "snapshot"}, "'cold' or 'warm'"),
+            ({"bound": float("nan")}, "integer"),
+            ({"bound": "abc"}, "integer"),
+            ({"bound": True}, "integer"),
+            ({"bound": 10.0}, "integer"),
+            ({"trials": 1.5}, "integer"),
+            ({"trials": 0}, "at least 1"),
+            ({"seed": "x"}, "integer"),
+            ({"max_paths": -1}, "at least 1"),
+            ({"distribution": "yes"}, "boolean"),
+            ({"program": 7}, "string"),
+            ({"program_args": [16]}, "object"),
+        ],
+    )
+    def test_malformed_timing_specs_fail_with_400(self, fields, fragment):
+        problem = {"kind": "timing-analysis", **fields}
+        with pytest.raises(WireError) as excinfo:
+            parse_job_request({"problem": problem})
+        assert excinfo.value.status == 400
+        assert fragment in str(excinfo.value)
+        assert next(iter(fields)) in str(excinfo.value)
+
+    def test_timing_spec_boundaries_are_accepted(self):
+        problem = {
+            "kind": "timing-analysis",
+            "program": "saturating_add",
+            "program_args": {"word_width": 8},
+            "bound": -5,
+            "trials": 1,
+            "seed": -1,
+            "start_state": "warm",
+            "distribution": True,
+            "max_paths": 1,
+        }
+        parsed = parse_job_request({"problem": problem})
+        assert parsed["problem"] == problem
+
     def test_switching_spec_boundaries_are_accepted(self):
         problem = {
             "kind": "switching-logic",
