@@ -31,8 +31,8 @@ The package is organised as a small family of libraries underneath:
     JSON-serializable results).
 
 ``repro.core``
-    The sciduction framework itself: structure hypotheses, inductive
-    inference engines, deductive engines, oracle interfaces, and the
+    The sciduction framework itself: structure hypotheses, oracle
+    interfaces, the interval learner, the procedure driver, and the
     conditional-soundness bookkeeping described in Section 2 of the paper.
 
 ``repro.smt``
@@ -73,8 +73,6 @@ exploration of the rich per-application objects.
 """
 
 from repro.core import (
-    DeductiveEngine,
-    InductiveEngine,
     Oracle,
     SciductionProcedure,
     SciductionResult,
@@ -84,8 +82,6 @@ from repro.core import (
 __version__ = "2.0.0"
 
 __all__ = [
-    "DeductiveEngine",
-    "InductiveEngine",
     "Oracle",
     "SciductionProcedure",
     "SciductionResult",

@@ -215,6 +215,11 @@ def _deobfuscation_tasks() -> dict:
     }
 
 
+#: Largest synthesis width a deobfuscation spec may ask for (the paper's
+#: Figure 8 programs are 32-bit).
+MAX_DEOBFUSCATION_WIDTH = 64
+
+
 @register_problem_type
 @dataclass
 class DeobfuscationProblem(ProblemSpec):
@@ -222,16 +227,18 @@ class DeobfuscationProblem(ProblemSpec):
 
     Attributes:
         task: registered task name (see :func:`deobfuscation_task_names`).
-        width: synthesis bit width.
+        width: synthesis bit width, 1 to :data:`MAX_DEOBFUSCATION_WIDTH`.
         seed: RNG seed for the initial oracle queries.
         max_iterations: OGIS candidate/distinguishing-input round budget.
         initial_examples: random seed inputs queried up front.
-        examples: oracle-verified I/O examples seeding the loop, as
-            ``[[inputs...], [outputs...]]`` pairs — the wire form of the
-            ``partial["examples"]`` payload a budget-exhausted run leaves
-            in its result details.  Resubmitting with them makes the job
-            *resumable*: synthesis continues from the learned evidence
-            instead of restarting from zero.
+        examples: I/O examples seeding the loop, as
+            ``[[inputs...], [outputs...]]`` pairs, each checked against
+            the obfuscated program when the spec is built.  This is the
+            wire form of the ``partial["examples"]`` payload a
+            budget-exhausted run leaves in its result details.
+            Resubmitting with them makes the job *resumable*: synthesis
+            continues from the learned evidence instead of restarting
+            from zero.
     """
 
     kind: ClassVar[str] = "deobfuscation"
@@ -244,17 +251,74 @@ class DeobfuscationProblem(ProblemSpec):
     initial_examples: int = 1
     examples: list = field(default_factory=list)
 
-    def shape_key(self) -> str:
-        return f"{self.kind}/w{self.width}"
-
-    def _task(self) -> tuple:
+    def __post_init__(self) -> None:
+        # Validated at decode, like TimingAnalysisProblem: a malformed spec
+        # is a 400 at submission instead of a failure deep inside the
+        # synthesis loop, and a seeded example the oracle disagrees with
+        # is refused instead of steering synthesis to a wrong program.
         tasks = _deobfuscation_tasks()
-        if self.task not in tasks:
+        if not isinstance(self.task, str) or self.task not in tasks:
             raise ReproError(
                 f"unknown deobfuscation task {self.task!r} "
                 f"(available: {sorted(tasks)})"
             )
-        return tasks[self.task]
+        for name in ("width", "max_iterations", "initial_examples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ReproError(f"{name!r} must be an integer, got {type(value).__name__}")
+            if name != "seed" and value < 1:
+                raise ReproError(f"{name!r} must be at least 1, got {value}")
+        # Checking a seeded example runs the oracle at this width, so the
+        # width is bounded before any example is looked at.
+        if self.width > MAX_DEOBFUSCATION_WIDTH:
+            raise ReproError(
+                f"'width' must be at most {MAX_DEOBFUSCATION_WIDTH}, got {self.width}"
+            )
+        _, obfuscated, _, num_inputs, num_outputs = tasks[self.task]
+        # The random seeding phase draws distinct inputs, so it cannot ask
+        # for more than the input space holds.
+        input_bits = self.width * num_inputs
+        if self.initial_examples > 1 << input_bits:
+            raise ReproError(
+                f"'initial_examples' must be at most 2**{input_bits} (the distinct "
+                f"inputs of {self.task!r} at width {self.width}), got {self.initial_examples}"
+            )
+        if not isinstance(self.examples, list):
+            raise ReproError(f"'examples' must be a list, got {type(self.examples).__name__}")
+        mask = (1 << self.width) - 1
+        for index, example in enumerate(self.examples):
+            where = f"'examples'[{index}]"
+            if not (
+                isinstance(example, list)
+                and len(example) == 2
+                and all(isinstance(part, list) for part in example)
+            ):
+                raise ReproError(f"{where} must be an [inputs, outputs] pair of lists")
+            inputs, outputs = example
+            if len(inputs) != num_inputs or len(outputs) != num_outputs:
+                raise ReproError(
+                    f"{where} must have {num_inputs} input(s) and {num_outputs} "
+                    f"output(s) for task {self.task!r}"
+                )
+            for value in inputs + outputs:
+                if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= mask:
+                    raise ReproError(
+                        f"{where} values must be integers in [0, 2**width), got {value!r}"
+                    )
+            # The obfuscated program itself, not the counting oracle, so a
+            # resumed job's oracle_queries is unchanged.
+            expected = [int(value) & mask for value in obfuscated(tuple(inputs), self.width)]
+            if outputs != expected:
+                raise ReproError(
+                    f"{where} disagrees with the oracle: {self.task!r} maps "
+                    f"{inputs} to {expected} at width {self.width}, not {outputs}"
+                )
+
+    def shape_key(self) -> str:
+        return f"{self.kind}/w{self.width}"
+
+    def _task(self) -> tuple:
+        return _deobfuscation_tasks()[self.task]
 
     def build(self, context: JobContext | None = None) -> SciductionProcedure:
         from repro.ogis import OgisSynthesizer, ProgramIOOracle

@@ -1,24 +1,17 @@
 """The sciduction framework core (paper Section 2).
 
-Exports the building blocks of a sciduction instance ⟨H, I, D⟩ — structure
-hypotheses, inductive engines, deductive engines and oracles — plus the
-procedure driver with conditional-soundness bookkeeping and the generic
-counterexample-guided (CEGIS) loop.
+Exports what the three applications share: the structure-hypothesis
+interface (the *H* of a sciduction instance ⟨H, I, D⟩) with the grid
+and validity-evidence records, the query-counting oracle interfaces, the
+interval learner behind Section 5's hyperbox learning, the exception
+hierarchy, and the procedure driver with its conditional-soundness
+bookkeeping.  Each application brings its own inductive and deductive
+engines and names them in ``describe()``.
 """
 
-from repro.core.cegis import CegisLoop, CegisOutcome
-from repro.core.deductive import (
-    CallableEngine,
-    DeductiveAnswer,
-    DeductiveEngine,
-    DeductiveQuery,
-    EngineStatistics,
-    QueryKind,
-)
 from repro.core.exceptions import (
     BudgetExceededError,
     CompilationError,
-    DeductionError,
     InductionError,
     ReproError,
     SimulationError,
@@ -27,30 +20,15 @@ from repro.core.exceptions import (
     UnrealizableError,
 )
 from repro.core.hypothesis import (
-    FiniteHypothesis,
     GridSpec,
     HypothesisValidityEvidence,
     PredicateHypothesis,
-    ProductHypothesis,
     StructureHypothesis,
 )
-from repro.core.inductive import (
-    BinarySearchIntervalLearner,
-    CallableConsistency,
-    ConsistencyChecker,
-    InductiveEngine,
-    Interval,
-    LearningStatistics,
-    VersionSpaceEngine,
-)
+from repro.core.inductive import BinarySearchIntervalLearner, Interval
 from repro.core.oracle import (
-    CheckResult,
-    CounterexampleOracle,
-    FunctionCounterexampleOracle,
-    FunctionIOOracle,
     FunctionLabelingOracle,
     IOOracle,
-    LabeledExample,
     LabelingOracle,
     Oracle,
 )
@@ -63,36 +41,16 @@ from repro.core.procedure import (
 __all__ = [
     "BinarySearchIntervalLearner",
     "BudgetExceededError",
-    "CallableConsistency",
-    "CallableEngine",
-    "CegisLoop",
-    "CegisOutcome",
-    "CheckResult",
     "CompilationError",
-    "ConsistencyChecker",
-    "CounterexampleOracle",
-    "DeductionError",
-    "DeductiveAnswer",
-    "DeductiveEngine",
-    "DeductiveQuery",
-    "EngineStatistics",
-    "FiniteHypothesis",
-    "FunctionCounterexampleOracle",
-    "FunctionIOOracle",
     "FunctionLabelingOracle",
     "GridSpec",
     "HypothesisValidityEvidence",
     "IOOracle",
     "InductionError",
-    "InductiveEngine",
     "Interval",
-    "LabeledExample",
     "LabelingOracle",
-    "LearningStatistics",
     "Oracle",
     "PredicateHypothesis",
-    "ProductHypothesis",
-    "QueryKind",
     "ReproError",
     "SciductionProcedure",
     "SciductionResult",
@@ -102,5 +60,4 @@ __all__ = [
     "StructureHypothesis",
     "StructureHypothesisError",
     "UnrealizableError",
-    "VersionSpaceEngine",
 ]

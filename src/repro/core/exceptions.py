@@ -31,15 +31,6 @@ class UnrealizableError(ReproError):
     """
 
 
-class DeductionError(ReproError):
-    """Raised when a deductive engine cannot answer a query.
-
-    Examples: a resource limit was exceeded, the query falls outside the
-    engine's (deliberately lightweight) theory, or an internal
-    inconsistency was detected.
-    """
-
-
 class InductionError(ReproError):
     """Raised when an inductive engine cannot generalise from its examples."""
 

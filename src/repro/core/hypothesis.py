@@ -12,17 +12,16 @@ so on.  The hypothesis defines a subclass ``C_H`` of the full artifact class
 i.e. if any artifact satisfying the cumulative specification exists at all,
 then one exists inside the hypothesis class.
 
-This module provides the abstract interface plus a handful of generic,
-reusable hypothesis classes (finite enumerations, products, grids) that the
-three applications specialise.
+This module provides the abstract interface, a predicate-defined
+hypothesis, the discrete grid of Section 5, and the record of evidence
+about a hypothesis's validity.
 """
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Generic, Iterator, TypeVar
 
 from repro.core.exceptions import StructureHypothesisError
 
@@ -35,9 +34,7 @@ class StructureHypothesis(ABC, Generic[ArtifactT]):
     A structure hypothesis is, mathematically, a set of candidate artifacts.
     Concrete subclasses must be able to say whether a given artifact belongs
     to the class (:meth:`contains`) and should provide a human-readable
-    :meth:`describe` used in soundness certificates.  Enumerability is
-    optional: infinite classes (e.g. all hyperboxes in R^n) simply raise
-    :class:`NotImplementedError` from :meth:`enumerate`.
+    :meth:`describe` used in soundness certificates.
     """
 
     #: Short name used in reports and soundness certificates.
@@ -51,14 +48,6 @@ class StructureHypothesis(ABC, Generic[ArtifactT]):
         """Return a one-line human readable description of the hypothesis."""
         return self.name
 
-    def enumerate(self) -> Iterator[ArtifactT]:
-        """Yield the members of the class, if it is effectively enumerable.
-
-        Raises:
-            NotImplementedError: if the class is not enumerable.
-        """
-        raise NotImplementedError(f"{self.name} is not enumerable")
-
     def is_strict_restriction(self) -> bool | None:
         """Whether ``C_H`` is a *strict* subset of the unconstrained class.
 
@@ -67,42 +56,6 @@ class StructureHypothesis(ABC, Generic[ArtifactT]):
         generalisation.  Returns ``None`` when unknown.
         """
         return None
-
-    def validity_statement(self) -> str:
-        """Return the textual form of Eq. (1) for this hypothesis."""
-        return (
-            "(exists c in C_S . c |= Psi) ==> "
-            f"(exists c in {self.name} . c |= Psi)"
-        )
-
-
-class FiniteHypothesis(StructureHypothesis[ArtifactT]):
-    """A structure hypothesis given extensionally as a finite set of artifacts.
-
-    Useful for testing and for small enumerable classes (e.g. candidate
-    invariants over a fixed set of literals).
-    """
-
-    def __init__(self, artifacts: Iterable[ArtifactT], name: str = "finite-hypothesis"):
-        self._artifacts = list(artifacts)
-        if not self._artifacts:
-            raise StructureHypothesisError("a finite hypothesis must be non-empty")
-        self.name = name
-
-    def contains(self, artifact: ArtifactT) -> bool:
-        return artifact in self._artifacts
-
-    def enumerate(self) -> Iterator[ArtifactT]:
-        return iter(self._artifacts)
-
-    def __len__(self) -> int:
-        return len(self._artifacts)
-
-    def is_strict_restriction(self) -> bool | None:
-        return True
-
-    def describe(self) -> str:
-        return f"{self.name} ({len(self._artifacts)} artifacts)"
 
 
 class PredicateHypothesis(StructureHypothesis[ArtifactT]):
@@ -182,40 +135,6 @@ class GridSpec:
             return False
         offset = (value - self.low) / self.step
         return abs(offset - round(offset)) <= tol / self.step
-
-
-class ProductHypothesis(StructureHypothesis[tuple]):
-    """Cartesian product of component hypotheses.
-
-    An artifact of the product is a tuple with one component per factor.
-    This is convenient when the synthesized artifact naturally decomposes,
-    e.g. one guard per transition of a hybrid automaton.
-    """
-
-    def __init__(
-        self,
-        factors: Sequence[StructureHypothesis[Any]],
-        name: str = "product-hypothesis",
-    ):
-        if not factors:
-            raise StructureHypothesisError("a product hypothesis needs factors")
-        self.factors = list(factors)
-        self.name = name
-
-    def contains(self, artifact: tuple) -> bool:
-        if len(artifact) != len(self.factors):
-            return False
-        return all(
-            factor.contains(component)
-            for factor, component in zip(self.factors, artifact)
-        )
-
-    def enumerate(self) -> Iterator[tuple]:
-        return itertools.product(*(factor.enumerate() for factor in self.factors))
-
-    def describe(self) -> str:
-        inner = ", ".join(factor.describe() for factor in self.factors)
-        return f"{self.name}[{inner}]"
 
 
 @dataclass

@@ -1,19 +1,13 @@
-"""Inductive inference engines (the *I* of a sciduction instance).
+"""Interval learning: the inductive building block of Section 5.
 
 Section 2.2.2 of the paper characterises the inductive engines used in
 sciduction: they learn an artifact of the hypothesis class from examples,
 usually via *active learning* (the learner chooses its examples), with
-examples/labels produced by oracles, and often by reducing "find a concept
-consistent with the examples" to a decision problem handed to the deductive
-engine.
+examples/labels produced by oracles.  Each application keeps its own
+learner next to its procedure; this module holds the one piece that is
+generic:
 
-This module provides the abstract interface plus two generic engines that
-are reused and specialised by the applications:
-
-* :class:`VersionSpaceEngine` — keeps every hypothesis-class member
-  consistent with the examples seen so far (the paper points out that the
-  rudimentary invariant-generation learners in ABC, and the classic lattice
-  walk in CEGAR, are version-space learners);
+* :class:`Interval` — a closed interval on the real line;
 * :class:`BinarySearchIntervalLearner` — learns a 1-D interval from a
   membership (labeling) oracle by binary search on a discrete grid, the
   building block of Section 5's hyperbox learning (Goldman & Kearns).
@@ -21,160 +15,11 @@ are reused and specialised by the applications:
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Generic, Iterable, Sequence, TypeVar
+from dataclasses import dataclass
 
-from repro.core.exceptions import InductionError, UnrealizableError
-from repro.core.hypothesis import GridSpec, StructureHypothesis
-from repro.core.oracle import LabeledExample, LabelingOracle
-
-ArtifactT = TypeVar("ArtifactT")
-ExampleT = TypeVar("ExampleT")
-LabelT = TypeVar("LabelT")
-
-
-@dataclass
-class LearningStatistics:
-    """Bookkeeping shared by all inductive engines."""
-
-    examples_consumed: int = 0
-    candidates_produced: int = 0
-    iterations: int = 0
-
-    def note_examples(self, count: int) -> None:
-        """Record that ``count`` additional examples were consumed."""
-        self.examples_consumed += count
-
-    def note_candidate(self) -> None:
-        """Record that a candidate artifact was produced."""
-        self.candidates_produced += 1
-
-    def note_iteration(self) -> None:
-        """Record one learning iteration."""
-        self.iterations += 1
-
-
-class InductiveEngine(ABC, Generic[ArtifactT, ExampleT, LabelT]):
-    """Abstract base class for inductive inference engines.
-
-    The engine's contract is intentionally small: consume labeled examples
-    (:meth:`observe`) and produce a candidate artifact consistent with all
-    of them (:meth:`infer`).  Active learners additionally expose
-    :meth:`propose_query` to select the next example whose label they want.
-    """
-
-    name: str = "inductive-engine"
-
-    def __init__(self, hypothesis: StructureHypothesis[ArtifactT]):
-        self.hypothesis = hypothesis
-        self.statistics = LearningStatistics()
-        self._examples: list[LabeledExample[ExampleT, LabelT]] = []
-
-    @property
-    def examples(self) -> Sequence[LabeledExample[ExampleT, LabelT]]:
-        """The labeled examples observed so far (read-only view)."""
-        return tuple(self._examples)
-
-    def observe(self, example: ExampleT, label: LabelT) -> None:
-        """Add one labeled example to the engine's experience."""
-        self._examples.append(LabeledExample(example, label))
-        self.statistics.note_examples(1)
-
-    def observe_many(self, pairs: Iterable[tuple[ExampleT, LabelT]]) -> None:
-        """Add several labeled examples at once."""
-        for example, label in pairs:
-            self.observe(example, label)
-
-    @abstractmethod
-    def infer(self) -> ArtifactT:
-        """Return an artifact of the hypothesis class consistent with all
-        observed examples.
-
-        Raises:
-            UnrealizableError: if no member of the hypothesis class is
-                consistent with the observations.
-        """
-
-    def propose_query(self) -> ExampleT | None:
-        """Return the next example whose label the engine wants, or ``None``.
-
-        Passive learners return ``None``.  Active learners (the common case
-        in sciduction) override this.
-        """
-        return None
-
-
-class ConsistencyChecker(ABC, Generic[ArtifactT, ExampleT, LabelT]):
-    """Callback deciding whether an artifact is consistent with an example."""
-
-    @abstractmethod
-    def consistent(
-        self, artifact: ArtifactT, example: ExampleT, label: LabelT
-    ) -> bool:
-        """Return True iff ``artifact`` agrees with ``(example, label)``."""
-
-
-class CallableConsistency(ConsistencyChecker[ArtifactT, ExampleT, LabelT]):
-    """A :class:`ConsistencyChecker` backed by a plain callable."""
-
-    def __init__(self, func):
-        self._func = func
-
-    def consistent(self, artifact, example, label) -> bool:
-        return bool(self._func(artifact, example, label))
-
-
-class VersionSpaceEngine(InductiveEngine[ArtifactT, ExampleT, LabelT]):
-    """Keep every enumerable hypothesis member consistent with all examples.
-
-    This is the "rudimentary" inductive engine the paper attributes to
-    simulation-guided invariant generation (Section 2.4.1): enumerate the
-    candidate artifacts allowed by the structure hypothesis and discard any
-    that disagree with an observed example.  :meth:`infer` returns an
-    arbitrary survivor; :meth:`survivors` returns all of them (useful when
-    the downstream deductive engine will prove each remaining candidate).
-    """
-
-    name = "version-space"
-
-    def __init__(
-        self,
-        hypothesis: StructureHypothesis[ArtifactT],
-        consistency: ConsistencyChecker[ArtifactT, ExampleT, LabelT],
-    ):
-        super().__init__(hypothesis)
-        self._consistency = consistency
-        try:
-            self._survivors: list[ArtifactT] | None = list(hypothesis.enumerate())
-        except NotImplementedError as exc:
-            raise InductionError(
-                "version-space learning requires an enumerable hypothesis"
-            ) from exc
-
-    def observe(self, example: ExampleT, label: LabelT) -> None:
-        super().observe(example, label)
-        assert self._survivors is not None
-        self._survivors = [
-            artifact
-            for artifact in self._survivors
-            if self._consistency.consistent(artifact, example, label)
-        ]
-        self.statistics.note_iteration()
-
-    def survivors(self) -> list[ArtifactT]:
-        """Return all hypothesis members consistent with every example."""
-        assert self._survivors is not None
-        return list(self._survivors)
-
-    def infer(self) -> ArtifactT:
-        survivors = self.survivors()
-        if not survivors:
-            raise UnrealizableError(
-                "no hypothesis member is consistent with the observed examples"
-            )
-        self.statistics.note_candidate()
-        return survivors[0]
+from repro.core.exceptions import InductionError
+from repro.core.hypothesis import GridSpec
+from repro.core.oracle import LabelingOracle
 
 
 @dataclass(frozen=True)

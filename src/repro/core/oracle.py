@@ -13,27 +13,23 @@ This module defines the oracle interfaces shared by the applications:
 * :class:`IOOracle` — maps an input to an output (Section 4),
 * :class:`LabelingOracle` — maps an example to a boolean/score label
   (Section 5's safe/unsafe labels; Section 3's timing measurements),
-* :class:`CounterexampleOracle` — checks a candidate artifact and returns a
-  counterexample when it is wrong (the verifier inside CEGIS/CEGAR).
+* :class:`FunctionLabelingOracle` — a labeling oracle backed by a plain
+  callable.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Callable, Generic, TypeVar
-
-from repro.core.exceptions import BudgetExceededError
+from typing import Callable, Generic, TypeVar
 
 InputT = TypeVar("InputT")
 OutputT = TypeVar("OutputT")
 ExampleT = TypeVar("ExampleT")
 LabelT = TypeVar("LabelT")
-ArtifactT = TypeVar("ArtifactT")
 
 
 class Oracle(ABC):
-    """Base class for oracles: counts queries and enforces a query budget.
+    """Base class for oracles: counts the queries asked of it.
 
     The query count is the complexity measure used throughout the paper's
     Section 4 ("synthesize the program using a small number of queries to
@@ -42,20 +38,7 @@ class Oracle(ABC):
 
     name: str = "oracle"
 
-    def __init__(self, max_queries: int | None = None):
-        self.query_count = 0
-        self.max_queries = max_queries
-
-    def _charge(self) -> None:
-        """Record one query, raising if the budget is exhausted."""
-        if self.max_queries is not None and self.query_count >= self.max_queries:
-            raise BudgetExceededError(
-                f"{self.name}: query budget of {self.max_queries} exhausted"
-            )
-        self.query_count += 1
-
-    def reset_count(self) -> None:
-        """Reset the query counter (budget remains unchanged)."""
+    def __init__(self) -> None:
         self.query_count = 0
 
 
@@ -75,25 +58,8 @@ class IOOracle(Oracle, Generic[InputT, OutputT]):
 
     def query(self, value: InputT) -> OutputT:
         """Return the oracle output for ``value`` (counts one query)."""
-        self._charge()
+        self.query_count += 1
         return self._query(value)
-
-
-class FunctionIOOracle(IOOracle[InputT, OutputT]):
-    """An :class:`IOOracle` backed by a plain Python callable."""
-
-    def __init__(
-        self,
-        func: Callable[[InputT], OutputT],
-        name: str = "function-io-oracle",
-        max_queries: int | None = None,
-    ):
-        super().__init__(max_queries=max_queries)
-        self._func = func
-        self.name = name
-
-    def _query(self, value: InputT) -> OutputT:
-        return self._func(value)
 
 
 class LabelingOracle(Oracle, Generic[ExampleT, LabelT]):
@@ -112,7 +78,7 @@ class LabelingOracle(Oracle, Generic[ExampleT, LabelT]):
 
     def label(self, example: ExampleT) -> LabelT:
         """Return the label of ``example`` (counts one query)."""
-        self._charge()
+        self.query_count += 1
         return self._label(example)
 
 
@@ -123,75 +89,10 @@ class FunctionLabelingOracle(LabelingOracle[ExampleT, LabelT]):
         self,
         func: Callable[[ExampleT], LabelT],
         name: str = "function-labeling-oracle",
-        max_queries: int | None = None,
     ):
-        super().__init__(max_queries=max_queries)
+        super().__init__()
         self._func = func
         self.name = name
 
     def _label(self, example: ExampleT) -> LabelT:
         return self._func(example)
-
-
-@dataclass
-class CheckResult(Generic[ExampleT]):
-    """Result of checking a candidate artifact against a specification.
-
-    Attributes:
-        correct: whether the candidate satisfies the specification.
-        counterexample: when ``correct`` is False, an example witnessing the
-            violation (fed back to the inductive engine).
-    """
-
-    correct: bool
-    counterexample: ExampleT | None = None
-
-
-class CounterexampleOracle(Oracle, Generic[ArtifactT, ExampleT]):
-    """The verifier inside a counterexample-guided loop (CEGIS / CEGAR).
-
-    Given a candidate artifact it either certifies correctness or returns a
-    counterexample.  In CEGIS the counterexample is an input on which the
-    candidate program misbehaves; in CEGAR it is an abstract error trace to
-    be checked for spuriousness.
-    """
-
-    name = "counterexample-oracle"
-
-    @abstractmethod
-    def _check(self, artifact: ArtifactT) -> CheckResult[ExampleT]:
-        """Check ``artifact`` against the specification."""
-
-    def check(self, artifact: ArtifactT) -> CheckResult[ExampleT]:
-        """Check ``artifact`` (counts one query)."""
-        self._charge()
-        return self._check(artifact)
-
-
-class FunctionCounterexampleOracle(CounterexampleOracle[ArtifactT, ExampleT]):
-    """A :class:`CounterexampleOracle` backed by a callable returning
-    ``None`` for "correct" or a counterexample otherwise."""
-
-    def __init__(
-        self,
-        func: Callable[[ArtifactT], ExampleT | None],
-        name: str = "function-counterexample-oracle",
-        max_queries: int | None = None,
-    ):
-        super().__init__(max_queries=max_queries)
-        self._func = func
-        self.name = name
-
-    def _check(self, artifact: ArtifactT) -> CheckResult[ExampleT]:
-        counterexample = self._func(artifact)
-        if counterexample is None:
-            return CheckResult(correct=True)
-        return CheckResult(correct=False, counterexample=counterexample)
-
-
-@dataclass(frozen=True)
-class LabeledExample(Generic[ExampleT, LabelT]):
-    """An (example, label) pair as consumed by inductive engines."""
-
-    example: ExampleT
-    label: LabelT

@@ -8,9 +8,10 @@ engine D.  Section 2.3 then requires *conditional soundness*:
 
 This module provides:
 
-* :class:`SciductionProcedure` — the abstract driver tying H, I, and D
-  together; concrete applications subclass it (GameTime, OGIS, switching
-  logic synthesis) or use the generic :mod:`repro.core.cegis` loop.
+* :class:`SciductionProcedure` — the abstract driver of one instance;
+  each application (GameTime, OGIS, switching logic synthesis) subclasses
+  it, runs its own inductive and deductive engines in :meth:`_run`, and
+  names them in :meth:`describe`.
 * :class:`SciductionResult` — the structured outcome of a run, including the
   synthesized artifact, the verdict, query counts, and the soundness
   certificate.
@@ -25,9 +26,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Generic, TypeVar
 
-from repro.core.deductive import DeductiveEngine
 from repro.core.hypothesis import HypothesisValidityEvidence, StructureHypothesis
-from repro.core.inductive import InductiveEngine
 
 ArtifactT = TypeVar("ArtifactT")
 
@@ -101,23 +100,17 @@ class SciductionProcedure(ABC, Generic[ArtifactT]):
     """Abstract driver for a sciductive procedure ⟨H, I, D⟩.
 
     Concrete procedures implement :meth:`_run`, which performs the actual
-    inductive/deductive interplay and returns a :class:`SciductionResult`.
-    The base class wraps the run with timing and attaches the soundness
-    certificate, so every application reports results in the same shape
-    (this is what the Table 1 benchmark harness consumes).
+    inductive/deductive interplay and returns a :class:`SciductionResult`,
+    and :meth:`describe`, which names their H, I and D.  The base class
+    wraps the run with timing and attaches the soundness certificate, so
+    every application reports results in the same shape (this is what the
+    Table 1 benchmark harness consumes).
     """
 
     name: str = "sciduction-procedure"
 
-    def __init__(
-        self,
-        hypothesis: StructureHypothesis[Any],
-        inductive: InductiveEngine[Any, Any, Any] | None,
-        deductive: DeductiveEngine[Any, Any] | None,
-    ):
+    def __init__(self, hypothesis: StructureHypothesis[Any]):
         self.hypothesis = hypothesis
-        self.inductive = inductive
-        self.deductive = deductive
 
     # -- soundness -------------------------------------------------------
 
@@ -168,17 +161,13 @@ class SciductionProcedure(ABC, Generic[ArtifactT]):
         result.elapsed = time.perf_counter() - start  # analysis: allow[WC01] elapsed-time accounting for the result record; not a decision input
         if result.certificate is None:
             result.certificate = self.certificate()
-        if self.deductive is not None and result.deductive_queries == 0:
-            result.deductive_queries = self.deductive.statistics.queries
         return result
 
     # -- reporting -------------------------------------------------------
 
+    @abstractmethod
     def describe(self) -> dict[str, str]:
-        """Return the ⟨H, I, D⟩ description of this procedure (Table 1 row)."""
-        return {
-            "procedure": self.name,
-            "H": self.hypothesis.describe(),
-            "I": self.inductive.name if self.inductive is not None else "(custom)",
-            "D": self.deductive.name if self.deductive is not None else "(custom)",
-        }
+        """Return the ⟨H, I, D⟩ description of this procedure (Table 1 row).
+
+        Keys: ``procedure``, ``H``, ``I`` and ``D``.
+        """

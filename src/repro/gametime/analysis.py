@@ -201,7 +201,7 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
         self.basis_result: BasisExtractionResult | None = None
         self.model: WeightPerturbationModel | None = None
         self.learner: GameTimeLearner | None = None
-        super().__init__(hypothesis=hypothesis, inductive=None, deductive=None)
+        super().__init__(hypothesis=hypothesis)
 
     # -- soundness ------------------------------------------------------------
 
@@ -261,7 +261,6 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
             trials=self._trials,
             seed=self._seed,
         )
-        self.inductive = self.learner
         self.model = self.learner.infer()
         return self.model
 

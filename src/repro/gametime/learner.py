@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.exceptions import InductionError
-from repro.core.inductive import InductiveEngine
 from repro.core.oracle import LabelingOracle
 from repro.cfg.ssa import FeasiblePath
 from repro.gametime.model import WeightPerturbationHypothesis, WeightPerturbationModel
@@ -51,7 +50,7 @@ class BasisMeasurements:
         return sum(len(values) for values in self.samples)
 
 
-class GameTimeLearner(InductiveEngine[WeightPerturbationModel, dict[str, int], int]):
+class GameTimeLearner:
     """Learns a :class:`WeightPerturbationModel` from end-to-end measurements.
 
     Args:
@@ -66,8 +65,6 @@ class GameTimeLearner(InductiveEngine[WeightPerturbationModel, dict[str, int], i
         seed: RNG seed for the randomised measurement schedule.
     """
 
-    name = "game-theoretic-online-learner"
-
     def __init__(
         self,
         hypothesis: WeightPerturbationHypothesis,
@@ -77,7 +74,7 @@ class GameTimeLearner(InductiveEngine[WeightPerturbationModel, dict[str, int], i
         trials: int | None = None,
         seed: int = 0,
     ):
-        super().__init__(hypothesis)
+        self.hypothesis = hypothesis
         if not basis:
             raise InductionError("at least one basis path is required")
         self.basis = list(basis)
@@ -93,11 +90,6 @@ class GameTimeLearner(InductiveEngine[WeightPerturbationModel, dict[str, int], i
 
     # -- measurement schedule ----------------------------------------------
 
-    def propose_query(self) -> dict[str, int] | None:
-        """Next test case to measure (uniformly random basis path)."""
-        index = self._rng.randrange(len(self.basis))
-        return self.basis[index].test_case
-
     def collect_measurements(self) -> BasisMeasurements:
         """Run the randomised measurement schedule against the oracle.
 
@@ -111,10 +103,8 @@ class GameTimeLearner(InductiveEngine[WeightPerturbationModel, dict[str, int], i
             for _ in range(self.trials - len(self.basis))
         ]
         for index in schedule:
-            test_case = self.basis[index].test_case
-            cycles = self.timing_oracle.label(test_case)
+            cycles = self.timing_oracle.label(self.basis[index].test_case)
             self.measurements.samples[index].append(cycles)
-            self.observe(test_case, cycles)
         return self.measurements
 
     # -- inference ------------------------------------------------------------
@@ -135,13 +125,10 @@ class GameTimeLearner(InductiveEngine[WeightPerturbationModel, dict[str, int], i
             [item.path.vector(self.num_edges) for item in self.basis], axis=0
         )
         weights, _, _, _ = np.linalg.lstsq(matrix, np.asarray(averages), rcond=None)
-        hypothesis = self.hypothesis
-        assert isinstance(hypothesis, WeightPerturbationHypothesis)
-        self.statistics.note_candidate()
         return WeightPerturbationModel(
             edge_weights=weights,
-            mu_max=hypothesis.mu_max,
-            rho=hypothesis.rho,
+            mu_max=self.hypothesis.mu_max,
+            rho=self.hypothesis.rho,
             basis_vectors=[item.path.vector(self.num_edges) for item in self.basis],
             basis_times=averages,
         )

@@ -19,7 +19,6 @@ from repro.hybrid.mds import (
 from repro.hybrid.ode import IntegratorConfig, rk4_step
 from repro.hybrid.reachability import (
     ReachabilityOracle,
-    ReachabilityQuery,
     ReachabilityVerdict,
     SwitchingStateLabeler,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "PAPER_EQ3_GUARDS",
     "PAPER_EQ4_GUARDS",
     "ReachabilityOracle",
-    "ReachabilityQuery",
     "ReachabilityVerdict",
     "SwitchingLogic",
     "SwitchingLogicSynthesizer",

@@ -8,12 +8,15 @@ single initial condition — undecidable in general, but answerable in
 practice by numerical simulation, which the paper therefore adopts as the
 deductive engine (arguing that a numerical simulator performs deductive
 reasoning: it applies rules about the underlying theory to solve a system
-of constraints).
+of constraints).  It is lightweight in the paper's sense (Sec. 2.2.3):
+it decides point-initialised continuous reachability, a strict special
+case of the (undecidable) hybrid synthesis problem.
 
 :class:`ReachabilityOracle` implements that query (with optional minimum
-dwell time, for the dwell-time variant of the synthesis problem) and
-exposes it as a :class:`~repro.core.oracle.LabelingOracle` so the hyperbox
-learner can drive it directly.
+dwell time, for the dwell-time variant of the synthesis problem), and
+:class:`SwitchingStateLabeler` exposes it as a
+:class:`~repro.core.oracle.LabelingOracle` so the hyperbox learner can
+drive it directly.
 """
 
 from __future__ import annotations
@@ -23,22 +26,11 @@ import time as _time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.core.deductive import DeductiveAnswer, DeductiveEngine, DeductiveQuery
 from repro.core.exceptions import BudgetExceededError
 from repro.core.oracle import LabelingOracle
 from repro.hybrid.hyperbox import Hyperbox
 from repro.hybrid.mds import MultiModalSystem
 from repro.hybrid.ode import IntegratorConfig, rk4_step
-
-
-@dataclass
-class ReachabilityQuery:
-    """One labeling query: enter ``mode`` at ``state`` with these exit guards."""
-
-    mode: str
-    state: tuple[float, ...]
-    exit_guards: dict[str, Hyperbox]
-    min_dwell: float = 0.0
 
 
 @dataclass
@@ -60,7 +52,7 @@ class ReachabilityVerdict:
     violation_time: float | None = None
 
 
-class ReachabilityOracle(DeductiveEngine[ReachabilityQuery, ReachabilityVerdict]):
+class ReachabilityOracle:
     """Answers safe/unsafe labeling queries by numerical simulation.
 
     Args:
@@ -72,8 +64,6 @@ class ReachabilityOracle(DeductiveEngine[ReachabilityQuery, ReachabilityVerdict]
             labeled safe; when False it is labeled unsafe (forces progress).
     """
 
-    name = "numerical-simulation-reachability"
-
     def __init__(
         self,
         system: MultiModalSystem,
@@ -81,7 +71,6 @@ class ReachabilityOracle(DeductiveEngine[ReachabilityQuery, ReachabilityVerdict]
         horizon: float = 60.0,
         allow_no_exit: bool = True,
     ):
-        super().__init__()
         self.system = system
         self.integrator = integrator or IntegratorConfig()
         self.horizon = horizon
@@ -167,23 +156,6 @@ class ReachabilityOracle(DeductiveEngine[ReachabilityQuery, ReachabilityVerdict]
             state_vector = rk4_step(dynamics, state_vector, step)
             time += step
 
-    # -- DeductiveEngine interface -------------------------------------------------
-
-    def _answer(
-        self, query: DeductiveQuery[ReachabilityQuery]
-    ) -> DeductiveAnswer[ReachabilityVerdict]:
-        payload = query.payload
-        verdict = self.label_state(
-            payload.mode, payload.state, payload.exit_guards, payload.min_dwell
-        )
-        return DeductiveAnswer(decided=True, verdict=verdict.safe, witness=verdict)
-
-    def lightweightness(self) -> str:
-        return (
-            "decides point-initialised continuous reachability by simulation, a "
-            "strict special case of the (undecidable) hybrid synthesis problem"
-        )
-
 
 class SwitchingStateLabeler(LabelingOracle[dict[str, float], bool]):
     """Adapter: labels candidate switching states for one entry transition.
@@ -201,9 +173,8 @@ class SwitchingStateLabeler(LabelingOracle[dict[str, float], bool]):
         mode: str,
         exit_guards: Mapping[str, Hyperbox],
         min_dwell: float = 0.0,
-        max_queries: int | None = None,
     ):
-        super().__init__(max_queries=max_queries)
+        super().__init__()
         self.oracle = oracle
         self.mode = mode
         self.exit_guards = dict(exit_guards)

@@ -115,11 +115,7 @@ class SwitchingLogicSynthesizer(SciductionProcedure[SwitchingLogic]):
         self.validate_corners = validate_corners
         self.learner = HyperboxLearner(self.grids)
         self._corner_checks_passed = True
-        super().__init__(
-            hypothesis=HyperboxHypothesis(self.grids),
-            inductive=None,
-            deductive=reachability,
-        )
+        super().__init__(hypothesis=HyperboxHypothesis(self.grids))
 
     # -- job limits ---------------------------------------------------------------
 
@@ -267,7 +263,6 @@ class SwitchingLogicSynthesizer(SciductionProcedure[SwitchingLogic]):
             artifact=report.switching_logic,
             iterations=report.iterations,
             oracle_queries=report.labeling_queries,
-            deductive_queries=self.reachability.statistics.queries,
             details={
                 "guards": report.describe(),
                 "corner_checks_passed": report.corner_checks_passed,

@@ -38,9 +38,8 @@ class ProgramIOOracle(IOOracle[tuple[int, ...], tuple[int, ...]]):
         num_inputs: int,
         num_outputs: int,
         width: int,
-        max_queries: int | None = None,
     ):
-        super().__init__(max_queries=max_queries)
+        super().__init__()
         self._function = function
         self.num_inputs = num_inputs
         self.num_outputs = num_outputs
@@ -63,7 +62,6 @@ class ProgramIOOracle(IOOracle[tuple[int, ...], tuple[int, ...]]):
 def oracle_from_task_program(
     program: Program,
     outputs: Sequence[str] | None = None,
-    max_queries: int | None = None,
 ) -> ProgramIOOracle:
     """Wrap a task-language :class:`~repro.cfg.lang.Program` as an I/O oracle.
 
@@ -71,7 +69,6 @@ def oracle_from_task_program(
         program: the (possibly obfuscated) task program.
         outputs: names of the variables to expose as oracle outputs
             (defaults to the program's declared return variables).
-        max_queries: optional query budget.
     """
     output_names = tuple(outputs) if outputs else program.output_variables()
 
@@ -84,5 +81,4 @@ def oracle_from_task_program(
         num_inputs=len(program.parameters),
         num_outputs=len(output_names),
         width=program.word_width,
-        max_queries=max_queries,
     )

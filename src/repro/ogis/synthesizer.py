@@ -133,11 +133,7 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
                 )
                 for example in examples
             )
-        super().__init__(
-            hypothesis=component_library_hypothesis(self.library),
-            inductive=None,
-            deductive=None,
-        )
+        super().__init__(hypothesis=component_library_hypothesis(self.library))
 
     # -- soundness -----------------------------------------------------------
 

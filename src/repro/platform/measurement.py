@@ -155,8 +155,8 @@ class TimingOracle(LabelingOracle[dict[str, int], int]):
 
     name = "platform-timing-oracle"
 
-    def __init__(self, harness: MeasurementHarness, max_queries: int | None = None):
-        super().__init__(max_queries=max_queries)
+    def __init__(self, harness: MeasurementHarness):
+        super().__init__()
         self.harness = harness
 
     def _label(self, example: dict[str, int]) -> int:

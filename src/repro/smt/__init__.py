@@ -64,7 +64,6 @@ from repro.smt.simplify import simplify, simplify_bool
 from repro.smt.sat import CdclSolver, SatResult, SatStatistics, luby, solve_formula
 from repro.smt.solver import (
     Model,
-    SmtDeductiveEngine,
     SmtResult,
     SmtSolver,
     SmtStatistics,
@@ -129,7 +128,6 @@ __all__ = [
     "Model",
     "SatResult",
     "SatStatistics",
-    "SmtDeductiveEngine",
     "SmtResult",
     "SmtSolver",
     "SmtStatistics",

@@ -1,8 +1,12 @@
 """SMT solver facade for quantifier-free bit-vector formulas.
 
-This is the "deductive engine" interface used throughout the reproduction.
-It wraps the term language, the bit-blaster, and the CDCL SAT solver in a
-small API reminiscent of z3py::
+This is the deductive engine of GameTime (basis-path feasibility) and of
+OGIS (candidate programs and distinguishing inputs).  It is lightweight
+in the paper's sense (Sec. 2.2.3): it decides QF_BV satisfiability (NP),
+a strict special case of the overall synthesis problems (Sigma_2 for
+component-based synthesis).  It wraps the term language, the
+bit-blaster, and the CDCL SAT solver in a small API reminiscent of
+z3py::
 
     solver = SmtSolver()
     x = bv_var("x", 8)
@@ -51,7 +55,6 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from repro.core.deductive import DeductiveAnswer, DeductiveEngine, DeductiveQuery
 from repro.core.exceptions import SolverError
 from repro.smt.bitblast import BOTH, POSITIVE, BitBlaster
 from repro.smt.cnf import make_literal, negate
@@ -769,37 +772,6 @@ def solve(formulas: Iterable[BoolTerm], max_conflicts: int | None = None) -> tup
     verdict = solver.check()
     model = solver.model() if verdict is SmtResult.SAT else None
     return verdict, model
-
-
-class SmtDeductiveEngine(DeductiveEngine[BoolTerm, Model]):
-    """Adapter exposing :class:`SmtSolver` as a sciduction deductive engine.
-
-    The query payload is a Boolean term; the answer verdict is its
-    satisfiability and the witness is the model when satisfiable.  This is
-    the ``D`` used by both the GameTime test generator (basis-path
-    feasibility queries) and the OGIS synthesizer (candidate-program and
-    distinguishing-input queries).
-    """
-
-    name = "smt-qfbv"
-
-    def __init__(self, max_conflicts: int | None = None):
-        super().__init__()
-        self._max_conflicts = max_conflicts
-
-    def _answer(self, query: DeductiveQuery[BoolTerm]) -> DeductiveAnswer[Model]:
-        verdict, model = solve([query.payload], max_conflicts=self._max_conflicts)
-        if verdict is SmtResult.UNKNOWN:
-            return DeductiveAnswer(decided=False)
-        return DeductiveAnswer(
-            decided=True, verdict=verdict is SmtResult.SAT, witness=model
-        )
-
-    def lightweightness(self) -> str:
-        return (
-            "decides QF_BV satisfiability (NP), a strict special case of the "
-            "overall synthesis problems (Sigma_2 for component-based synthesis)"
-        )
 
 
 def conjoin(formulas: Iterable[BoolTerm]) -> BoolTerm:

@@ -4,34 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import (
-    FiniteHypothesis,
     GridSpec,
     HypothesisValidityEvidence,
     PredicateHypothesis,
-    ProductHypothesis,
     StructureHypothesisError,
 )
-
-
-class TestFiniteHypothesis:
-    def test_membership(self):
-        hyp = FiniteHypothesis([1, 2, 3], name="small-ints")
-        assert hyp.contains(2)
-        assert not hyp.contains(7)
-
-    def test_enumeration_matches_members(self):
-        hyp = FiniteHypothesis(["a", "b"])
-        assert sorted(hyp.enumerate()) == ["a", "b"]
-
-    def test_empty_is_rejected(self):
-        with pytest.raises(StructureHypothesisError):
-            FiniteHypothesis([])
-
-    def test_is_strict_restriction(self):
-        assert FiniteHypothesis([1]).is_strict_restriction() is True
-
-    def test_describe_mentions_size(self):
-        assert "2 artifacts" in FiniteHypothesis([1, 2]).describe()
 
 
 class TestPredicateHypothesis:
@@ -40,34 +17,15 @@ class TestPredicateHypothesis:
         assert hyp.contains(4)
         assert not hyp.contains(5)
 
-    def test_enumerate_not_supported(self):
-        hyp = PredicateHypothesis(lambda x: True)
-        with pytest.raises(NotImplementedError):
-            list(hyp.enumerate())
+    def test_is_strict_restriction(self):
+        assert PredicateHypothesis(lambda x: True).is_strict_restriction() is None
+        strict = PredicateHypothesis(lambda x: True, strict=True)
+        assert strict.is_strict_restriction() is True
 
-    def test_validity_statement_mentions_name(self):
-        hyp = PredicateHypothesis(lambda x: True, name="anything")
-        assert "anything" in hyp.validity_statement()
-
-
-class TestProductHypothesis:
-    def test_membership_componentwise(self):
-        product = ProductHypothesis(
-            [FiniteHypothesis([1, 2]), FiniteHypothesis(["x", "y"])]
-        )
-        assert product.contains((1, "y"))
-        assert not product.contains((3, "y"))
-        assert not product.contains((1,))
-
-    def test_enumeration_is_cartesian_product(self):
-        product = ProductHypothesis(
-            [FiniteHypothesis([1, 2]), FiniteHypothesis(["x"])]
-        )
-        assert sorted(product.enumerate()) == [(1, "x"), (2, "x")]
-
-    def test_requires_factors(self):
-        with pytest.raises(StructureHypothesisError):
-            ProductHypothesis([])
+    def test_describe_defaults_to_name(self):
+        assert PredicateHypothesis(lambda x: True, name="any").describe() == "any"
+        described = PredicateHypothesis(lambda x: True, name="any", description="all ints")
+        assert described.describe() == "all ints"
 
 
 class TestGridSpec:

@@ -1,18 +1,14 @@
-"""Tests for inductive engines (repro.core.inductive)."""
+"""Tests for the interval learner (repro.core.inductive)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import (
-    CallableConsistency,
-    FiniteHypothesis,
+    BinarySearchIntervalLearner,
     FunctionLabelingOracle,
     GridSpec,
-    BinarySearchIntervalLearner,
     InductionError,
     Interval,
-    UnrealizableError,
-    VersionSpaceEngine,
 )
 
 
@@ -28,46 +24,6 @@ class TestInterval:
         assert empty.empty
         assert empty.width == 0.0
         assert not empty.contains(1.5)
-
-
-class TestVersionSpace:
-    def _make(self, candidates):
-        hypothesis = FiniteHypothesis(candidates, name="thresholds")
-        consistency = CallableConsistency(
-            lambda artifact, example, label: (example >= artifact) == label
-        )
-        return VersionSpaceEngine(hypothesis, consistency)
-
-    def test_survivors_shrink_with_examples(self):
-        engine = self._make([0, 1, 2, 3, 4, 5])
-        engine.observe(3, True)   # threshold <= 3
-        engine.observe(1, False)  # threshold > 1
-        assert set(engine.survivors()) == {2, 3}
-
-    def test_infer_returns_a_survivor(self):
-        engine = self._make([0, 1, 2, 3])
-        engine.observe(2, True)
-        assert engine.infer() in engine.survivors()
-
-    def test_unrealizable_when_no_survivor(self):
-        engine = self._make([5])
-        engine.observe(1, True)  # would require threshold <= 1
-        with pytest.raises(UnrealizableError):
-            engine.infer()
-
-    def test_statistics_track_examples(self):
-        engine = self._make([0, 1])
-        engine.observe_many([(0, True), (1, True)])
-        assert engine.statistics.examples_consumed == 2
-
-    def test_requires_enumerable_hypothesis(self):
-        from repro.core import PredicateHypothesis
-
-        with pytest.raises(InductionError):
-            VersionSpaceEngine(
-                PredicateHypothesis(lambda a: True),
-                CallableConsistency(lambda a, e, l: True),
-            )
 
 
 def _interval_oracle(low, high):
@@ -94,6 +50,21 @@ class TestBinarySearchIntervalLearner:
         learner = BinarySearchIntervalLearner(grid, _interval_oracle(6.0, 6.0))
         interval = learner.learn(6.0)
         assert (interval.low, interval.high) == (6.0, 6.0)
+
+    def test_off_grid_seed_is_snapped(self):
+        grid = GridSpec(0.0, 10.0, 1.0)
+        oracle = _interval_oracle(4.0, 4.0)
+        interval = BinarySearchIntervalLearner(grid, oracle).learn(4.3)
+        assert (interval.low, interval.high) == (4.0, 4.0)
+
+    def test_seed_on_grid_edge_probes_one_side(self):
+        grid = GridSpec(0.0, 10.0, 1.0)
+        oracle = _interval_oracle(0.0, 3.0)
+        interval = BinarySearchIntervalLearner(grid, oracle).learn(0.0)
+        assert (interval.low, interval.high) == (0.0, 3.0)
+        # The seed; 1, 3, 7 galloping right; 5, 4 bisecting [3, 7].  The
+        # seed sits on the lower edge, so nothing is probed to its left.
+        assert oracle.query_count == 6
 
     def test_negative_seed_raises(self):
         grid = GridSpec(0.0, 10.0, 1.0)

@@ -2,39 +2,23 @@
 
 import pytest
 
-from repro.core import (
-    BudgetExceededError,
-    CheckResult,
-    FunctionCounterexampleOracle,
-    FunctionIOOracle,
-    FunctionLabelingOracle,
-)
+from repro.core import FunctionLabelingOracle, IOOracle, LabelingOracle
+
+
+class _DoublingOracle(IOOracle[int, int]):
+    def _query(self, value: int) -> int:
+        return value * 2
 
 
 class TestIOOracle:
     def test_query_returns_function_value(self):
-        oracle = FunctionIOOracle(lambda x: x * 2)
-        assert oracle.query(21) == 42
+        assert _DoublingOracle().query(21) == 42
 
     def test_query_count_increments(self):
-        oracle = FunctionIOOracle(lambda x: x)
+        oracle = _DoublingOracle()
         oracle.query(1)
         oracle.query(2)
         assert oracle.query_count == 2
-
-    def test_budget_enforced(self):
-        oracle = FunctionIOOracle(lambda x: x, max_queries=2)
-        oracle.query(1)
-        oracle.query(2)
-        with pytest.raises(BudgetExceededError):
-            oracle.query(3)
-
-    def test_reset_count(self):
-        oracle = FunctionIOOracle(lambda x: x, max_queries=1)
-        oracle.query(1)
-        oracle.reset_count()
-        assert oracle.query_count == 0
-        oracle.query(2)  # budget applies afresh
 
 
 class TestLabelingOracle:
@@ -45,19 +29,14 @@ class TestLabelingOracle:
         assert oracle.query_count == 2
 
 
-class TestCounterexampleOracle:
-    def test_correct_artifact(self):
-        oracle = FunctionCounterexampleOracle(lambda artifact: None)
-        result = oracle.check("anything")
-        assert result.correct
-        assert result.counterexample is None
+class TestOracleBase:
+    def test_oracles_must_define_their_answer(self):
+        with pytest.raises(TypeError, match="_query"):
+            IOOracle()
+        with pytest.raises(TypeError, match="_label"):
+            LabelingOracle()
 
-    def test_incorrect_artifact_returns_counterexample(self):
-        oracle = FunctionCounterexampleOracle(lambda artifact: ("bad", artifact))
-        result = oracle.check(7)
-        assert not result.correct
-        assert result.counterexample == ("bad", 7)
-
-    def test_check_result_dataclass(self):
-        result = CheckResult(correct=False, counterexample=3)
-        assert result.counterexample == 3
+    def test_query_counts_are_per_oracle(self):
+        first, second = _DoublingOracle(), _DoublingOracle()
+        first.query(1)
+        assert (first.query_count, second.query_count) == (1, 0)

@@ -1,15 +1,8 @@
-"""Tests for the sciduction procedure driver and deductive engine adapters."""
+"""Tests for the sciduction procedure driver."""
 
 import pytest
 
-from repro.core import (
-    CallableEngine,
-    DeductiveQuery,
-    PredicateHypothesis,
-    QueryKind,
-    SciductionProcedure,
-    SciductionResult,
-)
+from repro.core import PredicateHypothesis, SciductionProcedure, SciductionResult
 
 
 class _ToyProcedure(SciductionProcedure[int]):
@@ -19,17 +12,24 @@ class _ToyProcedure(SciductionProcedure[int]):
 
     def __init__(self):
         super().__init__(
-            hypothesis=PredicateHypothesis(lambda x: x % 2 == 0, name="even-numbers"),
-            inductive=None,
-            deductive=CallableEngine(lambda payload: payload == 42, name="is-42"),
+            hypothesis=PredicateHypothesis(lambda x: x % 2 == 0, name="even-numbers")
         )
 
     def soundness_argument(self) -> str:
-        return "returns a constant that the deductive engine validated"
+        return "returns a constant that the hypothesis admits"
+
+    def describe(self) -> dict[str, str]:
+        return {
+            "procedure": self.name,
+            "H": self.hypothesis.describe(),
+            "I": "constant guess",
+            "D": "is-42",
+        }
 
     def _run(self, **kwargs):
-        answer = self.deductive.decide(42)
-        return SciductionResult(success=bool(answer.verdict), artifact=42, iterations=1)
+        return SciductionResult(
+            success=self.hypothesis.contains(42), artifact=42, iterations=1
+        )
 
 
 class TestSciductionProcedure:
@@ -47,30 +47,22 @@ class TestSciductionProcedure:
         assert description["H"] == "even-numbers"
         assert description["D"] == "is-42"
 
-    def test_deductive_queries_counted(self):
-        result = _ToyProcedure().run()
-        assert result.deductive_queries == 1
+    def test_describe_is_abstract(self):
+        class _Undescribed(SciductionProcedure[int]):
+            def _run(self, **kwargs):
+                return SciductionResult(success=True)
+
+        with pytest.raises(TypeError, match="describe"):
+            _Undescribed(PredicateHypothesis(lambda x: True))
+
+    def test_run_keeps_reported_deductive_queries(self):
+        class _Counting(_ToyProcedure):
+            def _run(self, **kwargs):
+                return SciductionResult(success=True, deductive_queries=3)
+
+        assert _ToyProcedure().run().deductive_queries == 0
+        assert _Counting().run().deductive_queries == 3
 
     def test_certificate_summary_contains_argument(self):
         certificate = _ToyProcedure().certificate()
         assert "constant" in certificate.summary()
-
-
-class TestCallableEngine:
-    def test_boolean_result(self):
-        engine = CallableEngine(lambda payload: payload > 0)
-        answer = engine.decide(5)
-        assert answer.decided and answer.verdict is True
-
-    def test_tuple_result_carries_witness(self):
-        engine = CallableEngine(lambda payload: (True, payload * 2))
-        answer = engine.decide(4)
-        assert answer.witness == 8
-
-    def test_statistics_recorded_per_kind(self):
-        engine = CallableEngine(lambda payload: True)
-        engine.answer(DeductiveQuery(QueryKind.GENERATE_EXAMPLE, None))
-        engine.decide(1)
-        assert engine.statistics.queries == 2
-        assert engine.statistics.per_kind[QueryKind.GENERATE_EXAMPLE.value] == 1
-        assert engine.statistics.per_kind[QueryKind.DECIDE.value] == 1

@@ -119,6 +119,12 @@ class TestEndToEnd:
         assert result.certificate is not None
         assert "weight-perturbation" in result.certificate.statement()
 
+    def test_deductive_queries_counted(self):
+        analysis = GameTime(conditional_cascade(3), trials=10, seed=1)
+        result = analysis.run(bound=10_000)
+        assert result.deductive_queries == analysis.constraint_builder.queries
+        assert result.deductive_queries > 0
+
     def test_histogram_rows_cover_all_paths(self, modexp_gametime):
         report = modexp_gametime.predict_distribution(measure=True)
         rows = report.histogram(bin_width=10)

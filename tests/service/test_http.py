@@ -198,6 +198,15 @@ class TestHttpSurface:
             {"problem": {"kind": "timing-analysis", "start_state": "hot"}},
         )
         assert status == 400 and "'start_state' must be 'cold' or 'warm'" in error["error"]
+        # A seeded example the oracle disagrees with used to steer
+        # synthesis to a wrong program reported as a success.
+        status, error = call(
+            service,
+            "POST",
+            "/jobs",
+            {"problem": {**DEOB, "examples": [[[1], [5]]]}},
+        )
+        assert status == 400 and "'examples'[0] disagrees with the oracle" in error["error"]
 
     def test_keepalive_survives_error_replies(self, service):
         """Error paths must drain unread request bodies: under HTTP/1.1

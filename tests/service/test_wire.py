@@ -118,6 +118,49 @@ class TestParseJobRequest:
         assert fragment in str(excinfo.value)
         assert next(iter(fields)) in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "fields, fragment",
+        [
+            ({"task": "nope"}, "unknown deobfuscation task"),
+            ({"task": ["multiply45"]}, "unknown deobfuscation task"),
+            ({"width": "8"}, "integer"),
+            ({"width": True}, "integer"),
+            ({"width": 0}, "at least 1"),
+            ({"width": -3}, "at least 1"),
+            ({"width": 65}, "at most 64"),
+            ({"max_iterations": 0}, "at least 1"),
+            ({"max_iterations": -1}, "at least 1"),
+            ({"initial_examples": 1.5}, "integer"),
+            ({"initial_examples": -2}, "at least 1"),
+            # multiply45 at width 4 has 16 distinct inputs to draw from.
+            ({"initial_examples": 17}, "at most 2**4"),
+            ({"seed": "x"}, "integer"),
+            ({"seed": False}, "integer"),
+            ({"examples": "abc"}, "must be a list"),
+            ({"examples": [3]}, "[inputs, outputs] pair"),
+            ({"examples": [[[1], [13], [0]]]}, "[inputs, outputs] pair"),
+            ({"examples": [[[1, 2], [3]]]}, "1 input(s) and 1 output(s)"),
+            ({"examples": [[[16], [0]]]}, "[0, 2**width)"),
+            ({"examples": [[[-1], [3]]]}, "[0, 2**width)"),
+            ({"examples": [[[True], [13]]]}, "[0, 2**width)"),
+            ({"examples": [[[1], [13.0]]]}, "[0, 2**width)"),
+            # The oracle maps 1 to 45 mod 16 = 13 at width 4.
+            ({"examples": [[[1], [5]]]}, "disagrees with the oracle"),
+            ({"examples": [[[3], [7]], [[1], [5]]]}, "'examples'[1] disagrees"),
+            (
+                {"examples": [[[1, 2], [1, 2]]], "task": "interchange"},
+                "maps [1, 2] to [2, 1]",
+            ),
+        ],
+    )
+    def test_malformed_deobfuscation_specs_fail_with_400(self, fields, fragment):
+        problem = {**_valid_problem(), **fields}
+        with pytest.raises(WireError) as excinfo:
+            parse_job_request({"problem": problem})
+        assert excinfo.value.status == 400
+        assert fragment in str(excinfo.value)
+        assert next(iter(fields)) in str(excinfo.value)
+
     def test_timing_spec_boundaries_are_accepted(self):
         problem = {
             "kind": "timing-analysis",

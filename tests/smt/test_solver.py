@@ -4,10 +4,8 @@ import pytest
 
 from repro.core import SolverError
 from repro.smt import (
-    SmtDeductiveEngine,
     SmtResult,
     SmtSolver,
-    bool_not,
     bool_or,
     bv_const,
     bv_var,
@@ -347,24 +345,6 @@ class TestQueryShrinkingLayers:
         assert 2 <= solver.model()["x"] < 8
         solver.pop()
         assert solver.check(x.eq(bv_const(1, 4))) is SmtResult.SAT
-
-
-class TestSmtDeductiveEngine:
-    def test_decide_sat(self):
-        engine = SmtDeductiveEngine()
-        x = bv_var("x", 8)
-        answer = engine.decide((x * bv_const(2, 8)).eq(bv_const(10, 8)))
-        assert answer.decided and answer.verdict is True
-        assert (answer.witness["x"] * 2) % 256 == 10
-
-    def test_decide_unsat(self):
-        engine = SmtDeductiveEngine()
-        x = bv_var("x", 8)
-        answer = engine.decide(bool_not(x.eq(x)))
-        assert answer.decided and answer.verdict is False
-
-    def test_lightweightness_documented(self):
-        assert "QF_BV" in SmtDeductiveEngine().lightweightness()
 
 
 class TestCheckMemoization:
