@@ -12,7 +12,8 @@ match:
   :class:`SwitchingLogicProblem` — declarative, JSON-round-trippable
   problem specs, extensible through :func:`register_problem_type`;
 * :class:`SolverPool` — persistent incremental SMT sessions leased per
-  job, so learned clauses and bit-blast caches amortize across a batch;
+  job, so base-scope encodings and bit-blast caches amortize across a
+  batch;
 * :class:`SciductionEngine` — ``submit`` / ``run`` / ``run_batch`` with
   per-job conflict budgets, wall-clock timeouts and cancellation, and
   results serializable with :func:`result_to_dict`.

@@ -34,7 +34,9 @@ model bits are exactly what the deterministic search would recompute —
 *provided* the variable layout matches, which the frontier component of
 the key guarantees for the deterministic same-shape job replays the
 engine's scheduler produces (a shape's jobs always run on one worker, in
-submission order, from a freshly sealed or rolled-back base scope).
+submission order, each on a freshly sealed base scope or one the pool's
+release-time reset returned to its seal-time watermark; the
+:mod:`repro.api.pool` docstring states what that reset keeps).
 UNKNOWN (budget-limited) answers are never published.
 """
 

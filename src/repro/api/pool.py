@@ -2,27 +2,27 @@
 
 A production sciduction service answers a stream of jobs whose SMT
 queries overlap heavily — repeated problem shapes re-blast the same term
-skeletons and re-derive the same learned clauses when every job builds a
-fresh :class:`~repro.smt.solver.SmtSolver`.  :class:`SolverPool` keeps a
-small set of long-lived incremental solvers and *leases* them to jobs:
+skeletons when every job builds a fresh
+:class:`~repro.smt.solver.SmtSolver`.  :class:`SolverPool` keeps a small
+set of long-lived incremental solvers and *leases* them to jobs:
 
 * leases are routed by **problem shape**: each idle session remembers the
   shape key (problem kind + bit-width signature, see
   :meth:`~repro.api.problems.ProblemSpec.shape_key`) of the job it last
   served, and :meth:`SolverPool.acquire` hands a job the session that
-  last solved the same shape — so a job's warm bit-blast caches and
-  learned clauses actually match the terms it is about to assert, instead
-  of whatever a round-robin slot happened to accumulate;
-* a lease's :meth:`~SolverLease.session` returns the underlying solver
-  with one fresh push/pop scope open, so everything a job asserts is
-  scoped; releasing the lease pops back to the root, which permanently
-  falsifies the scope's activation literal and retires the job's clauses
-  without touching the rest of the database;
-* at release the session drops every learned clause and resets its
-  branching heuristics, so the next job replays exactly the search a
-  fresh solver would run, minus the encoding work; the first release
-  also moves the session's long-lived object graph into the cyclic
-  garbage collector's permanent generation (``gc.freeze()``);
+  last solved the same shape — so a job's warm bit-blast caches actually
+  match the terms it is about to assert, instead of whatever a
+  round-robin slot happened to accumulate;
+* there is one way in: :meth:`SolverLease.base_session` opens (or, for a
+  same-shape tenant, reuses) a fingerprinted *base scope*, the caller
+  asserts its job-independent constraints there and calls
+  :meth:`SolverLease.seal_base`, and every job scope sits on top of it;
+* there is one way out: at release the job scope is popped and one
+  :meth:`~repro.smt.solver.SmtSolver.reset_to_base` pass returns the
+  session to the watermark taken at seal time;
+* the first release also moves the session's long-lived object graph
+  into the cyclic garbage collector's permanent generation
+  (``gc.freeze()``);
 * each lease snapshots the solver's statistics at hand-over, so per-job
   accounting is a delta, never the pool-lifetime cumulative counts;
 * each lease opens a hash-consing intern scope
@@ -32,6 +32,16 @@ small set of long-lived incremental solvers and *leases* them to jobs:
   session is recycled* (terms live on in the solver's bit-blast caches,
   so only dropping both actually bounds memory) — below the limit,
   cross-job sharing is preserved untouched.
+
+What a warm session keeps from one job to the next is exactly three
+things: the sealed base scope's encoding (its SAT variables and
+clauses), the bit-blaster caches over those variables, and the
+check-memo epoch the base scope defines.  Everything else goes at
+release: the finished job's variables, clauses and blaster entries,
+*every* learned clause (base-scope ones included; a session that never
+sealed a base keeps only those locked as reasons of level-0 facts), and
+the branching heuristics — so the next tenant runs exactly the search a
+fresh solver over the same encoding would.
 
 ``config.pool_size`` bounds the number of *idle* sessions kept warm
 (least-recently-used sessions are recycled past the bound); concurrent
@@ -85,20 +95,10 @@ class _SessionRecord:
     shape: str | None
     #: Monotone recency stamp (higher = more recently released).
     stamp: int
-    #: Scope depth of the pool root (0 for pool-created solvers).
-    root_depth: int = 0
     #: Fingerprint of the persistent base scope kept open *across* leases
     #: (see :meth:`SolverLease.base_session`), or None when the session is
     #: parked at its root.
     base_fingerprint: str | None = None
-    #: SAT variable watermark captured when the base scope was sealed;
-    #: releases roll the session back to it, shedding the finished job's
-    #: encoding while keeping the base scope's clauses and lemmas.
-    frontier: int | None = None
-    #: Level-0 trail length at seal time: when unchanged at release, no
-    #: new fixed facts appeared and the heuristic reset can skip its
-    #: database simplification pass.
-    level0_mark: int = 0
     #: Whether this session's long-lived graph has been gc-frozen.
     frozen: bool = False
 
@@ -106,10 +106,10 @@ class _SessionRecord:
 class SolverLease:
     """One job's hold on a pooled solver session.
 
-    Obtained from :meth:`SolverPool.acquire`; hand the result of
-    :meth:`session` to the application layer, then release the lease
-    through :meth:`SolverPool.release` (or :meth:`SolverPool.retire` if
-    the session misbehaved).
+    Obtained from :meth:`SolverPool.acquire`; the application layer gets
+    its solver through :meth:`base_session` (and :meth:`seal_base`), then
+    the lease is released through :meth:`SolverPool.release` (or
+    :meth:`SolverPool.retire` if the session misbehaved).
     """
 
     def __init__(self, pool: "SolverPool", record: _SessionRecord, reused: bool) -> None:
@@ -127,7 +127,7 @@ class SolverLease:
 
     @property
     def solver(self) -> SmtSolver:
-        """The leased solver (prefer :meth:`session` for job execution)."""
+        """The leased solver (prefer :meth:`base_session` for job execution)."""
         return self._solver
 
     @property
@@ -143,42 +143,14 @@ class SolverLease:
         while self._solver.scope_depth > depth:
             self._solver.pop()
 
-    def session(self) -> SmtSolver:
-        """The leased solver, reset to a clean job scope.
-
-        The first call pushes one scope over the solver's root; later
-        calls (e.g. an encoder rebuilding its skeleton) pop back to the
-        root first, retiring everything asserted so far — including any
-        persistent base scope a previous tenant kept — then push a new
-        scope.  Either way the caller sees fresh-solver *semantics* on a
-        warm solver.
-
-        Raises:
-            SolverError: if the lease has already been released (a stale
-                handle must not mutate a solver now owned by another job).
-        """
-        self._check_open()
-        self._record.base_fingerprint = None
-        self._record.frontier = None
-        self._pending_fingerprint = None
-        # New epoch: memoized model bits were recorded against the old
-        # base scope's variable layout.
-        self._solver.clear_check_memo()
-        self._pop_to(self._record.root_depth)
-        self._solver.push()
-        return self._solver
-
     def base_session(self, fingerprint: str) -> tuple[SmtSolver, bool]:
         """A job scope stacked on a persistent, fingerprinted base scope.
 
-        This is how application encoders share work *across* jobs beyond
-        the bit-blast caches: a base scope (e.g. the OGIS well-formedness
-        + symbolic-run skeleton) stays open between leases, so its
-        activation literal — and therefore every learned clause the
-        search derived about it — remains valid and assumed for the next
-        same-shape tenant.  Popping the scope per job (the plain
-        :meth:`session` contract) would permanently falsify the literal
-        and turn those clauses into dead weight.
+        The base scope (e.g. the OGIS well-formedness + symbolic-run
+        skeleton, or an empty per-CFG scope for GameTime) stays open
+        between leases, so a later same-shape tenant skips re-encoding it
+        and keeps the check-memo epoch it defines (see the module
+        docstring for what else survives a release).
 
         Returns ``(solver, base_ready)``.  When the session's sealed base
         fingerprint equals ``fingerprint``, the base scope is kept, a
@@ -186,22 +158,27 @@ class SolverLease:
         Otherwise everything is popped to the root, one empty scope is
         pushed, and ``base_ready`` is False: the caller asserts its base
         constraints into that scope and calls :meth:`seal_base`, which
-        records the fingerprint and pushes the job scope.
+        records the fingerprint and pushes the job scope.  Either way the
+        caller sees fresh-solver *semantics* on a warm solver.
+
+        Raises:
+            SolverError: if the lease has already been released (a stale
+                handle must not mutate a solver now owned by another job).
         """
         self._check_open()
-        root = self._record.root_depth
         if (
             self._record.base_fingerprint == fingerprint
-            and self._solver.scope_depth == root + 1
+            and self._solver.scope_depth == 1
         ):
             self._pending_fingerprint = None
             self._solver.push()
             return self._solver, True
         self._record.base_fingerprint = None
-        self._record.frontier = None
         self._pending_fingerprint = fingerprint
+        # New epoch: memoized model bits were recorded against the old
+        # base scope's variable layout.
         self._solver.clear_check_memo()
-        self._pop_to(root)
+        self._pop_to(0)
         self._solver.push()
         return self._solver, False
 
@@ -209,12 +186,12 @@ class SolverLease:
         """Seal the base scope opened by :meth:`base_session` and open the
         job scope above it.
 
-        The base constraints are flushed into the SAT core and the
-        variable frontier is captured: every release rolls the session
-        back to it, dropping the finished job's encoding (variables, gate
-        definitions, job-local learned clauses) wholesale while the
-        sealed base — and every lemma the search derives over it — stays
-        warm for the next same-shape job.
+        The base constraints are encoded into the SAT core and the solver
+        takes its watermark (:meth:`~repro.smt.solver.SmtSolver.seal_base`):
+        every release resets the session to it, dropping the finished
+        job's encoding (variables, gate definitions, learned clauses)
+        wholesale while the sealed base encoding stays warm for the next
+        same-shape job.
 
         Raises:
             SolverError: without a preceding unsealed ``base_session``.
@@ -222,22 +199,15 @@ class SolverLease:
         self._check_open()
         if self._pending_fingerprint is None:
             raise SolverError("seal_base requires an unsealed base_session")
-        self._solver.flush()
-        self._record.frontier = self._solver.frontier()
-        self._record.level0_mark = self._solver.level0_facts()
+        self._solver.seal_base()
         self._record.base_fingerprint = self._pending_fingerprint
         self._pending_fingerprint = None
         self._solver.push()
 
     def close(self) -> None:
-        """Pop back to the persistent base scope — or the pool root when
-        none is sealed (called by the pool on release)."""
-        keep = 1 if self._record.base_fingerprint is not None else 0
-        self._pop_to(self._record.root_depth + keep)
-
-    def __call__(self) -> SmtSolver:
-        """Alias for :meth:`session`: leases double as solver factories."""
-        return self.session()
+        """Pop back to the persistent base scope — or the root when none
+        is sealed (called by the pool on release)."""
+        self._pop_to(1 if self._record.base_fingerprint is not None else 0)
 
     # -- per-job accounting (the pooled-solver statistics contract) -------
 
@@ -339,9 +309,7 @@ class SolverPool:
             solver = SmtSolver(**self.config.solver_options())
             if self._memo_backend is not None:
                 solver.set_memo_backend(self._memo_backend)
-            record = _SessionRecord(
-                solver, shape, self._clock, root_depth=solver.scope_depth
-            )
+            record = _SessionRecord(solver, shape, self._clock)
             self.statistics.solvers_created += 1
         lease = SolverLease(self, record, reused)
         self._active.append(lease)
@@ -350,13 +318,12 @@ class SolverPool:
         return lease
 
     def release(self, lease: SolverLease) -> None:
-        """Return a lease: pop to the root, drop learned clauses, clean up.
+        """Return a lease: pop to the sealed base, reset the session, clean up.
 
         The session is put back on the idle list keyed by the lease's
         shape (evicting the least-recently-used session past
-        ``pool_size``).  Every learned clause is dropped and the search
-        heuristics are reset, so the next tenant runs the search a fresh
-        solver would, over the warm encoding.  Below
+        ``pool_size``), reset to what the module docstring says a warm
+        session keeps.  Below
         ``config.intern_table_limit`` the job's interned terms are kept
         so later jobs can share them (and hit the warm bit-blast caches);
         past the limit the terms are evicted together with the session
@@ -403,24 +370,12 @@ class SolverPool:
             return
         if not self.config.reuse_sessions:
             return
-        if lease._record.frontier is not None:
-            # Roll the session back to its sealed base: the finished
-            # job's variables, gate definitions and job-local learned
-            # clauses all go; the base scope's encoding stays.
-            lease.solver.rollback_to(lease._record.frontier)
-        self.statistics.trimmed_learned_clauses += lease.solver.trim_learned(0)
-        # Hand the next tenant a pristine search state over the warm
-        # encoding: without this, the previous job's VSIDS activities and
-        # saved phases steer the next search off the trajectory a fresh
-        # solver would take — empirically a net loss on these workloads.
-        # The simplification pass is only needed when new level-0 facts
-        # appeared during the lease (rare).
-        lease.solver.reset_search_state(
-            simplify=(
-                lease._record.frontier is None
-                or lease.solver.level0_facts() != lease._record.level0_mark
-            )
-        )
+        # Hand the next tenant the sealed base encoding with a pristine
+        # search state: without the reset, the previous job's learned
+        # clauses, VSIDS activities and saved phases steer the next search
+        # off the trajectory a fresh solver would take — empirically a net
+        # loss on these workloads.
+        self.statistics.trimmed_learned_clauses += lease.solver.reset_to_base()
         if not lease._record.frozen:
             # The session's clause database, watch lists and blaster
             # caches are long-lived from here on; without a freeze every

@@ -20,9 +20,10 @@ result.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable, ClassVar
+from typing import ClassVar
 
 from repro.api.config import EngineConfig
 from repro.api.pool import SolverLease
@@ -50,24 +51,6 @@ class JobContext:
     lease: SolverLease | None = None
     deadline: float | None = None
 
-    def session(self) -> Any:
-        """A job-scoped pooled solver session, or ``None`` without a lease."""
-        if self.lease is None:
-            return None
-        return self.lease.session()
-
-    def solver_factory(self) -> Callable | None:
-        """Factory form of :meth:`session` for encoder-style consumers.
-
-        The lease itself is returned (it is callable): encoders that know
-        how to share a persistent base scope across jobs can detect the
-        richer :meth:`~repro.api.pool.SolverLease.base_session` /
-        ``seal_base`` protocol on it, while plain callers just call it.
-        """
-        if self.lease is None:
-            return None
-        return self.lease
-
 
 class ProblemSpec:
     """Base class for declarative problem specifications.
@@ -90,7 +73,7 @@ class ProblemSpec:
         encodings (same problem kind, same bit widths), so the
         :class:`~repro.api.pool.SolverPool` routes them to the session
         that last solved the same shape — its bit-blast caches and
-        retained learned clauses then actually apply.  The engine's
+        sealed base scope then actually apply.  The engine's
         parallel executor also buckets jobs onto workers by this key,
         which keeps every shape's session history (and therefore every
         result) identical to the sequential run.  Subclasses refine the
@@ -340,7 +323,7 @@ class DeobfuscationProblem(ProblemSpec):
             initial_examples=self.initial_examples,
             seed=self.seed,
             config=context.config,
-            solver_factory=context.solver_factory(),
+            lease=context.lease,
             examples=[
                 IOExample(inputs=tuple(inputs), outputs=tuple(outputs))
                 for inputs, outputs in self.examples
@@ -396,6 +379,19 @@ def _timing_programs() -> dict:
     }
 
 
+#: Inclusive bounds on each ``program_args`` value of a timing spec.  The
+#: size bounds are measured on a shared 2-core host: at them one job takes
+#: about 3 s, while ``exponent_bits`` 24 and ``length`` 16 ran for over
+#: 40 s and 60 s without finishing.  ``word_width`` shares the 64-bit
+#: ceiling of :data:`MAX_DEOBFUSCATION_WIDTH`.
+TIMING_ARG_BOUNDS = {
+    "word_width": (1, MAX_DEOBFUSCATION_WIDTH),
+    "exponent_bits": (0, 16),
+    "depth": (0, 16),
+    "length": (0, 8),
+}
+
+
 @register_problem_type
 @dataclass
 class TimingAnalysisProblem(ProblemSpec):
@@ -405,7 +401,8 @@ class TimingAnalysisProblem(ProblemSpec):
         program: registered program name (see
             :func:`timing_program_names`).
         program_args: keyword arguments for the program factory (e.g.
-            ``{"exponent_bits": 4, "word_width": 16}``).
+            ``{"exponent_bits": 4, "word_width": 16}``), each an integer
+            within :data:`TIMING_ARG_BOUNDS`.
         bound: optional cycle bound for the ⟨TA⟩ decision problem; when
             given, the result's ``verdict`` answers "is the execution
             time always at most ``bound``?".
@@ -437,10 +434,33 @@ class TimingAnalysisProblem(ProblemSpec):
         # after the whole analysis has run.
         if not isinstance(self.program, str):
             raise ReproError(f"'program' must be a string, got {type(self.program).__name__}")
+        programs = _timing_programs()
+        if self.program not in programs:
+            raise ReproError(
+                f"unknown timing-analysis program {self.program!r} "
+                f"(available: {sorted(programs)})"
+            )
         if not isinstance(self.program_args, dict):
             raise ReproError(
                 f"'program_args' must be an object, got {type(self.program_args).__name__}"
             )
+        parameters = inspect.signature(programs[self.program]).parameters
+        for name, value in self.program_args.items():
+            if name not in parameters:
+                raise ReproError(
+                    f"'program_args' key {name!r} is not a parameter of "
+                    f"{self.program!r} (expected: {sorted(parameters)})"
+                )
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ReproError(
+                    f"'program_args'[{name!r}] must be an integer, "
+                    f"got {type(value).__name__}"
+                )
+            low, high = TIMING_ARG_BOUNDS[name]
+            if not low <= value <= high:
+                raise ReproError(
+                    f"'program_args'[{name!r}] must be in [{low}, {high}], got {value}"
+                )
         for name, minimum in (("bound", None), ("trials", 1), ("seed", None), ("max_paths", 1)):
             value = getattr(self, name)
             if value is None and name in ("bound", "trials"):
@@ -464,25 +484,18 @@ class TimingAnalysisProblem(ProblemSpec):
         from repro.gametime import GameTime
 
         context = context or JobContext()
-        programs = _timing_programs()
-        if self.program not in programs:
-            raise ReproError(
-                f"unknown timing-analysis program {self.program!r} "
-                f"(available: {sorted(programs)})"
-            )
-        task = programs[self.program](**self.program_args)
-        # The lease itself is the factory: the path-constraint builder
-        # detects its base_session/seal_base protocol and keeps a
-        # fingerprinted per-CFG base scope open across same-shape jobs
-        # (frontier rollback + memoized feasibility verdicts), exactly
-        # like the OGIS encoder's skeleton scope.
+        task = _timing_programs()[self.program](**self.program_args)
+        # The path-constraint builder keeps a fingerprinted per-CFG base
+        # scope open on the lease across same-shape jobs (memoized
+        # feasibility verdicts), exactly like the OGIS encoder's skeleton
+        # scope.
         return GameTime(
             task,
             start_state=self.start_state,
             trials=self.trials,
             seed=self.seed,
             config=context.config,
-            solver_factory=context.solver_factory(),
+            lease=context.lease,
         )
 
     def run_kwargs(self) -> dict:

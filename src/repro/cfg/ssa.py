@@ -86,24 +86,18 @@ class PathConstraintBuilder:
         config: an :class:`~repro.api.config.EngineConfig` carrying all
             solver flags in one place (defaults to ``EngineConfig()``);
             used only when the builder creates its own solver.
-        solver: an externally owned :class:`SmtSolver` to run the
-            feasibility queries on — typically a pooled session leased by
-            :class:`~repro.api.pool.SolverPool`.  When provided, the
-            builder's statistics are per-builder deltas against the
-            solver's state at hand-over, not the solver's lifetime
-            totals.
-        solver_factory: a solver factory — typically the
-            :class:`~repro.api.pool.SolverLease` itself.  When the
-            factory offers the ``base_session`` / ``seal_base`` protocol,
-            the builder opens a *fingerprinted per-CFG base scope* on the
-            leased session, exactly like the OGIS encoder's skeleton
-            scope: at lease release the pool rolls the session back to
-            the scope's variable frontier (shedding every per-path SSA
-            encoding wholesale), and a later job on the same CFG finds
-            the scope — and therefore the session's memoized feasibility
-            verdicts — still valid, so a repeated timing-analysis sweep
-            answers its path queries without re-running the SAT search.
-            Takes precedence over ``solver``.
+        lease: the pooled :class:`~repro.api.pool.SolverLease` to run the
+            feasibility queries on, or None for a private solver.  On a
+            lease the builder opens a *fingerprinted per-CFG base scope*
+            (:meth:`~repro.api.pool.SolverLease.base_session`), exactly
+            like the OGIS encoder's skeleton scope: at release the pool
+            resets the session to the scope's watermark (shedding every
+            per-path SSA encoding wholesale), and a later job on the same
+            CFG finds the scope — and therefore the session's memoized
+            feasibility verdicts — still valid, so a repeated
+            timing-analysis sweep answers its path queries without
+            re-running the SAT search.  The builder's statistics are
+            per-builder deltas against the solver's state at hand-over.
     """
 
     def __init__(
@@ -111,41 +105,31 @@ class PathConstraintBuilder:
         cfg: ControlFlowGraph,
         slice_to_conditions: bool = True,
         config=None,
-        solver: SmtSolver | None = None,
-        solver_factory=None,
+        lease=None,
     ):
         self.cfg = cfg
         self.slice_to_conditions = slice_to_conditions
         #: Whether this builder found its base scope already sealed by an
         #: earlier same-CFG tenant (telemetry for tests/benchmarks).
         self.base_scope_reused = False
-        if solver_factory is not None:
-            base_session = getattr(solver_factory, "base_session", None)
-            if base_session is not None:
-                self._solver, self.base_scope_reused = base_session(
-                    self.fingerprint()
-                )
-                if not self.base_scope_reused:
-                    # The SSA encoding has no job-independent constraints
-                    # to assert (every path formula is query-local), so
-                    # the base scope is sealed empty: its value is the
-                    # frontier watermark — release-time rollback — and
-                    # the check-memo epoch it keeps alive across jobs.
-                    solver_factory.seal_base()
-            else:
-                self._solver = solver_factory()
-            solver = self._solver
-        elif solver is not None:
-            self._solver = solver
+        if lease is not None:
+            self._solver, self.base_scope_reused = lease.base_session(
+                self.fingerprint()
+            )
+            if not self.base_scope_reused:
+                # The SSA encoding has no job-independent constraints to
+                # assert (every path formula is query-local), so the base
+                # scope is sealed empty: its value is the release-time
+                # reset watermark and the check-memo epoch it keeps alive
+                # across jobs.
+                lease.seal_base()
         else:
             if config is None:
                 from repro.api.config import EngineConfig
 
                 config = EngineConfig()
             self._solver = SmtSolver(**config.solver_options())
-        self._statistics_base = (
-            self._solver.statistics.snapshot() if solver is not None else SmtStatistics()
-        )
+        self._statistics_base = self._solver.statistics.snapshot()
         self.queries = 0
 
     def fingerprint(self) -> str:

@@ -149,16 +149,12 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
             solver flags; the preferred entry point is
             :class:`repro.api.SciductionEngine` with a
             :class:`~repro.api.problems.TimingAnalysisProblem`.
-        solver: externally owned :class:`~repro.smt.solver.SmtSolver` for
-            the feasibility queries (a pooled session leased by the
-            engine's :class:`~repro.api.pool.SolverPool`).
-        solver_factory: a solver factory — preferably the pooled
-            :class:`~repro.api.pool.SolverLease` itself, which lets the
-            path-constraint builder keep a fingerprinted per-CFG base
-            scope alive across jobs (frontier rollback plus memoized
-            feasibility verdicts on repeated analyses; see
-            :class:`~repro.cfg.ssa.PathConstraintBuilder`).  Takes
-            precedence over ``solver``.
+        lease: the pooled :class:`~repro.api.pool.SolverLease` for the
+            feasibility queries, or None for a private solver.  On a
+            lease the path-constraint builder keeps a fingerprinted
+            per-CFG base scope alive across jobs (memoized feasibility
+            verdicts on repeated analyses; see
+            :class:`~repro.cfg.ssa.PathConstraintBuilder`).
     """
 
     name = "gametime"
@@ -174,16 +170,12 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
         rho: float = 0.0,
         seed: int = 0,
         config=None,
-        solver=None,
-        solver_factory=None,
+        lease=None,
     ):
         self.program = program
         self.cfg: ControlFlowGraph = build_cfg(program)
         self.constraint_builder = PathConstraintBuilder(
-            self.cfg,
-            config=config,
-            solver=solver,
-            solver_factory=solver_factory,
+            self.cfg, config=config, lease=lease
         )
         self.binary = compile_program(program)
         self.harness = MeasurementHarness(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.exceptions import BudgetExceededError, UnrealizableError
 from repro.ogis.components import Component
@@ -90,13 +90,12 @@ class SynthesisEncoder:
         config: an :class:`~repro.api.config.EngineConfig` (or any object
             with a compatible ``solver_options()`` method) providing the
             solver flags in one place (defaults to ``EngineConfig()``).
-        solver_factory: callable returning the :class:`SmtSolver` to use
-            for the shared persistent session.  This is how
-            :class:`~repro.api.pool.SolverPool` leases a pooled
-            incremental solver to the encoder; when provided, the factory
-            — not this encoder — owns the solver's configuration, and
-            statistics are reported as deltas relative to the state the
-            solver was handed over in (per-job accounting).
+        lease: the pooled :class:`~repro.api.pool.SolverLease` to run
+            the shared persistent session on, or None for a private
+            solver.  On a lease the pool — not this encoder — owns the
+            solver's configuration, and statistics are reported as deltas
+            relative to the state the solver was handed over in (per-job
+            accounting).
 
     The encoder keeps one *persistent* solver across the whole OGIS loop,
     shared by ``synthesize`` and ``distinguishing_input``.  Its base-level
@@ -122,7 +121,7 @@ class SynthesisEncoder:
         width: int = 8,
         outputs_from_components: bool = True,
         config=None,
-        solver_factory: Callable[[], SmtSolver] | None = None,
+        lease=None,
     ):
         if not library:
             raise UnrealizableError("the component library is empty")
@@ -135,7 +134,7 @@ class SynthesisEncoder:
 
             config = EngineConfig()
         self._solver_kwargs = config.solver_options()
-        self._solver_factory = solver_factory
+        self._lease = lease
         self.num_lines = num_inputs + len(self.library)
         # The encoding compares locations against the constant ``num_lines``
         # (exclusive upper bound), so the location width must be able to
@@ -326,15 +325,12 @@ class SynthesisEncoder:
     def _reset_solver(self) -> None:
         """(Re)build the shared persistent solver with its base skeleton.
 
-        With a pooled solver lease as the factory, the skeleton
-        (well-formedness + symbolic run) lives in a *persistent base
-        scope* keyed by :meth:`_skeleton_fingerprint`
+        On a pooled solver lease the skeleton (well-formedness + symbolic
+        run) lives in a *persistent base scope* keyed by
+        :meth:`_skeleton_fingerprint`
         (:meth:`~repro.api.pool.SolverLease.base_session`): a later job of
-        the same shape finds the scope still open, skips re-asserting the
-        skeleton, and — because the scope's activation literal was never
-        falsified — inherits every learned clause the earlier job's
-        search derived over it.  That is what converts session reuse from
-        an encoding saving into a search saving.
+        the same shape finds the scope still open and skips re-encoding
+        the skeleton.
         """
         if self._solver is not None:
             self._retired_statistics = self._retired_statistics.merged_with(
@@ -344,11 +340,10 @@ class SynthesisEncoder:
                 self._solver.sat_statistics().delta_since(self._sat_base)
             )
         skeleton_ready = False
-        base_session = getattr(self._solver_factory, "base_session", None)
-        if base_session is not None:
-            self._solver, skeleton_ready = base_session(self._skeleton_fingerprint())
-        elif self._solver_factory is not None:
-            self._solver = self._solver_factory()
+        if self._lease is not None:
+            self._solver, skeleton_ready = self._lease.base_session(
+                self._skeleton_fingerprint()
+            )
         else:
             self._solver = SmtSolver(**self._solver_kwargs)
         self._smt_base = self._solver.statistics.snapshot()
@@ -379,10 +374,10 @@ class SynthesisEncoder:
                 tag="sym",
             )
         )
-        if base_session is not None:
+        if self._lease is not None:
             # Seal the skeleton scope for later same-shape jobs and open
             # this job's own scope above it.
-            self._solver_factory.seal_base()
+            self._lease.seal_base()
 
     def _synced_solver(
         self, examples: Sequence[IOExample]
@@ -413,7 +408,7 @@ class SynthesisEncoder:
     def smt_statistics(self) -> SmtStatistics:
         """SMT work counters over the encoder's lifetime (across resets).
 
-        When the solver came from ``solver_factory`` (a pooled lease),
+        When the solver came from a pooled lease,
         only the work done *for this encoder* is counted — the counters
         are deltas against the hand-over snapshot, not the leased
         solver's pool-lifetime totals.

@@ -85,8 +85,8 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
             :class:`repro.api.SciductionEngine` with a
             :class:`~repro.api.problems.DeobfuscationProblem`, which
             builds this procedure with a pooled solver.
-        solver_factory: factory for the encoder's shared solver (used by
-            the engine's :class:`~repro.api.pool.SolverPool`).
+        lease: the pooled :class:`~repro.api.pool.SolverLease` for the
+            encoder's shared solver, or None for a private solver.
         examples: oracle-verified I/O examples to seed the loop with —
             typically the ``partial["examples"]`` payload of an earlier
             :class:`~repro.core.exceptions.BudgetExceededError`, making
@@ -106,7 +106,7 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
         initial_examples: int = 1,
         seed: int = 0,
         config=None,
-        solver_factory=None,
+        lease=None,
         examples: Sequence[IOExample] | None = None,
     ):
         self.library = list(library)
@@ -118,7 +118,7 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
             num_outputs=oracle.num_outputs,
             width=self.width,
             config=config,
-            solver_factory=solver_factory,
+            lease=lease,
         )
         self.max_iterations = max_iterations
         self.initial_examples = max(1, initial_examples)

@@ -258,7 +258,7 @@ class BitBlaster:
     def rollback_variables(self, max_var: int) -> None:
         """Evict every cache entry referencing a SAT variable above ``max_var``.
 
-        Companion of :meth:`repro.smt.sat.CdclSolver.shrink_variables`:
+        Companion of :meth:`repro.smt.sat.CdclSolver.reset_to`:
         after the solver drops the variables above a watermark, the
         blaster must forget the terms/gates whose encoding used them, so
         a later occurrence of the same term re-blasts into fresh

@@ -20,9 +20,9 @@ module implements the classic CDCL architecture from scratch:
 * level-0 database simplification (:meth:`CdclSolver.simplify_database`),
   used by the SMT layer to garbage-collect clause scopes that were
   permanently deactivated by popping,
-* forced LBD-threshold retention (:meth:`CdclSolver.reduce_learned`),
-  used by the solver pool between jobs to keep only good-glue learned
-  clauses on long-lived sessions,
+* a one-pass reset to a variable watermark (:meth:`CdclSolver.reset_to`),
+  used by the solver pool between jobs so a long-lived session replays a
+  fresh solver's search over its retained clauses,
 * solving under assumptions (used for incremental queries by the SMT layer).
 
 Hot-loop design.  The solver is pure Python, so the inner loop is written
@@ -142,7 +142,7 @@ class _Clause:
     problem clauses carry the sentinel 0 and are never reduced.
     ``pristine`` remembers the literal order the clause was created with:
     propagation permanently swaps literals in place while relocating
-    watches, and :meth:`CdclSolver.reset_search_state` restores the
+    watches, and :meth:`CdclSolver.reset_to` restores the
     original order so a reused solver replays a fresh solver's search.
     """
 
@@ -262,13 +262,6 @@ class CdclSolver:
     def num_variables(self) -> int:
         """Number of variables allocated so far."""
         return self._num_vars
-
-    @property
-    def num_fixed_literals(self) -> int:
-        """Number of literals fixed at level 0 (the level-0 trail prefix)."""
-        if self._trail_limits:
-            return self._trail_limits[0]
-        return len(self._trail)
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a clause (internal literal encoding) to the database.
@@ -807,12 +800,7 @@ class CdclSolver:
         # because they are re-pushed on backtracking and on activity bumps.
         while self._order_heap:
             _, variable = heapq.heappop(self._order_heap)
-            # The index bound guards against entries for variables dropped
-            # by shrink_variables.
-            if (
-                variable <= self._num_vars
-                and self._lit_value[2 * variable] == _UNASSIGNED
-            ):
+            if self._lit_value[2 * variable] == _UNASSIGNED:
                 return make_literal(variable, negative=not self._phase[variable])
         # Heap exhausted: scan forward from the low-water mark (covers
         # variables never bumped nor backtracked over since their initial
@@ -864,175 +852,100 @@ class CdclSolver:
                 entry for entry in self._watches[literal] if id(entry[1]) not in to_delete
             ]
 
-    def reduce_learned(self, max_lbd: int) -> int:
-        """Drop learned clauses whose LBD exceeds ``max_lbd`` (level 0 only).
+    def watermark(self) -> tuple[int, int]:
+        """The (variables, level-0 facts) mark that :meth:`reset_to` resets to.
 
-        Unlike :meth:`_reduce_learned_clauses_if_needed` — the in-search
-        heuristic that halves the learned set once it dwarfs the problem
-        clauses — this is a *forced*, threshold-based retention pass meant
-        for session reuse: a pooled solver that has just finished a job
-        keeps at most the clauses glucose would call good glue (low LBD)
-        so the next tenant's propagation is not dragged through thousands
-        of job-specific learned clauses.  With ``max_lbd >= 1``, binary
-        clauses are kept regardless (they cost nothing to propagate);
-        ``max_lbd <= 0`` drops *every* learned clause, handing the next
-        tenant a clause database indistinguishable from a freshly encoded
-        one.  Clauses locked as reasons of the level-0 trail always stay.
+        Taken at decision level 0, where the whole trail is fixed facts.
+        """
+        return self._num_vars, len(self._trail)
+
+    def reset_to(self, watermark: tuple[int, int] | None = None) -> int:
+        """Reset the solver for its next job, in one pass (level 0 only).
+
+        The pass drops every variable above the watermark and every clause
+        using one, plus every learned clause that is not locked as the
+        reason of a level-0 fact.  It restores every kept clause's
+        creation-time literal order (propagation swaps literals in place),
+        rebuilds the watch lists once in clause order and resets the
+        branching heuristics (activities, phases, decay increments, order
+        heap).  The next :meth:`solve` then runs exactly the search a
+        fresh solver given the kept clauses would run.
+
+        Dropping variables is sound when they form a *conservative
+        extension* of the kept ones — Tseitin gate definitions are exactly
+        that — and when the caller never references them again (the SMT
+        layer evicts the matching bit-blaster cache entries).
+
+        Without a watermark, or when the level-0 trail has grown since it
+        was taken, a :meth:`simplify_database` pass follows: it mirrors the
+        level-0 filtering :meth:`add_clause` would apply to the kept
+        clauses now, so no restored watch sits on a falsified literal.
 
         Returns:
-            The number of clauses removed.
+            The number of learned clauses over kept variables dropped.
 
         Raises:
             SolverError: if called above decision level 0.
         """
         if self._trail_limits:
-            raise SolverError("reduce_learned requires decision level 0")
-        locked = {
-            id(self._reason[literal_variable(lit)])
-            for lit in self._trail
-            if self._reason[literal_variable(lit)] is not None
-        }
-        to_delete = {
-            id(clause)
-            for clause in self._clauses
-            if clause.learned
-            and (max_lbd <= 0 or (len(clause.literals) > 2 and clause.lbd > max_lbd))
-            and id(clause) not in locked
-        }
-        if not to_delete:
-            return 0
-        self.statistics.deleted_clauses += len(to_delete)
-        self._clauses = [c for c in self._clauses if id(c) not in to_delete]
-        for literal in range(2, 2 * self._num_vars + 2):
-            watch_list = self._watches[literal]
-            if watch_list:
-                self._watches[literal] = [
-                    entry for entry in watch_list if id(entry[1]) not in to_delete
-                ]
-        return len(to_delete)
-
-    def reset_search_state(self, simplify: bool = True) -> None:
-        """Reset every branching heuristic to its pristine state (level 0).
-
-        Clears VSIDS activities, phase saving, clause activities, the
-        decay increments and the lazy order heap — everything the
-        *search* accumulated, while the clause database and the level-0
-        trail stay.  A pooled solver session calls this between jobs so
-        the next tenant starts from the same heuristic state a fresh
-        solver would: the warm session then replays the fresh search over
-        its warm encoding instead of being steered off it by a previous
-        job's activities and phases.
-
-        Args:
-            simplify: run a level-0 database simplification after
-                restoring clause order.  Required for soundness whenever
-                level-0 facts (learned units) were fixed since the clauses
-                were added — a restored watch must not sit on an
-                already-falsified literal.  Callers that know the level-0
-                trail has not grown (the solver pool tracks it across a
-                lease) may pass False to skip the pass.
-
-        Raises:
-            SolverError: if called above decision level 0.
-        """
-        if self._trail_limits:
-            raise SolverError("reset_search_state requires decision level 0")
-        for index in range(1, self._num_vars + 1):
-            self._activity[index] = 0.0
-            self._phase[index] = False
-        self._variable_increment = 1.0
-        self._clause_increment = 1.0
-        # Restore every clause's creation-time literal order (propagation
-        # permanently swaps literals while relocating watches) and rebuild
-        # the watch lists in clause order — the exact state a fresh solver
-        # would be in after adding the same clauses.
-        for watch_list in self._watches:
-            watch_list.clear()
-        for clause in self._clauses:
-            if clause.learned:
-                clause.activity = 0.0
-            clause.literals = list(clause.pristine)
-            self._watches[clause.literals[0]].append((clause.literals[1], clause))
-            self._watches[clause.literals[1]].append((clause.literals[0], clause))
-        # Mirror the level-0 filtering add_clause would have applied had
-        # the clauses been added now: facts fixed since (learned units)
-        # may satisfy whole clauses or falsify restored watch literals,
-        # and a clause must never watch an already-falsified literal.
-        if simplify:
-            self.simplify_database()
-        # Ascending (0.0, var) pairs already satisfy the heap invariant —
-        # the same content a fresh solver's heap holds after allocation.
-        self._order_heap = [(0.0, index) for index in range(1, self._num_vars + 1)]
-        self._fallback_head = 1
-        self._conflicts_at_last_reduction = self.statistics.conflicts
-
-    def shrink_variables(self, num_vars: int) -> int:
-        """Drop every variable above ``num_vars`` and every clause using one.
-
-        This rolls the solver's variable frontier back to an earlier
-        watermark (level 0 only).  It is sound when the dropped variables
-        form a *conservative extension* of the retained ones — Tseitin
-        gate definitions are exactly that (any model over the retained
-        variables extends to the gates) — and when the caller guarantees
-        the dropped variables are never referenced again (the SMT layer
-        evicts the matching bit-blaster cache entries, so a re-appearing
-        term re-blasts into fresh variables).  Learned clauses over
-        retained variables may keep facts derived *through* dropped
-        definitions; by the conservative-extension argument those facts
-        are implied by the retained clauses alone.
-
-        The solver pool uses this between jobs: a session rolls back to
-        its persistent base skeleton, so the next tenant inherits the
-        skeleton's clauses and lemmas without dragging the previous job's
-        encoding through every propagation and model completion.
-
-        Returns:
-            The number of clauses removed.
-
-        Raises:
-            SolverError: if called above decision level 0.
-        """
-        if self._trail_limits:
-            raise SolverError("shrink_variables requires decision level 0")
-        if num_vars >= self._num_vars:
-            return 0
-        kept: list[_Clause] = []
-        removed = 0
-        # literal > limit  <=>  literal_variable(literal) > num_vars
+            raise SolverError("reset_to requires decision level 0")
+        num_vars = self._num_vars
+        if watermark is not None and watermark[0] < num_vars:
+            num_vars = watermark[0]
+            limit = 2 * num_vars + 1  # literal > limit <=> its variable is dropped
+            self._trail = [literal for literal in self._trail if literal <= limit]
+            # Dropped clauses may be reasons of level-0 facts; conflict
+            # analysis never dereferences level-0 reasons, so clear them
+            # all (mirrors simplify_database).
+            for literal in self._trail:
+                self._reason[literal >> 1] = None
+            self._propagation_head = len(self._trail)
+            del self._lit_value[2 * num_vars + 2:]
+            del self._seen[num_vars + 1:]
+            del self._level[num_vars + 1:]
+            del self._reason[num_vars + 1:]
+            del self._watches[2 * num_vars + 2:]
+            self._num_vars = num_vars
+            self._cached_model = None
         limit = 2 * num_vars + 1
+        locked = {
+            id(self._reason[literal >> 1])
+            for literal in self._trail
+            if self._reason[literal >> 1] is not None
+        }
+        kept: list[_Clause] = []
+        trimmed = 0
         for clause in self._clauses:
-            if max(clause.literals) > limit:
-                removed += 1
+            if max(clause.pristine) > limit:
                 if clause.learned:
                     self.statistics.deleted_clauses += 1
-            else:
-                kept.append(clause)
+                continue
+            if clause.learned:
+                if id(clause) not in locked:
+                    trimmed += 1
+                    continue
+                clause.activity = 0.0
+            clause.literals = list(clause.pristine)
+            kept.append(clause)
+        self.statistics.deleted_clauses += trimmed
         self._clauses = kept
-        self._trail = [literal for literal in self._trail if literal <= limit]
-        # Everything on the trail is level 0 here; dropped clauses may be
-        # referenced as reasons, and conflict analysis never dereferences
-        # level-0 reasons, so clear them all (mirrors simplify_database).
-        for literal in self._trail:
-            self._reason[literal_variable(literal)] = None
-        self._propagation_head = len(self._trail)
-        del self._lit_value[2 * num_vars + 2:]
-        del self._seen[num_vars + 1:]
-        del self._level[num_vars + 1:]
-        del self._reason[num_vars + 1:]
-        del self._activity[num_vars + 1:]
-        del self._phase[num_vars + 1:]
-        del self._watches[2 * num_vars + 2:]
         for watch_list in self._watches:
             watch_list.clear()
         for clause in kept:
             self._watches[clause.literals[0]].append((clause.literals[1], clause))
             self._watches[clause.literals[1]].append((clause.literals[0], clause))
-        self._num_vars = num_vars
-        # Stale heap entries for dropped variables are skipped lazily by
-        # _pick_branch_literal (it re-checks the index bound).
-        self._fallback_head = min(self._fallback_head, num_vars + 1)
-        self._cached_model = None
-        return removed
+        self._activity = [0.0] * (num_vars + 1)
+        self._phase = [False] * (num_vars + 1)
+        self._variable_increment = 1.0
+        self._clause_increment = 1.0
+        if watermark is None or len(self._trail) != watermark[1]:
+            self.simplify_database()
+        # Ascending (0.0, var) pairs already satisfy the heap invariant —
+        # the same content a fresh solver's heap holds after allocation.
+        self._order_heap = [(0.0, index) for index in range(1, num_vars + 1)]
+        self._fallback_head = 1
+        self._conflicts_at_last_reduction = self.statistics.conflicts
+        return trimmed
 
     # -- internal: level-0 database simplification -------------------------
 

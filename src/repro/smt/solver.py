@@ -32,6 +32,15 @@ The reference semantics is a fresh solver per check: ``check(*extra)``
 answers exactly what ``solve(assertions + extra)`` would, and the tests
 compare the incremental stack against that.
 
+A solver can also serve a sequence of jobs (the pooled sessions of
+:mod:`repro.api.pool`).  :meth:`SmtSolver.seal_base` encodes the open
+scopes as the job-independent *base* and takes a SAT watermark; after a
+job's scopes are popped, :meth:`SmtSolver.reset_to_base` returns the
+solver to that watermark in one SAT pass — the job's variables, clauses
+and blaster cache entries go, as does every learned clause, and the
+search heuristics restart from a fresh solver's state.  Popping the base
+scope itself drops the watermark.
+
 Every query is shrunk before it reaches the SAT core, in three layers
 that can each be disabled independently (the ablation knobs used by
 ``benchmarks/bench_perf_suite.py``):
@@ -265,6 +274,8 @@ class SmtSolver:
         self._dead_clauses = 0
         # Prefix of ``_assertions`` already encoded into the SAT solver.
         self._encoded_count = 0
+        # (scope depth, SAT watermark) taken by :meth:`seal_base`.
+        self._base: tuple[int, tuple[int, int]] | None = None
 
     # -- assertion stack --------------------------------------------------
 
@@ -297,6 +308,8 @@ class SmtSolver:
         if not self._scopes:
             raise SolverError("pop without matching push")
         boundary = self._scopes.pop()
+        if self._base is not None and len(self._scopes) < self._base[0]:
+            self._base = None
         del self._assertions[boundary:]
         activation = self._activations.pop()
         mark = self._scope_clause_marks.pop()
@@ -595,13 +608,13 @@ class SmtSolver:
         self._check_memo.clear()
         self._digest_cache.clear()
 
-    def flush(self) -> None:
-        """Encode every pending assertion into the SAT core now.
+    def seal_base(self) -> None:
+        """Seal the open scopes as this solver's *base*.
 
-        Normally encoding is lazy (it happens at ``check`` time); flushing
-        makes the solver's variable frontier reflect exactly the
-        assertions made so far, which is what :meth:`frontier` needs to
-        capture a meaningful watermark.
+        Encodes every pending assertion into the SAT core, then takes the
+        SAT watermark (:meth:`repro.smt.sat.CdclSolver.watermark`) that
+        :meth:`reset_to_base` returns to.  The mark is dropped as soon as
+        the innermost scope open at sealing time is popped.
         """
         sat_solver, _ = self._core()
         variables_before = sat_solver.num_variables
@@ -613,81 +626,39 @@ class SmtSolver:
         self.statistics.clauses_generated += (
             sat_solver.statistics.clauses_added - clauses_before
         )
+        self._base = (len(self._scopes), sat_solver.watermark())
 
-    def frontier(self) -> int:
-        """The current SAT variable watermark (see :meth:`rollback_to`).
+    def reset_to_base(self) -> int:
+        """Reset the solver for its next job (one SAT pass).
 
-        Call :meth:`flush` first so pending assertions are included.
-        """
-        sat_solver, _ = self._core()
-        return sat_solver.num_variables
-
-    def rollback_to(self, frontier: int) -> int:
-        """Drop all SAT variables, clauses and blaster caches above
-        ``frontier``.
-
-        The pooled-session retention hook
-        (:class:`~repro.api.pool.SolverPool`): between jobs a session
-        rolls back to the watermark captured when its persistent base
-        scope was sealed, shedding the finished job's entire encoding —
-        gate definitions included — while keeping the base scope's
-        clauses and every learned clause over base variables.  Requires
-        that all scopes opened after the watermark have been popped.
+        Drops every SAT variable, clause and bit-blaster cache entry above
+        the sealed base's watermark (none without a sealed base) and every
+        unlocked learned clause, and resets the search heuristics, so the
+        next check runs the search a fresh solver over the base encoding
+        would.  See :meth:`repro.smt.sat.CdclSolver.reset_to`.
 
         Returns:
-            The number of SAT clauses removed.
+            The number of learned clauses over base variables dropped.
+
+        Raises:
+            SolverError: if a scope above the sealed base is still open.
         """
         if self._sat_solver is None:
             return 0
-        if frontier >= self._sat_solver.num_variables:
-            return 0
-        assert self._blaster is not None
-        removed = self._sat_solver.shrink_variables(frontier)
-        self._blaster.rollback_variables(frontier)
-        # Dead-scope accounting may reference dropped clauses; reset it
-        # rather than triggering a GC over clauses already gone.
-        self._dead_clauses = 0
-        self._last_model = None
-        self._model_source = None
-        return removed
-
-    def trim_learned(self, max_lbd: int) -> int:
-        """Drop learned clauses with LBD above ``max_lbd`` (between jobs).
-
-        This is the cross-job retention hook used by
-        :class:`~repro.api.pool.SolverPool` at lease release: a warm
-        session keeps its bit-blast caches and (for ``max_lbd >= 1``) its
-        good-glue learned clauses, but sheds the high-LBD clauses a
-        finished job left behind, which would otherwise slow down
-        propagation for every later tenant; ``max_lbd <= 0`` drops every
-        learned clause.
-
-        Returns:
-            The number of learned clauses removed.
-        """
-        if self._sat_solver is None:
-            return 0
-        return self._sat_solver.reduce_learned(max_lbd)
-
-    def reset_search_state(self, simplify: bool = True) -> None:
-        """Reset the SAT core's branching heuristics to a pristine state.
-
-        See :meth:`repro.smt.sat.CdclSolver.reset_search_state`.
-        """
-        if self._sat_solver is not None:
-            self._sat_solver.reset_search_state(simplify=simplify)
-
-    def level0_facts(self) -> int:
-        """Number of assignments fixed on the level-0 trail.
-
-        Used by the solver pool to detect whether any new facts (learned
-        units and their consequences) appeared during a lease, which
-        decides whether the release-time heuristic reset needs its
-        simplification pass.
-        """
-        if self._sat_solver is None:
-            return 0
-        return self._sat_solver.num_fixed_literals
+        watermark = None
+        if self._base is not None:
+            depth, watermark = self._base
+            if len(self._scopes) != depth:
+                raise SolverError("reset_to_base requires the sealed base on top")
+            if watermark[0] < self._sat_solver.num_variables:
+                assert self._blaster is not None
+                self._blaster.rollback_variables(watermark[0])
+                # Dead-scope accounting may reference dropped clauses;
+                # reset it rather than triggering a GC over clauses gone.
+                self._dead_clauses = 0
+                self._last_model = None
+                self._model_source = None
+        return self._sat_solver.reset_to(watermark)
 
     def sat_statistics(self) -> SatStatistics:
         """A copy of the persistent SAT solver's lifetime CDCL counters.

@@ -163,9 +163,9 @@ class TestBudgetsTimeoutsCancellation:
 
     def test_failed_jobs_are_reported_not_raised(self):
         engine = SciductionEngine()
-        result = engine.run(
-            TimingAnalysisProblem(program="nonexistent-program")
-        )
+        # An unknown switching-logic system passes decode and fails when
+        # the job builds its procedure.
+        result = engine.run(SwitchingLogicProblem(system="nonexistent-system"))
         assert result.success is False
         assert result.details["outcome"] == "failed"
         assert engine.jobs[-1].state is JobState.FAILED

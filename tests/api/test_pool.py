@@ -13,11 +13,19 @@ def _fresh_pool(**overrides) -> SolverPool:
     return SolverPool(EngineConfig(**overrides))
 
 
+def _sealed_session(lease, fingerprint="fp"):
+    """The lease's solver with an empty base sealed and a job scope open."""
+    solver, ready = lease.base_session(fingerprint)
+    if not ready:
+        lease.seal_base()
+    return solver
+
+
 class TestLeaseLifecycle:
     def test_sessions_are_reused_across_leases(self):
         pool = _fresh_pool()
         lease_a = pool.acquire()
-        solver_a = lease_a.session()
+        solver_a = _sealed_session(lease_a)
         pool.release(lease_a)
         lease_b = pool.acquire()
         assert lease_b.solver is solver_a
@@ -41,7 +49,7 @@ class TestLeaseLifecycle:
         x = bv_var("pool_reset_x", 8)
 
         lease_a = pool.acquire()
-        session = lease_a.session()
+        session = _sealed_session(lease_a)
         session.add(x.eq(bv_const(1, 8)))
         assert session.check() is SmtResult.SAT
         pool.release(lease_a)
@@ -49,22 +57,24 @@ class TestLeaseLifecycle:
         # Job B sees fresh-solver semantics: job A's x == 1 must be gone,
         # so x == 2 is satisfiable on the very same warm solver.
         lease_b = pool.acquire()
-        session = lease_b.session()
+        session, ready = lease_b.base_session("fp")
+        assert ready
         session.add(x.eq(bv_const(2, 8)))
         assert session.check() is SmtResult.SAT
         assert session.model_value("pool_reset_x") == 2
         pool.release(lease_b)
 
-    def test_session_callable_again_resets_midjob(self):
-        # Encoders call the session factory again when rebuilding their
+    def test_base_session_again_resets_midjob(self):
+        # Encoders ask for the base session again when rebuilding their
         # skeleton; the second call must retire everything so far.
         pool = _fresh_pool()
         lease = pool.acquire()
         x = bv_var("pool_midjob_x", 8)
-        session = lease.session()
+        session = _sealed_session(lease)
         session.add(x.eq(bv_const(1, 8)), x.eq(bv_const(2, 8)))
         assert session.check() is SmtResult.UNSAT
-        session = lease.session()
+        session, ready = lease.base_session("fp")
+        assert not ready
         session.add(x.eq(bv_const(2, 8)))
         assert session.check() is SmtResult.SAT
         pool.release(lease)
@@ -81,10 +91,10 @@ class TestLeaseLifecycle:
     def test_released_lease_cannot_reopen_a_session(self):
         pool = _fresh_pool()
         lease = pool.acquire()
-        lease.session()
+        _sealed_session(lease)
         pool.release(lease)
         with pytest.raises(SolverError, match="already released"):
-            lease.session()
+            lease.base_session("fp")
 
     def test_retire_discards_the_session(self):
         pool = _fresh_pool()
@@ -103,7 +113,7 @@ class TestPerJobAccounting:
         x = bv_var("pool_stats_x", 8)
 
         lease_a = pool.acquire()
-        session = lease_a.session()
+        session = _sealed_session(lease_a)
         session.add((x * bv_const(3, 8)).eq(bv_const(5, 8)))
         session.check()
         first_job = lease_a.smt_statistics()
@@ -112,7 +122,7 @@ class TestPerJobAccounting:
         assert first_job.clauses_generated > 0
 
         lease_b = pool.acquire()
-        session = lease_b.session()
+        session = _sealed_session(lease_b)
         session.check()
         second_job = lease_b.smt_statistics()
         sat_second = lease_b.sat_statistics()
@@ -234,58 +244,49 @@ class TestBaseScopeProtocol:
         assert solver2.check() is SmtResult.SAT
         pool.release(lease2)
 
-    def test_plain_session_clears_a_previous_tenants_base(self):
-        pool = _fresh_pool()
-        lease = pool.acquire(shape="s")
-        solver, _ = lease.base_session("fp")
-        z = bv_var("base_clear_z", 8)
-        solver.add(z.eq(bv_const(5, 8)))
-        lease.seal_base()
-        pool.release(lease)
-
-        lease2 = pool.acquire(shape="s")
-        session = lease2.session()  # plain contract: fresh-solver semantics
-        session.add(z.eq(bv_const(6, 8)))
-        assert session.check() is SmtResult.SAT
-        pool.release(lease2)
-        # And the fingerprint is gone: the next base_session must rebuild.
-        lease3 = pool.acquire(shape="s")
-        _, ready = lease3.base_session("fp")
-        assert not ready
-        pool.release(lease3)
-
     def test_seal_requires_open_base(self):
         pool = _fresh_pool()
         lease = pool.acquire()
-        lease.session()
         with pytest.raises(SolverError, match="seal_base"):
             lease.seal_base()
+        _sealed_session(lease)
+        with pytest.raises(SolverError, match="seal_base"):
+            lease.seal_base()  # already sealed
         pool.release(lease)
 
-    def test_release_rolls_job_encoding_back_to_the_sealed_frontier(self):
+    def test_release_resets_job_encoding_to_the_sealed_watermark(self):
         pool = _fresh_pool()
         lease = pool.acquire(shape="s")
         solver, _ = lease.base_session("fp")
         base_var = bv_var("frontier_base", 8)
         solver.add(base_var.ult(bv_const(100, 8)))
         lease.seal_base()
-        frontier = lease._record.frontier
-        assert frontier is not None
+        frontier = solver._sat_solver.num_variables - 1  # minus the job scope
         job_var = bv_var("frontier_job", 8)
         solver.add(job_var.eq(bv_const(3, 8)))
         assert solver.check() is SmtResult.SAT
-        assert solver.frontier() > frontier  # job grew the SAT store
+        assert solver._sat_solver.num_variables > frontier + 1  # job grew it
         pool.release(lease)
-        # The session is back at the sealed frontier: the job's variables
+        # The session is back at the sealed watermark: the job's variables
         # and gate definitions are gone, the base encoding is not.
-        assert solver.frontier() == frontier
+        assert solver._sat_solver.num_variables == frontier
+        assert not [c for c in solver._sat_solver._clauses if c.learned]
+
+    def test_popping_the_base_drops_the_watermark(self):
+        pool = _fresh_pool()
+        lease = pool.acquire(shape="s")
+        solver = _sealed_session(lease, "fp-1")
+        assert solver._base is not None
+        lease.base_session("fp-2")  # pops the fp-1 base scope
+        assert solver._base is None
+        pool.release(lease)
 
 
 class TestInternScopeCleanup:
     def test_entries_evicted_once_table_exceeds_limit(self):
         pool = _fresh_pool(intern_table_limit=0)
         lease = pool.acquire()
-        solver = lease.session()
+        solver = _sealed_session(lease)
         base = intern_table_size()
         y = bv_var("intern_gc_y", 8)
         y + bv_const(17, 8)
@@ -304,7 +305,7 @@ class TestInternScopeCleanup:
     def test_entries_kept_below_limit(self):
         pool = _fresh_pool(intern_table_limit=10_000_000)
         lease = pool.acquire()
-        lease.session()
+        _sealed_session(lease)
         base = intern_table_size()
         z = bv_var("intern_keep_z", 8)
         z + bv_const(23, 8)
@@ -317,7 +318,7 @@ class TestInternScopeCleanup:
     def test_retire_always_evicts_job_terms(self):
         pool = _fresh_pool(intern_table_limit=10_000_000)
         lease = pool.acquire()
-        lease.session()
+        _sealed_session(lease)
         base = intern_table_size()
         w = bv_var("intern_retire_w", 8)
         w + bv_const(29, 8)

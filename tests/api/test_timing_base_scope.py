@@ -55,22 +55,14 @@ class TestBuilderBaseScope:
         cfg = build_cfg(bounded_linear_search(3, 16))
 
         lease = pool.acquire(shape="timing")
-        first = PathConstraintBuilder(cfg, solver_factory=lease)
+        first = PathConstraintBuilder(cfg, lease=lease)
         assert first.base_scope_reused is False
         pool.release(lease)
 
         lease = pool.acquire(shape="timing")
-        second = PathConstraintBuilder(cfg, solver_factory=lease)
+        second = PathConstraintBuilder(cfg, lease=lease)
         assert second.base_scope_reused is True
         pool.release(lease)
-
-    def test_plain_callable_factory_still_works(self):
-        from repro.smt.solver import SmtSolver
-
-        cfg = build_cfg(bounded_linear_search(3, 16))
-        builder = PathConstraintBuilder(cfg, solver_factory=lambda: SmtSolver())
-        assert builder.base_scope_reused is False
-        assert builder.solver is not None
 
 
 class TestEngineTimingReuse:

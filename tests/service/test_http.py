@@ -198,6 +198,16 @@ class TestHttpSurface:
             {"problem": {"kind": "timing-analysis", "start_state": "hot"}},
         )
         assert status == 400 and "'start_state' must be 'cold' or 'warm'" in error["error"]
+        # An oversized program argument used to run for minutes as a job;
+        # it is refused at submission instead.
+        status, error = call(
+            service,
+            "POST",
+            "/jobs",
+            {"problem": {"kind": "timing-analysis", "program_args": {"exponent_bits": 24}}},
+        )
+        assert status == 400
+        assert "'program_args'['exponent_bits'] must be in [0, 16]" in error["error"]
         # A seeded example the oracle disagrees with used to steer
         # synthesis to a wrong program reported as a success.
         status, error = call(

@@ -107,7 +107,32 @@ class TestParseJobRequest:
             ({"max_paths": -1}, "at least 1"),
             ({"distribution": "yes"}, "boolean"),
             ({"program": 7}, "string"),
+            ({"program": "nope"}, "unknown timing-analysis program"),
             ({"program_args": [16]}, "object"),
+            ({"program_args": {"exponent_bits": "x"}}, "must be an integer"),
+            ({"program_args": {"exponent_bits": True}}, "must be an integer"),
+            ({"program_args": {"word_width": 16.0}}, "must be an integer"),
+            ({"program_args": {"exponent_bits": 24}}, "must be in [0, 16]"),
+            ({"program_args": {"exponent_bits": -1}}, "must be in [0, 16]"),
+            ({"program_args": {"word_width": 0}}, "must be in [1, 64]"),
+            ({"program_args": {"word_width": 65}}, "must be in [1, 64]"),
+            ({"program_args": {"length": 4}}, "not a parameter"),
+            (
+                {"program_args": {"length": 16}, "program": "bounded_linear_search"},
+                "must be in [0, 8]",
+            ),
+            (
+                {"program_args": {"length": 400}, "program": "bounded_linear_search"},
+                "must be in [0, 8]",
+            ),
+            (
+                {"program_args": {"depth": 17}, "program": "conditional_cascade"},
+                "must be in [0, 16]",
+            ),
+            (
+                {"program_args": {"depth": 4}, "program": "saturating_add"},
+                "not a parameter",
+            ),
         ],
     )
     def test_malformed_timing_specs_fail_with_400(self, fields, fragment):
@@ -175,6 +200,25 @@ class TestParseJobRequest:
         }
         parsed = parse_job_request({"problem": problem})
         assert parsed["problem"] == problem
+
+    @pytest.mark.parametrize(
+        "program, program_args",
+        [
+            ("modular_exponentiation", {"exponent_bits": 16, "word_width": 64}),
+            ("modular_exponentiation", {"exponent_bits": 0, "word_width": 1}),
+            ("conditional_cascade", {"depth": 16}),
+            ("bounded_linear_search", {"length": 8, "word_width": 1}),
+            ("figure4_toy", {}),
+        ],
+    )
+    def test_timing_program_arg_bounds_are_accepted(self, program, program_args):
+        problem = {
+            "kind": "timing-analysis",
+            "program": program,
+            "program_args": program_args,
+        }
+        parsed = parse_job_request({"problem": problem})
+        assert parsed["problem"]["program_args"] == program_args
 
     def test_switching_spec_boundaries_are_accepted(self):
         problem = {

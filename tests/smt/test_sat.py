@@ -445,7 +445,7 @@ class TestCdclVersusDpll:
                 if not _dpll(accumulated, num_vars):
                     break
                 if rng.random() < 0.5:
-                    solver.reset_search_state()
+                    solver.reset_to()
                 else:
                     solver.simplify_database()
 
@@ -564,7 +564,7 @@ class TestDifferential:
 
 
 class TestSessionRetentionHooks:
-    """reduce_learned / shrink_variables / reset_search_state (pool hooks)."""
+    """watermark / reset_to (the pool's between-jobs reset pass)."""
 
     def _solver_with_learned_clauses(self):
         # Pigeonhole 5-into-4: UNSAT, guaranteed to learn clauses.
@@ -590,37 +590,22 @@ class TestSessionRetentionHooks:
                     )
         return solver
 
-    def test_reduce_learned_threshold_and_drop_all(self):
-        solver = self._solver_with_learned_clauses()
-        assert solver.solve() is SatResult.UNSAT
-        learned = [c for c in solver._clauses if c.learned]
-        assert learned, "expected learned clauses from the pigeonhole proof"
-        removed = solver.reduce_learned(2)
-        survivors = [c for c in solver._clauses if c.learned]
-        assert all(c.lbd <= 2 or len(c.literals) <= 2 for c in survivors)
-        # Drop-all retains nothing learned (locked reasons aside).
-        removed_all = solver.reduce_learned(0)
-        assert removed + removed_all >= len(learned) - len(
-            [c for c in solver._clauses if c.learned]
-        )
-        assert solver.solve() is SatResult.UNSAT  # database still sound
-
-    def test_shrink_variables_drops_clauses_and_allows_regrowth(self):
+    def test_reset_to_drops_clauses_and_allows_regrowth(self):
         solver = CdclSolver()
         a, b = solver.new_variable(), solver.new_variable()
         solver.add_clause([make_literal(a), make_literal(b)])
-        watermark = solver.num_variables
+        watermark = solver.watermark()
         c = solver.new_variable()
         solver.add_clause([make_literal(b, negative=True), make_literal(c)])
         solver.add_clause([make_literal(c)])  # fixes c at level 0
-        removed = solver.shrink_variables(watermark)
-        assert removed == 1
-        assert solver.num_variables == watermark
+        assert solver.reset_to(watermark) == 0
+        assert len(solver._clauses) == 1
+        assert solver.num_variables == watermark[0]
         # The retained clause still solves; fresh variables reuse indices
         # and start unassigned in both polarities, whatever the dropped
         # variable at that index was fixed to.
         d = solver.new_variable()
-        assert d == watermark + 1
+        assert d == watermark[0] + 1
         assert solver._lit_value[make_literal(d)] == -1
         assert solver._lit_value[make_literal(d, negative=True)] == -1
         solver.add_clause([make_literal(d, negative=True)])
@@ -629,11 +614,11 @@ class TestSessionRetentionHooks:
         assert model[a] or model[b]
         assert model[d] is False
 
-    def test_shrink_variables_requires_level_zero(self):
+    def test_reset_to_requires_level_zero(self):
         solver = self._solver_with_learned_clauses()
         solver._trail_limits.append(0)  # simulate an open decision level
         with pytest.raises(SolverError, match="level 0"):
-            solver.shrink_variables(1)
+            solver.reset_to((1, 0))
         solver._trail_limits.pop()
 
     def _guarded_pigeonhole(self):
@@ -669,7 +654,7 @@ class TestSessionRetentionHooks:
                     )
         return solver, [make_literal(guard)]
 
-    def test_reset_search_state_replays_identical_search(self):
+    def test_reset_to_replays_identical_search(self):
         first, assumptions = self._guarded_pigeonhole()
         baseline, base_assumptions = self._guarded_pigeonhole()
         assert first.solve(assumptions) is SatResult.UNSAT
@@ -678,8 +663,7 @@ class TestSessionRetentionHooks:
             first.statistics.decisions,
             first.statistics.propagations,
         )
-        first.reduce_learned(0)
-        first.reset_search_state()
+        assert first.reset_to() > 0  # the proof's learned clauses go
         # The reset solver must retrace the fresh solver's search exactly.
         assert first.solve(assumptions) is SatResult.UNSAT
         assert baseline.solve(base_assumptions) is SatResult.UNSAT
@@ -694,6 +678,80 @@ class TestSessionRetentionHooks:
             first.statistics.decisions,
             first.statistics.propagations,
         ) == tuple(2 * value for value in base_stats)
+
+
+    @staticmethod
+    def _session_with_job(seed):
+        """A base 3-SAT instance, a watermark, then one job's encoding.
+
+        The job adds Tseitin AND gates over base variables, clauses over
+        the gates guarded by an activation variable, and a level-0 fact
+        on a base variable; it solves under the guard (learning clauses)
+        and then retires the guard, as a popped SMT scope does.
+        """
+        rng = random.Random(seed)
+        base_vars = 40
+        base = []
+        for _ in range(150):
+            variables = rng.sample(range(1, base_vars + 1), 3)
+            base.append([make_literal(v, rng.random() < 0.5) for v in variables])
+        solver = CdclSolver(restart_base=10)
+        solver.ensure_variables(base_vars)
+        for clause in base:
+            solver.add_clause(clause)
+        mark = solver.watermark()
+        guard = solver.new_variable()
+        gates = []
+        for _ in range(30):
+            left, right = (
+                make_literal(v, rng.random() < 0.5)
+                for v in rng.sample(range(1, base_vars + 1), 2)
+            )
+            gate = make_literal(solver.new_variable())
+            solver.add_clause([gate ^ 1, left])
+            solver.add_clause([gate ^ 1, right])
+            solver.add_clause([gate, left ^ 1, right ^ 1])
+            gates.append(gate)
+        for _ in range(40):
+            solver.add_clause(
+                [make_literal(guard, negative=True)]
+                + [gate ^ (rng.random() < 0.5) for gate in rng.sample(gates, 3)]
+            )
+        fact = make_literal(rng.randint(1, base_vars), rng.random() < 0.5)
+        solver.add_clause([fact])
+        solver.solve([make_literal(guard)])
+        solver.add_clause([make_literal(guard, negative=True)])
+        assumptions = [
+            make_literal(v, rng.random() < 0.5)
+            for v in rng.sample(range(1, base_vars + 1), 3)
+        ]
+        return solver, mark, base + [[fact]], assumptions
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_reset_to_a_watermark_replays_a_fresh_search(self, seed):
+        solver, mark, retained, assumptions = self._session_with_job(seed)
+        gc_runs = solver.statistics.gc_runs
+        assert solver.reset_to(mark) > 0  # learned clauses over base variables
+        # The fact fixed after the mark forces the simplification pass.
+        assert solver.statistics.gc_runs == gc_runs + 1
+        assert solver.num_variables == mark[0]
+        assert not [clause for clause in solver._clauses if clause.learned]
+        before = _search_counts(solver)
+        result = solver.solve(assumptions)
+        counts = tuple(
+            after - earlier for after, earlier in zip(_search_counts(solver), before)
+        )
+
+        fresh = CdclSolver(restart_base=10)
+        fresh.ensure_variables(mark[0])
+        for clause in [retained[-1]] + retained[:-1]:  # the fact first
+            fresh.add_clause(clause)
+        before = _search_counts(fresh)
+        assert fresh.solve(assumptions) is result
+        assert counts == tuple(
+            after - earlier for after, earlier in zip(_search_counts(fresh), before)
+        )
+        assert counts[1] > 0  # a real search, with conflicts
 
 
 def _golden_three_sat(seed, num_vars):
@@ -738,25 +796,31 @@ class TestGoldenSearchCounts:
     }
 
     # One (verdict, counts) entry per solve() of _incremental_counts.
+    # Generated by the two-step reset the one-pass reset_to replaced
+    # (drop every unlocked learned clause, then restore pristine order
+    # and heuristics, simplifying under reset_to's condition), so they
+    # also pin that reset_to runs the same search as that sequence.
     INCREMENTAL = [
         ("sat", (24, 2, 56, 2, 0)),
-        ("sat", (39, 4, 115, 4, 0)),
-        ("sat", (69, 8, 181, 8, 0)),
-        ("unsat", (69, 8, 185, 8, 0)),
-        ("sat", (78, 9, 235, 9, 0)),
-        ("sat", (86, 10, 285, 10, 0)),
-        ("sat", (95, 12, 333, 12, 0)),
-        ("sat", (105, 18, 451, 18, 0)),
-        ("sat", (118, 22, 543, 22, 0)),
-        ("unsat", (122, 27, 613, 26, 0)),
-        ("unsat", (131, 37, 752, 35, 0)),
-        ("unsat", (141, 46, 832, 43, 0)),
+        ("sat", (44, 6, 125, 6, 0)),
+        ("sat", (74, 10, 191, 10, 0)),
+        ("unsat", (74, 10, 195, 10, 0)),
+        ("sat", (84, 10, 235, 10, 0)),
+        ("sat", (92, 11, 285, 11, 0)),
+        ("sat", (101, 13, 333, 13, 0)),
+        ("sat", (109, 14, 382, 14, 0)),
+        ("sat", (122, 18, 474, 18, 0)),
+        ("unsat", (126, 23, 544, 22, 0)),
+        ("unsat", (147, 41, 796, 39, 1)),
+        ("unsat", (158, 50, 881, 47, 1)),
     ]
 
     @staticmethod
     def _incremental_counts():
         """Solve under assumptions between clause batches, cycling through
-        reduce_learned, reset_search_state and simplify_database."""
+        reset_to without a watermark, reset_to with one taken before the
+        solve (no new level-0 facts, so no simplification pass) and
+        simplify_database."""
         rng = random.Random(7)
         num_vars = 40
         solver = CdclSolver(restart_base=10)
@@ -772,6 +836,7 @@ class TestGoldenSearchCounts:
         add_batch(100)
         observed = []
         for step in range(12):
+            mark = solver.watermark()
             assumptions = [
                 make_literal(v, rng.random() < 0.5)
                 for v in rng.sample(range(1, num_vars + 1), 4)
@@ -779,9 +844,9 @@ class TestGoldenSearchCounts:
             result = solver.solve(assumptions)
             observed.append((result.value, _search_counts(solver)))
             if step % 3 == 0:
-                solver.reduce_learned(2)
+                solver.reset_to()
             elif step % 3 == 1:
-                solver.reset_search_state()
+                solver.reset_to(mark)
             else:
                 solver.simplify_database()
             add_batch(5)

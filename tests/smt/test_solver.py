@@ -226,6 +226,24 @@ class TestScopesAndAssumptions:
             solver.check(bv_var("x", 4))
 
 
+    def test_reset_to_base_requires_the_base_on_top(self):
+        solver = SmtSolver()
+        x = bv_var("reset_base_x", 4)
+        solver.push()
+        solver.add(x.ult(bv_const(8, 4)))
+        solver.seal_base()
+        solver.push()
+        solver.add(x.eq(bv_const(3, 4)))
+        assert solver.check() is SmtResult.SAT
+        with pytest.raises(SolverError, match="sealed base on top"):
+            solver.reset_to_base()
+        solver.pop()
+        solver.reset_to_base()
+        # The base constraint survives the reset; the job's does not.
+        assert solver.check(x.eq(bv_const(9, 4))) is SmtResult.UNSAT
+        assert solver.check(x.eq(bv_const(5, 4))) is SmtResult.SAT
+
+
 class TestQueryShrinkingLayers:
     """The word-level / encoding-level / SAT-level ablation knobs."""
 
