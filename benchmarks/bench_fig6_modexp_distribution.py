@@ -57,7 +57,7 @@ def test_fig6_distribution_and_wcet(benchmark):
             ["measurements used", str(analysis.timing_oracle.query_count)],
             ["mean |pred - meas| (cycles)", f"{report.mean_absolute_error:.3f}"],
             ["max |pred - meas| (cycles)", f"{report.max_absolute_error:.3f}"],
-            ["predicted WCET (cycles)", f"{estimate.predicted_cycles:.1f}"],
+            ["predicted WCET (cycles)", f"{float(estimate.predicted_cycles):.1f}"],
             ["measured WCET on witness", str(estimate.measured_cycles)],
             ["exhaustive true WCET", str(truth.estimated_wcet)],
             ["WCET witness exponent", str(estimate.test_case["exponent"])],

@@ -55,7 +55,7 @@ def analyse(platform_name: str, platform: PlatformConfig) -> None:
     print(f"  task                   : {task.name}")
     print(f"  paths / basis paths    : {analysis.cfg.count_paths()} / "
           f"{analysis.num_basis_paths}")
-    print(f"  predicted WCET         : {estimate.predicted_cycles:.1f} cycles")
+    print(f"  predicted WCET         : {float(estimate.predicted_cycles):.1f} cycles")
     print(f"  measured on test case  : {estimate.measured_cycles} cycles")
     print(f"  worst-case test case   : {estimate.test_case}")
     report = analysis.predict_distribution(measure=True)

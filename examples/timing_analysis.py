@@ -82,7 +82,7 @@ def main() -> None:
     estimate = analysis.estimate_wcet()
     truth = ExhaustiveEstimator(task).estimate()
     print("Worst-case execution time:")
-    print(f"  GameTime prediction      : {estimate.predicted_cycles:.1f} cycles")
+    print(f"  GameTime prediction      : {float(estimate.predicted_cycles):.1f} cycles")
     print(f"  measured on its test case: {estimate.measured_cycles} cycles")
     print(f"  test case                : {estimate.test_case}")
     print(f"  exhaustive ground truth  : {truth.estimated_wcet} cycles "

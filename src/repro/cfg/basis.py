@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.exceptions import CompilationError
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.paths import Path, RationalRankTracker, enumerate_paths
@@ -49,10 +47,6 @@ class BasisExtractionResult:
     def complete(self) -> bool:
         """True iff a full-rank basis of feasible paths was found."""
         return self.achieved_rank == self.dimension
-
-    def vectors(self, num_edges: int) -> list[np.ndarray]:
-        """Indicator vectors of the basis paths."""
-        return [item.path.vector(num_edges) for item in self.basis]
 
     def test_cases(self) -> list[dict[str, int]]:
         """Test cases (one per basis path)."""
@@ -95,7 +89,9 @@ def extract_basis_paths(
         if result.achieved_rank >= dimension:
             break
         result.paths_considered += 1
-        vector = path.vector(cfg.num_edges)
+        vector = [0] * cfg.num_edges
+        for edge in path.edges:
+            vector[edge] = 1
         if not tracker.would_increase_rank(vector):
             continue
         if check_feasibility:
@@ -111,9 +107,3 @@ def extract_basis_paths(
         result.achieved_rank = tracker.rank
     return result
 
-
-def basis_matrix(result: BasisExtractionResult, num_edges: int) -> np.ndarray:
-    """Stack the basis path vectors into a ``(b, m)`` matrix."""
-    if not result.basis:
-        raise CompilationError("no basis paths were extracted")
-    return np.stack(result.vectors(num_edges), axis=0)

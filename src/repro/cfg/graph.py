@@ -17,6 +17,7 @@ Figure 4/5.  This module provides that data structure plus:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from repro.core.exceptions import CompilationError
@@ -129,10 +130,6 @@ class ControlFlowGraph:
     def successor_edges(self, block_index: int) -> list[Edge]:
         """Edges leaving ``block_index``."""
         return [self.edges[i] for i in self._successors[block_index]]
-
-    def predecessor_edges(self, block_index: int) -> list[Edge]:
-        """Edges entering ``block_index``."""
-        return [self.edges[i] for i in self._predecessors[block_index]]
 
     def basis_dimension(self) -> int:
         """Dimension of the path space: ``m - n + 2`` for a connected DAG
@@ -267,9 +264,11 @@ class ControlFlowGraph:
     # -- weighted path queries ---------------------------------------------------
 
     def extremal_path(
-        self, edge_weights: Sequence[float], longest: bool = True
-    ) -> tuple[float, list[int]]:
+        self, edge_weights: Sequence[int | Fraction], longest: bool = True
+    ) -> tuple[int | Fraction, list[int]]:
         """Longest (or shortest) source-to-sink path under edge weights.
+
+        Totals are exact, so ties are real; they break by edge order.
 
         Args:
             edge_weights: one weight per edge (indexed by edge index).
@@ -282,19 +281,22 @@ class ControlFlowGraph:
         if len(edge_weights) != self.num_edges:
             raise CompilationError("one weight per edge is required")
         order = self.topological_order()
-        sign = 1.0 if longest else -1.0
-        best: list[float] = [float("-inf")] * self.num_blocks
+        sign = 1 if longest else -1
+        best: list[int | Fraction | None] = [None] * self.num_blocks
         best_edge: list[int | None] = [None] * self.num_blocks
-        best[self.entry] = 0.0
+        best[self.entry] = 0
         for node in order:
-            if best[node] == float("-inf"):
+            reached = best[node]
+            if reached is None:
                 continue
             for edge in self.successor_edges(node):
-                candidate = best[node] + sign * edge_weights[edge.index]
-                if candidate > best[edge.target]:
+                candidate = reached + sign * edge_weights[edge.index]
+                current = best[edge.target]
+                if current is None or candidate > current:
                     best[edge.target] = candidate
                     best_edge[edge.target] = edge.index
-        if best[self.exit] == float("-inf"):
+        total = best[self.exit]
+        if total is None:
             raise CompilationError("exit unreachable from entry")
         # Reconstruct.
         path: list[int] = []
@@ -305,15 +307,9 @@ class ControlFlowGraph:
             path.append(edge_index)
             node = self.edges[edge_index].source
         path.reverse()
-        return sign * best[self.exit], path
+        return sign * total, path
 
     # -- misc -------------------------------------------------------------------
-
-    def edge_description(self, edge_index: int) -> str:
-        """Human-readable description of an edge (for reports)."""
-        edge = self.edges[edge_index]
-        guard = f" [{edge.condition!r}]" if edge.condition is not None else ""
-        return f"e{edge.index}: B{edge.source}->B{edge.target}{guard}"
 
     def __repr__(self) -> str:
         return (

@@ -2,10 +2,11 @@
 
 GameTime's central object is the vector representation of a source-to-sink
 path in the unrolled CFG: a path is a 0/1 vector ``x`` in ``R^m`` (one
-coordinate per edge), and the set of such vectors spans a subspace of
-dimension ``m - n + 2``.  Basis paths (:mod:`repro.cfg.basis`) are a basis
-of that subspace; any path's predicted execution time is obtained from its
-coordinates in that basis (paper Section 3.2).
+coordinate per edge, 1 on the path's edges), and the set of such vectors
+spans a subspace of dimension ``m - n + 2``.  Basis paths
+(:mod:`repro.cfg.basis`) are a basis of that subspace; any path's
+predicted execution time is ``x . w`` for the weights ``w`` fitted to the
+basis-path measurements (paper Section 3.2, :mod:`repro.gametime.learner`).
 
 Which candidate paths enter the basis is decided by an exact rank test
 (:class:`RationalRankTracker`): fraction-free Gaussian elimination over
@@ -19,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from repro.core.exceptions import CompilationError
 from repro.cfg.graph import ControlFlowGraph
@@ -37,19 +36,6 @@ class Path:
 
     edges: tuple[int, ...]
     nodes: tuple[int, ...]
-
-    def vector(self, num_edges: int) -> np.ndarray:
-        """Return the 0/1 indicator vector of the path in ``R^num_edges``."""
-        result = np.zeros(num_edges, dtype=float)
-        for edge in self.edges:
-            result[edge] = 1.0
-        return result
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __contains__(self, edge_index: int) -> bool:
-        return edge_index in self.edges
 
 
 def path_from_edges(cfg: ControlFlowGraph, edges: Sequence[int]) -> Path:
@@ -139,7 +125,7 @@ class RationalRankTracker:
         return len(self._rows)
 
     def _integral_row(self, vector: Sequence[float]) -> list[int]:
-        values = vector.tolist() if isinstance(vector, np.ndarray) else list(vector)
+        values = list(vector)
         if len(values) != self.dimension:
             raise CompilationError(
                 f"vector has {len(values)} entries, expected {self.dimension}"
@@ -186,28 +172,3 @@ class RationalRankTracker:
                 return True
         return False
 
-
-def expansion_coefficients(
-    basis_vectors: Sequence[np.ndarray], target: np.ndarray
-) -> np.ndarray:
-    """Coefficients expressing ``target`` in terms of ``basis_vectors``.
-
-    The basis paths span the path subspace, so every feasible path vector
-    has an exact expansion; coefficients are computed by least squares and
-    the residual is checked to guard against an incomplete basis.
-
-    Raises:
-        CompilationError: if ``basis_vectors`` is empty, or if ``target``
-            lies outside the span (residual not numerically zero), which
-            indicates the basis is incomplete.
-    """
-    if len(basis_vectors) == 0:
-        raise CompilationError("no basis vectors to expand in")
-    matrix = np.stack(basis_vectors, axis=1)
-    coefficients, _, _, _ = np.linalg.lstsq(matrix, target, rcond=None)
-    residual = np.linalg.norm(matrix @ coefficients - target)
-    if residual > 1e-6:
-        raise CompilationError(
-            f"path vector lies outside the basis span (residual {residual:.3g})"
-        )
-    return coefficients

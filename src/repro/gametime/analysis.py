@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from repro.core.exceptions import BudgetExceededError, ReproError
@@ -43,15 +44,15 @@ from repro.platform.processor import PlatformConfig
 
 @dataclass
 class PathPrediction:
-    """Predicted and (optionally) measured time of one program path."""
+    """Predicted (exact) and (optionally) measured time of one program path."""
 
     path: Path
-    predicted: float
+    predicted: Fraction
     measured: int | None = None
     test_case: dict[str, int] | None = None
 
     @property
-    def error(self) -> float | None:
+    def error(self) -> Fraction | None:
         """Absolute prediction error, when a measurement is available."""
         if self.measured is None:
             return None
@@ -63,13 +64,13 @@ class WcetEstimate:
     """Result of worst-case execution time estimation.
 
     Attributes:
-        predicted_cycles: model-predicted time of the predicted WCET path.
+        predicted_cycles: model-predicted (exact) time of the WCET path.
         measured_cycles: measured time of that path's test case.
         path: the predicted worst-case path.
         test_case: input valuation driving execution down that path.
     """
 
-    predicted_cycles: float
+    predicted_cycles: Fraction
     measured_cycles: int
     path: Path
     test_case: dict[str, int]
@@ -94,13 +95,13 @@ class DistributionReport:
     def max_absolute_error(self) -> float:
         """Largest |predicted - measured| over all paths."""
         errors = [p.error for p in self.predictions if p.error is not None]
-        return max(errors) if errors else float("nan")
+        return float(max(errors)) if errors else float("nan")
 
     @property
     def mean_absolute_error(self) -> float:
         """Mean |predicted - measured| over all paths."""
         errors = [p.error for p in self.predictions if p.error is not None]
-        return sum(errors) / len(errors) if errors else float("nan")
+        return float(sum(errors) / len(errors)) if errors else float("nan")
 
     def histogram(self, bin_width: int = 20) -> list[tuple[int, int, int]]:
         """Histogram rows ``(bin_start, predicted_count, measured_count)``.
@@ -110,10 +111,10 @@ class DistributionReport:
         if not self.predictions:
             return []
         values = [p.predicted for p in self.predictions] + [
-            float(p.measured) for p in self.predictions if p.measured is not None
+            p.measured for p in self.predictions if p.measured is not None
         ]
-        low = int(math.floor(min(values) / bin_width) * bin_width)
-        high = int(math.ceil(max(values) / bin_width) * bin_width)
+        low = math.floor(min(values) / bin_width) * bin_width
+        high = math.ceil(max(values) / bin_width) * bin_width
         rows = []
         for start in range(low, high + 1, bin_width):
             end = start + bin_width
@@ -382,8 +383,9 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
         if bound is not None:
             verdict = estimate.measured_cycles <= bound
         assert self.basis_result is not None
+        # Predictions are exact fractions; the result wire carries floats.
         details = {
-            "wcet_predicted": estimate.predicted_cycles,
+            "wcet_predicted": float(estimate.predicted_cycles),
             "wcet_measured": estimate.measured_cycles,
             "wcet_test_case": estimate.test_case,
             "num_basis_paths": len(self.basis_result.basis),
@@ -397,7 +399,7 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
                 "paths": [
                     {
                         "edges": list(prediction.path.edges),
-                        "predicted": prediction.predicted,
+                        "predicted": float(prediction.predicted),
                         "measured": prediction.measured,
                         "test_case": prediction.test_case,
                     }

@@ -4,20 +4,21 @@ The inductive engine of GameTime (paper Table 1: "game-theoretic online
 learning"): basis paths are executed in a randomised order over a number
 of trials; per-basis-path averages smooth out the adversarial perturbation
 pi; and the path-independent weight vector ``w`` is recovered from the
-averaged basis measurements by solving the (under-determined) linear
-system ``B w = t`` in the least-norm sense, where ``B`` stacks the basis
+averaged basis measurements as the least-norm solution of the
+(under-determined) linear system ``B w = t``, where ``B`` stacks the basis
 path vectors.  Any path's predicted time is then ``x . w`` — equivalently,
 the combination of basis-path times given by the path's expansion in the
-basis, which is the form used in the paper's exposition.
+basis, which is the form used in the paper's exposition.  The fit is
+exact, so each basis path's prediction equals its average.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from repro.core.exceptions import InductionError
 from repro.core.oracle import LabelingOracle
@@ -36,18 +37,14 @@ class BasisMeasurements:
 
     samples: list[list[int]] = field(default_factory=list)
 
-    def averages(self) -> list[float]:
-        """Per-basis-path mean execution time."""
+    def averages(self) -> list[Fraction]:
+        """Per-basis-path mean execution time, exactly."""
         result = []
         for index, values in enumerate(self.samples):
             if not values:
                 raise InductionError(f"basis path {index} was never measured")
-            result.append(sum(values) / len(values))
+            result.append(Fraction(sum(values), len(values)))
         return result
-
-    def total_measurements(self) -> int:
-        """Total number of platform runs recorded."""
-        return sum(len(values) for values in self.samples)
 
 
 class GameTimeLearner:
@@ -112,23 +109,67 @@ class GameTimeLearner:
     def infer(self) -> WeightPerturbationModel:
         """Fit the weight vector ``w`` from the collected measurements.
 
-        The linear system ``B w = t`` (``B``: basis vectors stacked row-wise,
-        ``t``: averaged basis times) is solved in the least-norm /
-        least-squares sense via the Moore–Penrose pseudo-inverse; the
-        resulting ``w`` reproduces the basis measurements exactly (up to
-        noise) and extends linearly to every other path.
+        ``w`` is the Moore–Penrose (least-norm) solution of ``B w = t``
+        (``B``: basis vectors stacked row-wise, ``t``: averaged basis
+        times), which also fixes the predictions of paths outside the
+        span of an incomplete basis.
         """
-        if self.measurements.total_measurements() == 0:
+        if not any(self.measurements.samples):
             self.collect_measurements()
-        averages = self.measurements.averages()
-        matrix = np.stack(
-            [item.path.vector(self.num_edges) for item in self.basis], axis=0
+        weights, denominator = least_norm_weights(
+            [item.path.edges for item in self.basis],
+            self.measurements.averages(),
+            self.num_edges,
         )
-        weights, _, _, _ = np.linalg.lstsq(matrix, np.asarray(averages), rcond=None)
         return WeightPerturbationModel(
-            edge_weights=weights,
+            weights=weights,
+            denominator=denominator,
             mu_max=self.hypothesis.mu_max,
             rho=self.hypothesis.rho,
-            basis_vectors=[item.path.vector(self.num_edges) for item in self.basis],
-            basis_times=averages,
         )
+
+
+def least_norm_weights(
+    paths: Sequence[Sequence[int]], times: Sequence[Fraction], num_edges: int
+) -> tuple[tuple[int, ...], int]:
+    """Exact ``w = B^T (B B^T)^-1 t``, as ``(numerators, denominator)``.
+
+    ``paths[i]`` lists the edges of path ``i``.  ``B B^T`` is the integer
+    Gram matrix ``|edges_i & edges_j|``, positive definite for independent
+    paths, so fraction-free (Bareiss) elimination needs no pivoting and
+    its last pivot is the determinant.  With ``t`` scaled by the lcm of
+    its denominators, ``det * y`` is integral (Cramer's rule) and every
+    division is exact.  Raises :class:`InductionError` on dependent paths.
+    """
+    scale = math.lcm(*(time.denominator for time in times))
+    edge_sets = [frozenset(edges) for edges in paths]
+    size = len(edge_sets)
+    rows = [
+        [len(edges & other) for other in edge_sets] + [int(time * scale)]
+        for edges, time in zip(edge_sets, times)
+    ]
+    previous = 1
+    for k in range(size):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            raise InductionError("the basis paths are linearly dependent")
+        for i in range(k + 1, size):
+            row = rows[i]
+            factor = row[k]
+            for j in range(k + 1, size + 1):
+                row[j] = (pivot * row[j] - factor * pivot_row[j]) // previous
+        previous = pivot
+    determinant = previous
+    solution = [0] * size  # det * y
+    for k in reversed(range(size)):
+        row = rows[k]
+        rest = sum(row[j] * solution[j] for j in range(k + 1, size))
+        solution[k] = (determinant * row[size] - rest) // row[k]
+    numerators = [0] * num_edges
+    for edges, value in zip(edge_sets, solution):
+        for edge in edges:
+            numerators[edge] += value
+    denominator = determinant * scale
+    divisor = math.gcd(denominator, *numerators)
+    return tuple(value // divisor for value in numerators), denominator // divisor

@@ -10,8 +10,9 @@ along path ``x`` is ``x . (w + pi)``.
 
 This module provides:
 
-* :class:`WeightPerturbationModel` — a learned ``w`` (plus the hypothesis
-  parameters), able to predict the time of any path and to rank paths;
+* :class:`WeightPerturbationModel` — a learned ``w`` held exactly (plus the
+  hypothesis parameters), able to predict the time of any path and to
+  find the predicted worst-case path;
 * :class:`WeightPerturbationHypothesis` — the corresponding
   :class:`~repro.core.hypothesis.StructureHypothesis`, used in the
   procedure's soundness certificate.
@@ -19,10 +20,8 @@ This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from fractions import Fraction
 
 from repro.core.hypothesis import StructureHypothesis
 from repro.cfg.graph import ControlFlowGraph
@@ -34,51 +33,37 @@ class WeightPerturbationModel:
     """A learned program-specific timing model of the platform.
 
     Attributes:
-        edge_weights: the estimated path-independent weight vector ``w``
-            (one entry per CFG edge).
+        weights: numerators of the estimated path-independent weight
+            vector ``w`` (one entry per CFG edge); edge ``e`` weighs
+            ``weights[e] / denominator`` cycles.
+        denominator: the positive common denominator of ``weights``.
         mu_max: assumed bound on the mean perturbation along any path.
         rho: assumed margin by which the worst-case path is the unique
             longest path (worst-case analysis only).
-        basis_vectors: the basis-path indicator vectors the model was
-            fitted from.
-        basis_times: the (averaged) end-to-end measurements of the basis
-            paths.
     """
 
-    edge_weights: np.ndarray
+    weights: tuple[int, ...]
+    denominator: int = 1
     mu_max: float = 0.0
     rho: float = 0.0
-    basis_vectors: list[np.ndarray] = field(default_factory=list)
-    basis_times: list[float] = field(default_factory=list)
 
     @property
     def num_edges(self) -> int:
         """Number of CFG edges the model covers."""
-        return int(self.edge_weights.shape[0])
+        return len(self.weights)
 
-    def predict_path_time(self, path: Path) -> float:
-        """Predicted execution time of ``path`` (cycles)."""
-        return float(path.vector(self.num_edges) @ self.edge_weights)
+    def predict_path_time(self, path: Path) -> Fraction:
+        """Predicted execution time of ``path`` (cycles), exactly."""
+        return Fraction(sum(self.weights[e] for e in path.edges), self.denominator)
 
-    def predict_vector_time(self, vector: np.ndarray) -> float:
-        """Predicted execution time of a path given as an indicator vector."""
-        return float(np.asarray(vector, dtype=float) @ self.edge_weights)
-
-    def predict_many(self, paths: Sequence[Path]) -> list[float]:
-        """Predicted times for several paths."""
-        return [self.predict_path_time(path) for path in paths]
-
-    def longest_path(self, cfg: ControlFlowGraph) -> tuple[float, list[int]]:
+    def longest_path(self, cfg: ControlFlowGraph) -> tuple[Fraction, list[int]]:
         """Predicted worst-case path of ``cfg`` under the learned weights.
 
         Returns:
             ``(predicted_time, edge_indices)``.
         """
-        return cfg.extremal_path(list(self.edge_weights), longest=True)
-
-    def shortest_path(self, cfg: ControlFlowGraph) -> tuple[float, list[int]]:
-        """Predicted best-case path of ``cfg`` under the learned weights."""
-        return cfg.extremal_path(list(self.edge_weights), longest=False)
+        total, edges = cfg.extremal_path(self.weights, longest=True)
+        return Fraction(total, self.denominator), edges
 
 
 class WeightPerturbationHypothesis(StructureHypothesis[WeightPerturbationModel]):

@@ -253,6 +253,7 @@ class SwitchingLogicSynthesizer(SciductionProcedure[SwitchingLogic]):
         }
 
     def _run(self, **_: object) -> SciductionResult[SwitchingLogic]:
+        simulations_before = self.reachability.simulations
         report = self.synthesize()
         success = all(
             not box.is_empty
@@ -263,6 +264,7 @@ class SwitchingLogicSynthesizer(SciductionProcedure[SwitchingLogic]):
             artifact=report.switching_logic,
             iterations=report.iterations,
             oracle_queries=report.labeling_queries,
+            deductive_queries=self.reachability.simulations - simulations_before,
             details={
                 "guards": report.describe(),
                 "corner_checks_passed": report.corner_checks_passed,

@@ -70,16 +70,6 @@ def interchange_obfuscated(values: Sequence[int], width: int = 32) -> tuple[int,
     return src, dest
 
 
-def _interchange_obfuscated_matches_swap(width: int = 8) -> bool:  # pragma: no cover
-    """Development aid: confirm the transcription swaps on all 8-bit pairs."""
-    mask = _mask(width)
-    for src in range(mask + 1):
-        for dest in range(mask + 1):
-            if interchange_obfuscated((src, dest), width) != (dest, src):
-                return False
-    return True
-
-
 def interchange_reference(values: Sequence[int], width: int = 32) -> tuple[int, int]:
     """The deobfuscated ``interchange`` of Figure 8 (P1): the XOR swap."""
     mask = _mask(width)

@@ -113,10 +113,6 @@ class LoopFreeProgram:
             values.append(instance.component.apply(arguments, width))
         return tuple(values[line] for line in self.output_lines)
 
-    def as_function(self, width: int | None = None) -> Callable[[Sequence[int]], tuple[int, ...]]:
-        """Return a plain callable view of the program."""
-        return lambda inputs: self.run(inputs, width=width)
-
     # -- pretty printing ----------------------------------------------------------
 
     def pretty(self, function_name: str = "synthesized") -> str:

@@ -22,6 +22,7 @@ paper reports sub-second synthesis for both Figure 8 benchmarks).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -93,6 +94,8 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
             budget-exhausted jobs resumable.  When given, the random
             initial-example phase is skipped (the loop already has
             evidence to work from).
+        max_examples: optional bound on the examples the run holds; a
+            round that needs one more ends the loop as budget exhausted.
     """
 
     name = "oracle-guided-component-synthesis"
@@ -108,6 +111,7 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
         config=None,
         lease=None,
         examples: Sequence[IOExample] | None = None,
+        max_examples: int | None = None,
     ):
         self.library = list(library)
         self.oracle = oracle
@@ -122,6 +126,7 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
         )
         self.max_iterations = max_iterations
         self.initial_examples = max(1, initial_examples)
+        self.max_examples = max_examples
         self._rng = random.Random(seed)
         self.trace = SynthesisTrace()
         if examples:
@@ -198,10 +203,11 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
         Raises:
             UnrealizableError: when no composition of the library is
                 consistent with the gathered examples.
-            BudgetExceededError: when ``max_iterations`` is exhausted, or
-                when a solver-level conflict budget / deadline preempts a
-                query; either way the error carries the learned example
-                set in its ``partial`` payload so the job can be resumed.
+            BudgetExceededError: when ``max_iterations`` or
+                ``max_examples`` is exhausted, or when a solver-level
+                conflict budget / deadline preempts a query; either way
+                the error carries the learned example set in its
+                ``partial`` payload so the job can be resumed.
         """
         if not self.trace.examples:
             seen: set[tuple[int, ...]] = set()
@@ -224,6 +230,10 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
                         f"in{i}" for i in range(self.oracle.num_inputs)
                     )
                     return candidate
+                if len(self.trace.examples) >= (self.max_examples or math.inf):
+                    raise BudgetExceededError(
+                        f"OGIS needs more than {self.max_examples} examples"
+                    )
                 self.trace.distinguishing_inputs.append(distinguishing)
                 self._query_oracle(distinguishing)
         except BudgetExceededError as error:
@@ -247,6 +257,7 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
         }
 
     def _run(self, **_: object) -> SciductionResult[LoopFreeProgram]:
+        statistics = self.encoder.statistics
         try:
             program = self.synthesize()
         except UnrealizableError:
@@ -255,6 +266,9 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
                 artifact=None,
                 iterations=self.trace.iterations,
                 oracle_queries=self.trace.oracle_queries,
+                deductive_queries=(
+                    statistics.synthesis_queries + statistics.distinguishing_queries
+                ),
                 details={"outcome": "infeasibility-reported"},
             )
         smt_statistics = self.encoder.smt_statistics()
@@ -263,10 +277,13 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
             artifact=program,
             iterations=self.trace.iterations,
             oracle_queries=self.trace.oracle_queries,
+            deductive_queries=(
+                statistics.synthesis_queries + statistics.distinguishing_queries
+            ),
             details={
                 "program": program.pretty(),
-                "synthesis_queries": self.encoder.statistics.synthesis_queries,
-                "distinguishing_queries": self.encoder.statistics.distinguishing_queries,
+                "synthesis_queries": statistics.synthesis_queries,
+                "distinguishing_queries": statistics.distinguishing_queries,
                 "smt_variables_generated": smt_statistics.variables_generated,
                 "smt_clauses_generated": smt_statistics.clauses_generated,
             },

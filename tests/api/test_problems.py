@@ -18,7 +18,8 @@ from repro.api import (
     register_problem_type,
     timing_program_names,
 )
-from repro.core.exceptions import ReproError
+from repro.api import problems
+from repro.core.exceptions import BudgetExceededError, ReproError
 
 
 class TestSpecRoundTrips:
@@ -142,3 +143,26 @@ class TestResumableExamples:
             (list(example.inputs), list(example.outputs))
             for example in procedure.trace.examples
         ] == [([3], [7])]
+
+    def test_a_runs_own_partial_examples_always_decode(self, monkeypatch):
+        # multiply45/w4/seed0 converges on its second example.  Under a
+        # one-example bound the first round stops before it queries that
+        # example, so the partial stays within the bound, decodes as a
+        # resubmission, and the resubmission stops the same way.
+        monkeypatch.setattr(problems, "MAX_DEOBFUSCATION_EXAMPLES", 1)
+        spec = DeobfuscationProblem(task="multiply45", width=4, seed=0, max_iterations=1)
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError, match="more than 1 examples") as excinfo:
+                spec.build().synthesize()
+            examples = excinfo.value.partial["examples"]
+            assert len(examples) == 1
+            spec = DeobfuscationProblem(
+                task="multiply45", width=4, seed=0, max_iterations=1, examples=examples
+            )
+
+    def test_example_bounds_are_accepted(self):
+        bound = problems.MAX_DEOBFUSCATION_EXAMPLES
+        DeobfuscationProblem(
+            task="interchange", width=4, max_iterations=bound, initial_examples=bound
+        )
+        DeobfuscationProblem(task="multiply45", width=4, examples=[[[3], [7]]] * bound)

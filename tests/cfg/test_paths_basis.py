@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.api import timing_program_names
@@ -16,7 +15,6 @@ from repro.cfg import (
     conditional_cascade,
     enumerate_paths,
     execution_path,
-    expansion_coefficients,
     extract_basis_paths,
     figure4_toy,
     modular_exponentiation,
@@ -25,6 +23,10 @@ from repro.cfg import (
 )
 from repro.cfg import programs
 from repro.cfg.ssa import PathConstraintBuilder
+
+
+def _indicator(path, num_edges):
+    return [1 if edge in path.edges else 0 for edge in range(num_edges)]
 
 
 class TestPathEnumeration:
@@ -56,13 +58,6 @@ class TestPathEnumeration:
         path = execution_path(cfg, {"a": 30000, "b": 30000})
         assert path.nodes[0] == cfg.entry and path.nodes[-1] == cfg.exit
 
-    def test_vector_indicator(self):
-        cfg = build_cfg(saturating_add())
-        path = next(enumerate_paths(cfg))
-        vector = path.vector(cfg.num_edges)
-        assert set(np.unique(vector)) <= {0.0, 1.0}
-        assert vector.sum() == len(path.edges)
-
 
 class TestRankTracker:
     def test_rank_increases_only_for_independent_vectors(self):
@@ -89,7 +84,7 @@ class TestRankTracker:
         with pytest.raises(CompilationError):
             tracker.would_increase_rank([1, 1e-10])
         with pytest.raises(CompilationError):
-            tracker.add(np.array([0.5, 0.0]))
+            tracker.add([Fraction(1, 2), 0])
         with pytest.raises(CompilationError):
             tracker.add([float("nan"), 0])
         assert tracker.rank == 1
@@ -152,23 +147,6 @@ class TestRankTrackerDifferential:
                 assert tracker.rank == rank
 
 
-class TestExpansionCoefficients:
-    def test_exact_expansion(self):
-        basis = [np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0])]
-        target = np.array([1.0, 1.0, 2.0])
-        coefficients = expansion_coefficients(basis, target)
-        assert np.allclose(coefficients, [1.0, 1.0])
-
-    def test_outside_span_rejected(self):
-        basis = [np.array([1.0, 0.0, 0.0])]
-        with pytest.raises(CompilationError):
-            expansion_coefficients(basis, np.array([0.0, 1.0, 0.0]))
-
-    def test_empty_basis_rejected(self):
-        with pytest.raises(CompilationError):
-            expansion_coefficients([], np.array([1.0, 0.0]))
-
-
 class TestBasisExtraction:
     def test_modexp_basis_size_and_tests(self):
         program = modular_exponentiation(5, 16)
@@ -185,10 +163,13 @@ class TestBasisExtraction:
         program = modular_exponentiation(4, 16)
         cfg = build_cfg(program)
         result = extract_basis_paths(cfg)
-        vectors = result.vectors(cfg.num_edges)
+        assert result.complete
+        tracker = RationalRankTracker(cfg.num_edges)
+        for feasible in result.basis:
+            assert tracker.add(_indicator(feasible.path, cfg.num_edges))
+        # A complete basis spans every path: none raises the rank.
         for path in enumerate_paths(cfg):
-            coefficients = expansion_coefficients(vectors, path.vector(cfg.num_edges))
-            assert len(coefficients) == len(vectors)
+            assert not tracker.would_increase_rank(_indicator(path, cfg.num_edges))
 
     def test_structural_extraction_without_feasibility(self):
         cfg = build_cfg(conditional_cascade(4))

@@ -1,11 +1,19 @@
 """Tests for the GameTime timing-analysis application (paper Section 3)."""
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path as FilePath
+
 import numpy as np
 import pytest
 
 from repro.cfg import build_cfg, conditional_cascade, modular_exponentiation, saturating_add
+from repro.cfg import programs
 from repro.cfg.basis import extract_basis_paths
-from repro.cfg.paths import enumerate_paths
+from repro.cfg.paths import Path, enumerate_paths
+from repro.core import InductionError
 from repro.gametime import (
     ExhaustiveEstimator,
     GameTime,
@@ -14,7 +22,12 @@ from repro.gametime import (
     WeightPerturbationHypothesis,
     WeightPerturbationModel,
 )
+from repro.gametime.learner import least_norm_weights
 from repro.platform import MeasurementHarness, PerturbationModel, TimingOracle
+
+REPO = FilePath(__file__).resolve().parents[2]
+sys.path.insert(0, str(REPO / "perfbench"))
+from catalogue import GAMETIME_SHAPES  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -27,25 +40,39 @@ def modexp_gametime():
 
 class TestModel:
     def test_prediction_is_linear_in_edges(self):
-        weights = np.array([1.0, 2.0, 3.0])
-        model = WeightPerturbationModel(edge_weights=weights)
-        from repro.cfg.paths import Path
-
+        model = WeightPerturbationModel(weights=(1, 2, 3), denominator=2)
         path = Path(edges=(0, 2), nodes=(0, 1, 2))
-        assert model.predict_path_time(path) == pytest.approx(4.0)
-        assert model.predict_vector_time(np.array([1, 1, 1])) == pytest.approx(6.0)
+        assert model.predict_path_time(path) == Fraction(2)
 
     def test_hypothesis_membership(self):
         hypothesis = WeightPerturbationHypothesis(num_edges=3, mu_max=5.0, rho=1.0)
-        inside = WeightPerturbationModel(
-            edge_weights=np.zeros(3), mu_max=5.0, rho=1.0
-        )
-        wrong_size = WeightPerturbationModel(edge_weights=np.zeros(4), mu_max=5.0, rho=1.0)
-        too_noisy = WeightPerturbationModel(edge_weights=np.zeros(3), mu_max=9.0, rho=1.0)
+        inside = WeightPerturbationModel(weights=(0, 0, 0), mu_max=5.0, rho=1.0)
+        wrong_size = WeightPerturbationModel(weights=(0,) * 4, mu_max=5.0, rho=1.0)
+        too_noisy = WeightPerturbationModel(weights=(0, 0, 0), mu_max=9.0, rho=1.0)
         assert hypothesis.contains(inside)
         assert not hypothesis.contains(wrong_size)
         assert not hypothesis.contains(too_noisy)
         assert hypothesis.is_strict_restriction() is True
+
+
+def _lstsq_reference(basis, averages, num_edges):
+    """The float least-norm fit the exact one replaces: ``np.linalg.lstsq``."""
+    matrix = np.zeros((len(basis), num_edges))
+    for row, feasible in enumerate(basis):
+        matrix[row, list(feasible.path.edges)] = 1.0
+    times = np.array([float(average) for average in averages])
+    weights, _, _, _ = np.linalg.lstsq(matrix, times, rcond=None)
+    return weights
+
+
+#: The distinct programs of the ``gametime-sweep`` shape catalogue.
+SWEEP_PROGRAMS = list(
+    {repr((name, args)): (name, args) for name, args, _ in GAMETIME_SHAPES}.values()
+)
+
+#: (program label, width) -> the lstsq reference's worst path, for the
+#: cases where it differs from the exact fit's only by an exact tie.
+LSTSQ_TIES: dict = {}
 
 
 class TestLearner:
@@ -64,8 +91,67 @@ class TestLearner:
             seed=0,
         )
         model = learner.infer()
-        for vector, measured in zip(model.basis_vectors, model.basis_times):
-            assert model.predict_vector_time(vector) == pytest.approx(measured, abs=1e-6)
+        averages = learner.measurements.averages()
+        assert all(isinstance(average, Fraction) for average in averages)
+        for feasible, measured in zip(learner.basis, averages, strict=True):
+            assert model.predict_path_time(feasible.path) == measured
+
+    def test_least_norm_fit_on_a_small_system(self):
+        # Two paths sharing edge 2: x0 = (1, 0, 1), x1 = (0, 1, 1).  The
+        # least-norm w of x0.w = 3, x1.w = 5/2 is B^T (B B^T)^-1 t with
+        # B B^T = [[2, 1], [1, 2]]: y = (7/6, 2/3), w = (7/6, 2/3, 11/6).
+        weights, denominator = least_norm_weights(
+            [(0, 2), (1, 2)], [Fraction(3), Fraction(5, 2)], 3
+        )
+        assert (weights, denominator) == ((7, 4, 11), 6)
+
+    def test_dependent_paths_are_rejected(self):
+        with pytest.raises(InductionError):
+            least_norm_weights([(0, 1), (0, 1)], [Fraction(1), Fraction(1)], 2)
+
+    @pytest.mark.parametrize("width", [16, 23, 31])
+    @pytest.mark.parametrize(
+        "name,args",
+        SWEEP_PROGRAMS,
+        ids=[f"{name}{args}" for name, args in SWEEP_PROGRAMS],
+    )
+    def test_exact_fit_matches_lstsq_reference(self, name, args, width):
+        analysis = GameTime(getattr(programs, name)(**args, word_width=width))
+        model = analysis.prepare()
+        learner = analysis.learner
+        averages = learner.measurements.averages()
+        reference = _lstsq_reference(learner.basis, averages, analysis.cfg.num_edges)
+        exact = [Fraction(value, model.denominator) for value in model.weights]
+        assert max(abs(float(w) - r) for w, r in zip(exact, reference)) < 1e-9
+        for feasible, measured in zip(learner.basis, averages, strict=True):
+            assert model.predict_path_time(feasible.path) == measured
+        predicted, edges = model.longest_path(analysis.cfg)
+        _, reference_edges = analysis.cfg.extremal_path(list(reference), longest=True)
+        if reference_edges != edges:
+            assert LSTSQ_TIES[f"{name}{args}", width] == reference_edges
+            tied = Path(tuple(reference_edges), ())
+            assert model.predict_path_time(tied) == predicted
+
+    def test_timing_job_does_not_import_numpy(self):
+        code = (
+            "import sys\n"
+            "from repro.api import SciductionEngine\n"
+            "with SciductionEngine() as engine:\n"
+            "    result = engine.run({'kind': 'timing-analysis',"
+            " 'program': 'figure4_toy', 'program_args': {'word_width': 16},"
+            " 'bound': 66})\n"
+            "assert result.success, result\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        environment = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env=environment,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
 
     def test_every_basis_path_measured_at_least_once(self):
         program = conditional_cascade(3)

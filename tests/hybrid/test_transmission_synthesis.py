@@ -110,6 +110,18 @@ class TestEq3Synthesis:
         assert result.oracle_queries > 0
         assert "hyperbox" in result.certificate.statement()
 
+    def test_deductive_queries_counted(self):
+        setup = make_transmission_synthesizer(
+            dwell_time=0.0, omega_step=0.25, integration_step=0.05, horizon=50.0
+        )
+        reachability = setup.synthesizer.reachability
+        first = setup.synthesizer.run()
+        assert first.deductive_queries == reachability.simulations > 0
+        # Each job counts only its own simulations on a shared oracle.
+        before = reachability.simulations
+        second = setup.synthesizer.run()
+        assert second.deductive_queries == reachability.simulations - before > 0
+
     def test_describe_table1_row(self):
         setup = make_transmission_synthesizer(omega_step=0.5)
         description = setup.synthesizer.describe()

@@ -116,6 +116,25 @@ class TestOgisSynthesizer:
         assert "loop-free" in result.certificate.statement()
         assert "program" in result.details
 
+    def test_deductive_queries_counted(self):
+        oracle = _oracle(lambda v: ((v[0] + v[1]) % 16,), 2, 1)
+        result = OgisSynthesizer([component_add()], oracle, width=4, seed=9).run()
+        details = result.details
+        assert result.deductive_queries == (
+            details["synthesis_queries"] + details["distinguishing_queries"]
+        )
+        assert result.deductive_queries >= 2
+        # The infeasibility branch reports its SMT checks too.
+        oracle = _oracle(lambda v: ((v[0] + 1) % 16,), 1, 1)
+        synthesizer = OgisSynthesizer([component_xor(), component_xor()], oracle, width=4, seed=1)
+        result = synthesizer.run()
+        statistics = synthesizer.encoder.statistics
+        assert not result.success
+        assert result.deductive_queries == (
+            statistics.synthesis_queries + statistics.distinguishing_queries
+        )
+        assert result.deductive_queries >= 1
+
     def test_hypothesis_membership_of_result(self):
         library = [component_add(), component_xor()]
         oracle = _oracle(lambda v: (((v[0] + v[1]) ^ v[0]) % 16,), 2, 1)

@@ -217,6 +217,15 @@ class TestHttpSurface:
             {"problem": {**DEOB, "examples": [[[1], [5]]]}},
         )
         assert status == 400 and "'examples'[0] disagrees with the oracle" in error["error"]
+        # Every seed example is one more library copy in each SMT query;
+        # an unbounded example count used to run for minutes as a job.
+        status, error = call(
+            service,
+            "POST",
+            "/jobs",
+            {"problem": {**DEOB, "width": 8, "initial_examples": 128}},
+        )
+        assert status == 400 and "'initial_examples' must be at most 64" in error["error"]
 
     def test_keepalive_survives_error_replies(self, service):
         """Error paths must drain unread request bodies: under HTTP/1.1

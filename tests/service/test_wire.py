@@ -155,6 +155,8 @@ class TestParseJobRequest:
             ({"width": 65}, "at most 64"),
             ({"max_iterations": 0}, "at least 1"),
             ({"max_iterations": -1}, "at least 1"),
+            ({"max_iterations": 65}, "at most 64"),
+            ({"initial_examples": 65, "width": 8}, "at most 64"),
             ({"initial_examples": 1.5}, "integer"),
             ({"initial_examples": -2}, "at least 1"),
             # multiply45 at width 4 has 16 distinct inputs to draw from.
@@ -169,6 +171,7 @@ class TestParseJobRequest:
             ({"examples": [[[-1], [3]]]}, "[0, 2**width)"),
             ({"examples": [[[True], [13]]]}, "[0, 2**width)"),
             ({"examples": [[[1], [13.0]]]}, "[0, 2**width)"),
+            ({"examples": [[[3], [7]]] * 65}, "at most 64 examples"),
             # The oracle maps 1 to 45 mod 16 = 13 at width 4.
             ({"examples": [[[1], [5]]]}, "disagrees with the oracle"),
             ({"examples": [[[3], [7]], [[1], [5]]]}, "'examples'[1] disagrees"),
