@@ -202,14 +202,6 @@ def _deobfuscation_tasks() -> dict:
 #: Figure 8 programs are 32-bit).
 MAX_DEOBFUSCATION_WIDTH = 64
 
-#: Most I/O examples a deobfuscation run may hold: the ceiling of
-#: ``initial_examples``, seeded ``examples`` and ``max_iterations``.  Each
-#: example adds a library copy to every SMT query, so job time grows about
-#: linearly (shared 2-core host: ``interchange`` at width 4 takes 6.3 s with
-#: 64 seed examples, ``multiply45`` at width 8 takes 5, 24 and 49 s with 1,
-#: 16 and 32).  64 leaves a default run (1 seed, 32 rounds) unclipped.
-MAX_DEOBFUSCATION_EXAMPLES = 64
-
 
 @register_problem_type
 @dataclass
@@ -230,8 +222,8 @@ class DeobfuscationProblem(ProblemSpec):
             Resubmitting with them makes the job *resumable*: synthesis
             continues from the learned evidence instead of restarting
             from zero.  These three are at most
-            :data:`MAX_DEOBFUSCATION_EXAMPLES`, and so is every run's
-            example set, so a run's own ``partial["examples"]`` decodes.
+            :data:`repro.ogis.synthesizer.MAX_EXAMPLES`, and so is every
+            run's example set, so a run's ``partial["examples"]`` decodes.
     """
 
     kind: ClassVar[str] = "deobfuscation"
@@ -249,6 +241,8 @@ class DeobfuscationProblem(ProblemSpec):
         # is a 400 at submission instead of a failure deep inside the
         # synthesis loop, and a seeded example the oracle disagrees with
         # is refused instead of steering synthesis to a wrong program.
+        from repro.ogis.synthesizer import MAX_EXAMPLES
+
         tasks = _deobfuscation_tasks()
         if not isinstance(self.task, str) or self.task not in tasks:
             raise ReproError(
@@ -261,11 +255,8 @@ class DeobfuscationProblem(ProblemSpec):
                 raise ReproError(f"{name!r} must be an integer, got {type(value).__name__}")
             if name != "seed" and value < 1:
                 raise ReproError(f"{name!r} must be at least 1, got {value}")
-            bounded = name in ("max_iterations", "initial_examples")
-            if bounded and value > MAX_DEOBFUSCATION_EXAMPLES:
-                raise ReproError(
-                    f"{name!r} must be at most {MAX_DEOBFUSCATION_EXAMPLES}, got {value}"
-                )
+            if name in ("max_iterations", "initial_examples") and value > MAX_EXAMPLES:
+                raise ReproError(f"{name!r} must be at most {MAX_EXAMPLES}, got {value}")
         # Checking a seeded example runs the oracle at this width, so the
         # width is bounded before any example is looked at.
         if self.width > MAX_DEOBFUSCATION_WIDTH:
@@ -283,10 +274,9 @@ class DeobfuscationProblem(ProblemSpec):
             )
         if not isinstance(self.examples, list):
             raise ReproError(f"'examples' must be a list, got {type(self.examples).__name__}")
-        if len(self.examples) > MAX_DEOBFUSCATION_EXAMPLES:
+        if len(self.examples) > MAX_EXAMPLES:
             raise ReproError(
-                f"'examples' must hold at most {MAX_DEOBFUSCATION_EXAMPLES} examples, "
-                f"got {len(self.examples)}"
+                f"'examples' must hold at most {MAX_EXAMPLES} examples, got {len(self.examples)}"
             )
         mask = (1 << self.width) - 1
         for index, example in enumerate(self.examples):
@@ -348,7 +338,6 @@ class DeobfuscationProblem(ProblemSpec):
                 IOExample(inputs=tuple(inputs), outputs=tuple(outputs))
                 for inputs, outputs in self.examples
             ],
-            max_examples=MAX_DEOBFUSCATION_EXAMPLES,
         )
 
     def finish(

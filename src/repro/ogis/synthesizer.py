@@ -22,7 +22,6 @@ paper reports sub-second synthesis for both Figure 8 benchmarks).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -39,6 +38,14 @@ from repro.ogis.encoding import IOExample, SynthesisEncoder
 from repro.ogis.oracle import ProgramIOOracle
 from repro.ogis.program import LoopFreeProgram
 
+#: Most I/O examples one OGIS run holds; a round that needs one more ends
+#: the run as budget exhausted, so a run's ``partial["examples"]`` stays
+#: within it.  Each example adds a library copy to every SMT query, so job
+#: time grows about linearly (shared 2-core host: ``interchange`` at width
+#: 4 takes 6.3 s with 64 seed examples, ``multiply45`` at width 8 takes 5,
+#: 24 and 49 s with 1, 16 and 32).  64 leaves a default run (1 seed
+#: example, 32 rounds) unclipped.
+MAX_EXAMPLES = 64
 
 def component_library_hypothesis(library: Sequence[Component]) -> StructureHypothesis:
     """The structure hypothesis of Section 4: loop-free compositions of L."""
@@ -94,8 +101,6 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
             budget-exhausted jobs resumable.  When given, the random
             initial-example phase is skipped (the loop already has
             evidence to work from).
-        max_examples: optional bound on the examples the run holds; a
-            round that needs one more ends the loop as budget exhausted.
     """
 
     name = "oracle-guided-component-synthesis"
@@ -111,7 +116,6 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
         config=None,
         lease=None,
         examples: Sequence[IOExample] | None = None,
-        max_examples: int | None = None,
     ):
         self.library = list(library)
         self.oracle = oracle
@@ -126,7 +130,6 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
         )
         self.max_iterations = max_iterations
         self.initial_examples = max(1, initial_examples)
-        self.max_examples = max_examples
         self._rng = random.Random(seed)
         self.trace = SynthesisTrace()
         if examples:
@@ -204,7 +207,7 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
             UnrealizableError: when no composition of the library is
                 consistent with the gathered examples.
             BudgetExceededError: when ``max_iterations`` or
-                ``max_examples`` is exhausted, or when a solver-level
+                :data:`MAX_EXAMPLES` is exhausted, or when a solver-level
                 conflict budget / deadline preempts a query; either way
                 the error carries the learned example set in its
                 ``partial`` payload so the job can be resumed.
@@ -230,10 +233,8 @@ class OgisSynthesizer(SciductionProcedure[LoopFreeProgram]):
                         f"in{i}" for i in range(self.oracle.num_inputs)
                     )
                     return candidate
-                if len(self.trace.examples) >= (self.max_examples or math.inf):
-                    raise BudgetExceededError(
-                        f"OGIS needs more than {self.max_examples} examples"
-                    )
+                if len(self.trace.examples) >= MAX_EXAMPLES:
+                    raise BudgetExceededError(f"OGIS needs more than {MAX_EXAMPLES} examples")
                 self.trace.distinguishing_inputs.append(distinguishing)
                 self._query_oracle(distinguishing)
         except BudgetExceededError as error:

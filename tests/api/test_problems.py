@@ -18,7 +18,7 @@ from repro.api import (
     register_problem_type,
     timing_program_names,
 )
-from repro.api import problems
+from repro.ogis import synthesizer
 from repro.core.exceptions import BudgetExceededError, ReproError
 
 
@@ -149,7 +149,7 @@ class TestResumableExamples:
         # one-example bound the first round stops before it queries that
         # example, so the partial stays within the bound, decodes as a
         # resubmission, and the resubmission stops the same way.
-        monkeypatch.setattr(problems, "MAX_DEOBFUSCATION_EXAMPLES", 1)
+        monkeypatch.setattr(synthesizer, "MAX_EXAMPLES", 1)
         spec = DeobfuscationProblem(task="multiply45", width=4, seed=0, max_iterations=1)
         for _ in range(2):
             with pytest.raises(BudgetExceededError, match="more than 1 examples") as excinfo:
@@ -161,7 +161,7 @@ class TestResumableExamples:
             )
 
     def test_example_bounds_are_accepted(self):
-        bound = problems.MAX_DEOBFUSCATION_EXAMPLES
+        bound = synthesizer.MAX_EXAMPLES
         DeobfuscationProblem(
             task="interchange", width=4, max_iterations=bound, initial_examples=bound
         )
