@@ -42,9 +42,9 @@ from repro.ogis.program import LoopFreeProgram
 #: the run as budget exhausted, so a run's ``partial["examples"]`` stays
 #: within it.  Each example adds a library copy to every SMT query, so job
 #: time grows about linearly (shared 2-core host: ``interchange`` at width
-#: 4 takes 6.3 s with 64 seed examples, ``multiply45`` at width 8 takes 5,
-#: 24 and 49 s with 1, 16 and 32).  64 leaves a default run (1 seed
-#: example, 32 rounds) unclipped.
+#: 4 takes 6.3 s with 64 seed examples, ``multiply45`` at width 8 takes
+#: 4.5, 22, 49 and 66 s with 1, 16, 32 and 64).  64 leaves a default run
+#: (1 seed example, 32 rounds) unclipped.
 MAX_EXAMPLES = 64
 
 def component_library_hypothesis(library: Sequence[Component]) -> StructureHypothesis:
