@@ -44,6 +44,9 @@ exits non-zero):
 * pooled wall time is at most per-job-fresh wall time on the batch
   stream (enforced on the full 8-job stream; the quick stream records
   the ratio without gating, it is too short to time reliably in CI).
+  The ratio is the median over ``RATIO_PAIRS`` alternating pooled/fresh
+  child runs of each pair's pooled/fresh ratio, so a host slowing down
+  or speeding up mid-run moves both halves of a pair alike.
 
 ``--output`` rewrites only the keys this suite produces: top-level blocks
 merged in by other tools (e.g. ``cluster`` from ``bench_cluster_load.py``)
@@ -66,6 +69,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from statistics import median
 
 _ROOT = Path(__file__).resolve().parent.parent
 if str(_ROOT / "src") not in sys.path:  # standalone execution support
@@ -408,9 +412,9 @@ def _run_engine_batch(reuse_sessions: bool, quick: bool, workers: int = 1) -> di
 
 
 def _run_engine_batch_isolated(
-    reuse_sessions: bool, quick: bool, workers: int = 1, repeats: int = 1
+    reuse_sessions: bool, quick: bool, workers: int = 1
 ) -> dict:
-    """Run ``_run_engine_batch`` in a fresh subprocess, best-of-``repeats``.
+    """Run ``_run_engine_batch`` in a fresh subprocess.
 
     Isolation matters for the wall-time comparison: a pooled engine
     freezes its warm sessions out of the cyclic GC (``gc.freeze``) and
@@ -421,23 +425,15 @@ def _run_engine_batch_isolated(
     spec = json.dumps(
         {"reuse_sessions": reuse_sessions, "quick": quick, "workers": workers}
     )
-    best: dict | None = None
-    for _ in range(repeats):
-        process = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), "--batch-child", spec],
-            capture_output=True,
-            text=True,
-            cwd=str(_ROOT),
-        )
-        if process.returncode != 0:
-            raise RuntimeError(
-                f"batch child failed:\n{process.stderr[-2000:]}"
-            )
-        record = json.loads(process.stdout.strip().splitlines()[-1])
-        if best is None or record["seconds"] < best["seconds"]:
-            best = record
-    assert best is not None
-    return best
+    process = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--batch-child", spec],
+        capture_output=True,
+        text=True,
+        cwd=str(_ROOT),
+    )
+    if process.returncode != 0:
+        raise RuntimeError(f"batch child failed:\n{process.stderr[-2000:]}")
+    return json.loads(process.stdout.strip().splitlines()[-1])
 
 
 def _batch_child_main(spec_json: str) -> int:
@@ -568,6 +564,11 @@ def run_scheduler_throughput() -> dict:
     return json.loads(process.stdout.strip().splitlines()[-1])
 
 
+#: Alternating pooled/fresh child-run pairs behind the gated wall-time
+#: ratio (the quick stream, which is not gated, runs one pair).
+RATIO_PAIRS = 5
+
+
 def run_batch_throughput(quick: bool = False) -> dict:
     """Pooled vs per-job-fresh vs parallel engine runs over one job stream.
 
@@ -579,10 +580,26 @@ def run_batch_throughput(quick: bool = False) -> dict:
     all three, the SAT work (variables, clauses) and the wall time must
     not exceed fresh when pooled, and the parallel run's results must be
     byte-identical to the sequential pooled run's.
+
+    Pooled and fresh children run in alternating pairs; the recorded
+    ratio is the median of the per-pair ratios, and each mode's
+    ``seconds`` is its median run.  Every run of a mode does the same
+    work, so the counts come from the first.
     """
-    repeats = 1 if quick else 2
-    pooled = _run_engine_batch_isolated(True, quick, repeats=repeats)
-    fresh = _run_engine_batch_isolated(False, quick, repeats=repeats)
+    pairs = [
+        (
+            _run_engine_batch_isolated(True, quick),
+            _run_engine_batch_isolated(False, quick),
+        )
+        for _ in range(1 if quick else RATIO_PAIRS)
+    ]
+    ratios = [
+        pooled_run["seconds"] / fresh_run["seconds"] if fresh_run["seconds"] else 0.0
+        for pooled_run, fresh_run in pairs
+    ]
+    pooled, fresh = pairs[0]
+    pooled["seconds"] = median(run["seconds"] for run, _ in pairs)
+    fresh["seconds"] = median(run["seconds"] for _, run in pairs)
     parallel = _run_engine_batch_isolated(True, quick, workers=2)
     pooled_wires = pooled.pop("result_wires")
     fresh_wires = fresh.pop("result_wires")
@@ -603,9 +620,8 @@ def run_batch_throughput(quick: bool = False) -> dict:
         "parallel": parallel,
         "variables_reduction_vs_fresh": variables_saved,
         "clauses_reduction_vs_fresh": clauses_saved,
-        "wall_time_ratio_pooled_vs_fresh": (
-            pooled["seconds"] / fresh["seconds"] if fresh["seconds"] else 0.0
-        ),
+        "wall_time_ratio_pooled_vs_fresh": median(ratios),
+        "wall_time_ratios_pooled_vs_fresh": ratios,
         "wall_time_ratio_parallel_vs_pooled": (
             parallel["seconds"] / pooled["seconds"] if pooled["seconds"] else 0.0
         ),

@@ -27,10 +27,6 @@ class EngineConfig:
             (ablation knob).
         gc_dead_clauses: dead-scope clause threshold triggering SAT
             database garbage collection; ``None`` disables it.
-        max_conflicts: default per-check CDCL conflict budget (``None``
-            = unlimited; negative budgets are rejected); per-*job* budgets
-            are set at submit time and override nothing here — both
-            limits apply independently.
         workers: number of worker *processes* backing
             :meth:`~repro.api.engine.SciductionEngine.run_batch`.  The
             default of 1 runs jobs sequentially in-process; ``workers > 1``
@@ -49,17 +45,18 @@ class EngineConfig:
         reuse_sessions: when False the pool hands out a fresh solver for
             every lease (the per-job-fresh baseline measured by the
             batch-throughput benchmark).
-        shared_check_memo: additionally share decided check answers
-            *across* solver sessions and worker processes through a
-            :class:`~repro.api.memo.SharedCheckMemo` owned by the engine
-            (workers reach it through a ``multiprocessing`` manager).
-            Keys are the process-independent wire form of ``(assertions,
-            extras, frontier)``, so a verdict decided on worker A
-            short-circuits the same check on worker B — the situation a
-            long-lived service creates whenever a problem shape moves
-            between workers (re-planned batches, stolen shape queues,
-            sessions recycled past the pool bound).
-        shared_memo_size: LRU entry bound of the shared check memo.
+        shared_check_memo: share decided check answers *across* solver
+            sessions and worker processes: the engine's pool sessions
+            all use one :class:`~repro.api.memo.CheckMemoClient`, and
+            worker processes put their process-local client in front of
+            the parent's store (reached through a ``multiprocessing``
+            manager).  Keys are the process-independent wire form of
+            ``(layout, assertions, extras, frontier)``, so a verdict
+            decided on worker A short-circuits the same check on worker
+            B — the situation a long-lived service creates whenever a
+            problem shape moves between workers (re-planned batches,
+            stolen shape queues, sessions recycled past the pool bound).
+            When False every session gets a private memo.
         intern_table_limit: once the global hash-consing table exceeds
             this many entries, the pool evicts each finished job's
             interned terms at lease release and recycles the session
@@ -73,50 +70,34 @@ class EngineConfig:
             execution) consume from it.  Once exhausted the job reaches
             a terminal ``failed`` state whose details carry the fault
             chain (one entry per attempt), so an operator can tell a
-            persistent fault from a transient one.  0 disables retries.
-        retry_backoff: base seconds slept before retry attempt ``n``
-            (``retry_backoff * 2**(n-1)``, exponential).  The default
-            of 0 retries immediately — correct for poisoned-session
-            retries, which are deterministic; raise it on deployments
-            where crashes are resource-driven and immediate retries
-            would just crash again.
+            persistent fault from a transient one.  0 disables retries;
+            retries run immediately.
     """
 
     simplify_terms: bool = True
     polarity_aware: bool = True
     gc_dead_clauses: int | None = 2000
-    max_conflicts: int | None = None
     workers: int = 1
     pool_size: int = 4
     reuse_sessions: bool = True
     shared_check_memo: bool = True
-    shared_memo_size: int = 4096
     intern_table_limit: int | None = 1_000_000
     job_retry_limit: int = 1
-    retry_backoff: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_conflicts is not None and self.max_conflicts < 0:
-            raise ReproError("max_conflicts must be non-negative")
         if self.pool_size < 1:
             raise ReproError("pool_size must be at least 1")
         if self.workers < 1:
             raise ReproError("workers must be at least 1")
-        if self.shared_memo_size < 1:
-            raise ReproError("shared_memo_size must be at least 1")
         if self.job_retry_limit < 0:
             raise ReproError("job_retry_limit must be non-negative")
-        if self.retry_backoff < 0:
-            raise ReproError("retry_backoff must be non-negative")
 
     def solver_options(self) -> dict:
         """Keyword arguments for :class:`~repro.smt.solver.SmtSolver`."""
         return {
-            "max_conflicts": self.max_conflicts,
             "simplify_terms": self.simplify_terms,
             "polarity_aware": self.polarity_aware,
             "gc_dead_clauses": self.gc_dead_clauses,
-            "memoize_checks": True,
         }
 
     def to_dict(self) -> dict:

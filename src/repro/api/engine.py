@@ -39,19 +39,21 @@ process that dies mid-job is retired and replaced (the job retried once,
 then reported failed), mirroring the pool's poisoned-session retry.
 
 Decided ``check`` verdicts are shared *across* sessions and workers
-through the engine's :class:`~repro.api.memo.SharedCheckMemo` (workers
-reach the parent-held store through a ``multiprocessing`` manager): when
-a long-lived engine re-plans a repeated stream onto different workers —
-the per-batch plan rotation does this on purpose — the new worker
-answers the moved shape's checks from the memo instead of re-running the
-SAT search.  The fleet and the memo manager persist across batches;
+through one check memo per process (:mod:`repro.api.memo`): every
+session of the engine's pool uses the engine's
+:class:`~repro.api.memo.CheckMemoClient`, and each worker process puts
+its own client in front of the parent's store (reached through a
+``multiprocessing`` manager).  When a long-lived engine re-plans a
+repeated stream onto different workers — the per-batch plan rotation
+does this on purpose — the new worker answers the moved shape's checks
+from the parent's store instead of re-running the SAT search.  The fleet
+and the memo manager persist across batches;
 :meth:`SciductionEngine.close` (or dropping the engine) shuts them down.
 
 Per-job controls (both execution modes):
 
 * ``max_conflicts`` — a job-wide CDCL conflict budget spanning all of the
-  job's checks (distinct from ``EngineConfig.max_conflicts``, the
-  per-check budget);
+  job's checks;
 * ``timeout`` — a wall-clock limit enforced inside the SAT search loop
   for SMT-backed jobs and inside the reachability oracle's integration
   loop for simulation-backed (switching-logic) jobs;
@@ -79,7 +81,7 @@ from typing import Any
 
 from repro.analysis.annotations import guarded_by
 from repro.api.config import EngineConfig
-from repro.api.memo import MemoClient, SharedCheckMemo, start_shared_memo
+from repro.api.memo import CheckMemoClient, start_shared_memo
 from repro.api.pool import SolverPool
 from repro.api.problems import JobContext, ProblemSpec, problem_from_dict
 from repro.api.results import json_safe, result_from_dict, result_to_dict
@@ -161,10 +163,11 @@ def _initialize_worker(config_wire: dict, memo_proxy: Any, worker_id: str) -> No
 
     The worker engine is forced to ``workers=1`` — worker processes run
     their jobs sequentially; parallelism lives in the parent's
-    scheduler.  ``shared_check_memo`` is likewise forced off: the worker
-    must not grow its own store — it consults the *parent's* through
-    ``memo_proxy`` (a manager proxy), installed on the worker pool so
-    every solver session publishes and reads cross-worker.
+    scheduler.  ``shared_check_memo`` is likewise forced off: the
+    worker's one memo client is built here, with the *parent's* store
+    (``memo_proxy``, a manager proxy) as its remote, and installed on the
+    worker pool so every solver session publishes and reads cross-worker.
+    Without a proxy every session keeps a private memo.
     """
     global _WORKER_ENGINE, _WORKER_ID
     _WORKER_ID = worker_id
@@ -174,7 +177,9 @@ def _initialize_worker(config_wire: dict, memo_proxy: Any, worker_id: str) -> No
         )
     )
     if memo_proxy is not None:
-        _WORKER_ENGINE.pool.set_memo_backend(MemoClient(memo_proxy, worker_id))
+        _WORKER_ENGINE.pool.set_memo_backend(
+            CheckMemoClient(memo_proxy, worker_id)
+        )
 
 
 def _run_job_in_worker(payload: dict) -> dict:
@@ -245,7 +250,7 @@ class _WorkerFleet:
         self._memo_proxy: Any = None
         if config.shared_check_memo:
             self._memo_manager, self._memo_proxy = start_shared_memo(
-                config.shared_memo_size, context=_fork_context()
+                context=_fork_context()
             )
         self._closed = False
 
@@ -331,18 +336,16 @@ class SciductionEngine:
 
     def __init__(self, config: EngineConfig | None = None, pool: SolverPool | None = None) -> None:
         self.config = config or EngineConfig()
-        #: In-process shared check-memo store: every session of this
-        #: engine's pool reads and publishes through it, so a verdict
-        #: decided on one session short-circuits the same check on
-        #: another (e.g. after a session was recycled past the pool
-        #: bound).  Parallel batches serve the workers a separate,
-        #: manager-hosted store (see :class:`_WorkerFleet`).
-        self._memo_store: SharedCheckMemo | None = None
-        memo_backend = None
-        if self.config.shared_check_memo:
-            self._memo_store = SharedCheckMemo(self.config.shared_memo_size)
-            memo_backend = MemoClient(self._memo_store, "local")
-        self.pool = pool or SolverPool(self.config, memo_backend=memo_backend)
+        #: This process's check memo: every session of this engine's pool
+        #: reads and publishes through it, so a verdict decided on one
+        #: session short-circuits the same check on another (e.g. after
+        #: a session was recycled past the pool bound).  Parallel batches
+        #: serve the workers a separate, manager-hosted store (see
+        #: :class:`_WorkerFleet`).
+        self._memo: CheckMemoClient | None = (
+            CheckMemoClient() if self.config.shared_check_memo else None
+        )
+        self.pool = pool or SolverPool(self.config, memo_backend=self._memo)
         self._jobs: list[Job] = []
         self._job_ids = itertools.count(1)
         # Guards PENDING → RUNNING/CANCELLED transitions: cancel() may be
@@ -614,7 +617,6 @@ class SciductionEngine:
             if job._crash_retries >= self.config.job_retry_limit:
                 return False
             job._crash_retries += 1
-            self._retry_backoff_sleep(job._crash_retries)
             return True
 
         def complete(job: Job, kind: str, value: Any) -> None:
@@ -663,11 +665,6 @@ class SciductionEngine:
             workers=workers,
             rotation=rotation,
         )
-
-    def _retry_backoff_sleep(self, attempt: int) -> None:
-        """Exponential pre-retry pause: ``retry_backoff * 2**(attempt-1)``."""
-        if self.config.retry_backoff > 0:
-            time.sleep(self.config.retry_backoff * (2 ** (attempt - 1)))
 
     def _record_crash(self, job: Job) -> None:
         job.state = JobState.FAILED
@@ -762,7 +759,6 @@ class SciductionEngine:
                     if lease.solver is not None:
                         lease.solver.set_job_limits()
                     self.pool.retire(lease)
-                    self._retry_backoff_sleep(retries)
                     continue
                 job.state = JobState.FAILED
                 job.error = str(error)
@@ -832,15 +828,15 @@ class SciductionEngine:
           retirements of the parallel work-stealing scheduler;
         * ``workers`` — each worker process's latest cumulative pool
           counters (reported with every finished job);
-        * ``shared_memo`` — the cross-session / cross-worker check-memo
-          counters, summed over the engine's in-process store and the
-          manager-served store the workers use.  ``cross_worker_hits``
-          counts verdicts decided by one client and reused by another.
+        * ``shared_memo`` — the check-memo store counters, summed over
+          the engine's in-process store and the manager-served store the
+          workers use.  ``cross_worker_hits`` counts verdicts decided by
+          one worker and reused by another.
         """
         memo = {}
         stores = []
-        if self._memo_store is not None:
-            stores.append(self._memo_store.statistics())
+        if self._memo is not None:
+            stores.append(self._memo.local.statistics())
         if self._fleet is not None:
             fleet_memo = self._fleet.memo_statistics()
             if fleet_memo is not None:

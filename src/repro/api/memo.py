@@ -1,55 +1,59 @@
-"""Shared cross-worker check-memo service.
+"""One check memo per process.
 
-:class:`~repro.smt.solver.SmtSolver` memoizes decided ``check`` answers
-*per solver*: a warm shape-routed session answers a repeated query
-without running the SAT search.  That memo dies with its solver — a
-verdict decided by worker A is recomputed from scratch when the same
-check arrives on worker B (a stolen shape queue, a re-planned batch on a
-long-lived service, a session recycled past the pool bound).
+:class:`~repro.smt.solver.SmtSolver` answers a repeated ``check`` from a
+memo instead of re-running the SAT search, but it holds no memo of its
+own: it keys every decided check structurally and consults the one
+backend installed with
+:meth:`~repro.smt.solver.SmtSolver.set_memo_backend`.  This module is
+that backend:
 
-This module lifts the memo out of the solver into a process-shared
-store:
-
-* :class:`SharedCheckMemo` is the store itself — a bounded LRU mapping
-  from the *wire form* of a check (a structural digest of the asserted
-  formulas, the ``extra`` assumptions and the solver's variable
-  frontier) to the decided verdict plus the recorded model bits.  It
-  lives in the parent process: sequential engines hold it directly,
-  parallel engines serve it to their workers through a
-  ``multiprocessing`` manager (:func:`start_shared_memo`).
-* :class:`MemoClient` is the per-worker handle installed on a
-  :class:`~repro.api.pool.SolverPool`: every solver the pool creates
-  consults it *after* its own in-memory memo misses (read-through — a
-  shared hit is copied into the local memo so the round trip is paid
-  once per worker), and publishes every decided answer back.
-* :func:`check_wire_key` builds the store key.  Keys are
+* :class:`SharedCheckMemo` is the store — a bounded LRU mapping from the
+  *wire form* of a check (the blaster's declaration-layout signature
+  plus a structural digest of the asserted formulas, the ``extra``
+  assumptions and the solver's variable frontier) to the decided verdict
+  plus the recorded model bits.
+* :class:`CheckMemoClient` is the one client: a process-local
+  :class:`SharedCheckMemo` in front of an optional *remote* store with
+  the same ``lookup``/``publish`` signature.  The remote is None for a
+  sequential engine (one client serves every pooled session) and for a
+  private solver or session (one client each); it is the manager proxy
+  of the parent's store in a worker process (:func:`start_shared_memo`)
+  and a :class:`~repro.cluster.memoclient.RemoteMemoStore` on a cluster
+  node.  A lookup tries the local store first, so a repeated check costs
+  no round trip; a remote hit is copied into the local store, and every
+  publish goes to both.  The remote is fail-open: a failed call is
+  counted, the client answers local-only, and the remote is retried
+  after :data:`REARM_AFTER_CALLS` skipped calls (a counter, not a clock,
+  so the back-off is deterministic and free of wall-clock reads).
+* :func:`check_wire_key` builds the digest part of the key.  Keys are
   content-addressed — hash-consed terms are digested structurally, so
   two workers that assert the same formulas from the same variable
-  frontier produce the same key even though their term objects live in
+  layout produce the same key even though their term objects live in
   different processes.
 
-Soundness is the same argument as the solver-local memo: a check's
-verdict is a pure function of the asserted formulas, and the recorded
-model bits are exactly what the deterministic search would recompute —
-*provided* the variable layout matches, which the frontier component of
-the key guarantees for the deterministic same-shape job replays the
-engine's scheduler produces (a shape's jobs always run on one worker, in
-submission order, each on a freshly sealed base scope or one the pool's
-release-time reset returned to its seal-time watermark; the
-:mod:`repro.api.pool` docstring states what that reset keeps).
-UNKNOWN (budget-limited) answers are never published.
+A check's verdict is a pure function of the asserted formulas, and the
+recorded model bits are exactly what the deterministic search would
+recompute — *provided* the variable layout matches, which the layout
+signature and frontier in the key guarantee: a hit's model bits decode
+under the live layout exactly as under the recorded one, whichever
+session, base-scope epoch or process recorded them.  UNKNOWN
+(budget-limited) answers are never published.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.managers import BaseManager
 from typing import Any
 
 from repro.analysis.annotations import guarded_by
 from repro.smt.wire import check_wire_key, term_digest  # noqa: F401 — re-export
+
+#: Entry bound of every process-local store and of the manager-served
+#: store of a parallel engine.
+MEMO_CAPACITY = 4096
 
 # ---------------------------------------------------------------------------
 # The store
@@ -84,7 +88,7 @@ class SharedMemoStatistics:
 
 @guarded_by("_lock", "_entries", "_statistics")
 class SharedCheckMemo:
-    """Bounded LRU store of decided check answers, shared across workers.
+    """Bounded LRU store of decided check answers.
 
     Entries map :func:`check_wire_key` keys to
     ``(verdict, model_bits, publisher)`` where ``verdict`` is the
@@ -98,7 +102,7 @@ class SharedCheckMemo:
             entry is evicted past the bound.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int = MEMO_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("shared memo capacity must be at least 1")
         self._capacity = capacity
@@ -169,39 +173,134 @@ class SharedCheckMemo:
             return record
 
 
-@dataclass
-class MemoClient:
-    """One worker's handle on a (possibly manager-served) shared memo.
+#: Remote calls skipped after a transport failure before re-arming.
+#: Counter-based (one skip per memo consultation), so a client serving a
+#: long batch retries every so often without ever reading a clock.
+REARM_AFTER_CALLS = 64
 
-    This is the ``memo_backend`` consumed by
-    :meth:`~repro.smt.solver.SmtSolver.set_memo_backend`: it stamps every
-    store call with the worker's client id (which is how the store
-    distinguishes cross-worker hits from same-worker ones) and absorbs
-    transport failures — a dead manager degrades the shared memo to a
-    no-op instead of poisoning in-flight jobs.
+
+@guarded_by("_lock", "_cooldown", "_counters")
+class CheckMemoClient:
+    """The memo backend of a solver: a local store over an optional remote.
+
+    Duck-typed to :meth:`repro.smt.solver.SmtSolver.set_memo_backend`:
+    ``lookup(key)`` and ``publish(key, verdict, bits)``.  Everything is
+    fail-open: no remote outage or protocol error ever raises into a
+    solving job.
+
+    Args:
+        remote: a store with :class:`SharedCheckMemo`'s ``lookup`` /
+            ``publish`` signature (a manager proxy or a
+            :class:`~repro.cluster.memoclient.RemoteMemoStore`), or None.
+        client_id: stamped into every store call; the stores count a hit
+            on an entry another client published as a cross-worker hit.
     """
 
-    store: SharedCheckMemo  # or a manager proxy with the same methods
-    client_id: str
-    #: Set after the first transport failure; all later calls short-circuit.
-    broken: bool = field(default=False, compare=False)
+    def __init__(self, remote: Any = None, client_id: str = "local") -> None:
+        self.remote = remote
+        self.client_id = client_id
+        self.local = SharedCheckMemo(MEMO_CAPACITY)
+        self._lock = threading.Lock()
+        #: Remote calls still to skip before the next reconnect attempt
+        #: (0 = armed).
+        self._cooldown = 0
+        self._counters = {
+            "local_hits": 0,
+            "remote_hits": 0,
+            "remote_misses": 0,
+            "publishes": 0,
+            "degraded_calls": 0,
+            "degradations": 0,
+            "rearms": 0,
+        }
 
-    def lookup(self, key: str) -> tuple[str, list[bool] | None] | None:
-        if self.broken:
+    def _count(self, counter: str) -> None:
+        with self._lock:
+            self._counters[counter] += 1
+
+    def _remote_allowed(self) -> bool:
+        """Whether this call may touch the remote (else: degraded skip).
+
+        Decrements the cooldown; the call that brings it to zero is
+        allowed through as the re-arm probe.
+        """
+        if self.remote is None:
+            return False
+        with self._lock:
+            if self._cooldown == 0:
+                return True
+            self._cooldown -= 1
+            self._counters["degraded_calls"] += 1
+            if self._cooldown > 0:
+                return False
+        # Cooldown just expired: this call is the probe.  A success
+        # below counts as the re-arm; a failure restarts the cooldown.
+        self._count("rearms")
+        return True
+
+    def _degrade(self) -> None:
+        with self._lock:
+            self._cooldown = REARM_AFTER_CALLS
+            self._counters["degradations"] += 1
+
+    def lookup(self, key: str) -> tuple[str, list[bool] | None, bool] | None:
+        """``(verdict, model_bits, remote)`` for ``key``, or None.
+
+        ``remote`` is True when the hit was served by the remote store
+        (the solver counts those as ``shared_memo_hits``).
+        """
+        found = self.local.lookup(key, self.client_id)
+        if found is not None:
+            self._count("local_hits")
+            return found[0], found[1], False
+        if not self._remote_allowed():
             return None
         try:
-            return self.store.lookup(key, self.client_id)
+            found = self.remote.lookup(key, self.client_id)
         except Exception:
-            self.broken = True
+            self._degrade()
             return None
+        if found is None:
+            self._count("remote_misses")
+            return None
+        self._count("remote_hits")
+        verdict, bits = found
+        self.local.publish(key, verdict, bits, "remote")
+        return verdict, bits, True
 
-    def publish(self, key: str, verdict: str, model_bits: list[bool] | None) -> None:
-        if self.broken:
+    def publish(
+        self, key: str, verdict: str, model_bits: list[bool] | None
+    ) -> None:
+        """Record a decided answer locally, then on the remote."""
+        self._count("publishes")
+        # Local first: even a degraded client keeps serving what this
+        # process decided.
+        self.local.publish(key, verdict, model_bits, self.client_id)
+        if not self._remote_allowed():
             return
         try:
-            self.store.publish(key, verdict, model_bits, self.client_id)
+            self.remote.publish(key, verdict, model_bits, self.client_id)
         except Exception:
-            self.broken = True
+            self._degrade()
+
+    def degraded(self) -> bool:
+        """Whether remote calls are currently being skipped."""
+        with self._lock:
+            return self._cooldown > 0
+
+    def statistics(self) -> dict[str, Any]:
+        """JSON-ready counters (plus the local store's own counters)."""
+        with self._lock:
+            record: dict[str, Any] = dict(self._counters)
+            record["degraded"] = self._cooldown > 0
+        record["local_cache"] = self.local.statistics()
+        return record
+
+    def close(self) -> None:
+        """Close the remote's connection, if it has one."""
+        close = getattr(self.remote, "close", None)
+        if close is not None:
+            close()
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +315,7 @@ class _MemoManager(BaseManager):
 _MemoManager.register("SharedCheckMemo", SharedCheckMemo)
 
 
-def start_shared_memo(
-    capacity: int, context: Any | None = None
-) -> tuple[_MemoManager, Any]:
+def start_shared_memo(context: Any | None = None) -> tuple[_MemoManager, Any]:
     """Start a manager process hosting a :class:`SharedCheckMemo`.
 
     Returns ``(manager, proxy)``; the proxy is picklable and is handed to
@@ -227,5 +324,5 @@ def start_shared_memo(
     """
     manager = _MemoManager(ctx=context)
     manager.start()
-    proxy = manager.SharedCheckMemo(capacity)  # type: ignore[attr-defined]
+    proxy = manager.SharedCheckMemo(MEMO_CAPACITY)  # type: ignore[attr-defined]
     return manager, proxy

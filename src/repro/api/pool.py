@@ -33,15 +33,21 @@ set of long-lived incremental solvers and *leases* them to jobs:
   so only dropping both actually bounds memory) — below the limit,
   cross-job sharing is preserved untouched.
 
-What a warm session keeps from one job to the next is exactly three
+What a warm session keeps from one job to the next is exactly two
 things: the sealed base scope's encoding (its SAT variables and
-clauses), the bit-blaster caches over those variables, and the
-check-memo epoch the base scope defines.  Everything else goes at
-release: the finished job's variables, clauses and blaster entries,
-*every* learned clause (base-scope ones included; a session that never
-sealed a base keeps only those locked as reasons of level-0 facts), and
-the branching heuristics — so the next tenant runs exactly the search a
-fresh solver over the same encoding would.
+clauses) and the bit-blaster caches over those variables.  Everything
+else goes at release: the finished job's variables, clauses and blaster
+entries, *every* learned clause (base-scope ones included; a session
+that never sealed a base keeps only those locked as reasons of level-0
+facts), and the branching heuristics — so the next tenant runs exactly
+the search a fresh solver over the same encoding would.
+
+The check memo is not part of a session.  Every solver the pool creates
+gets the pool's memo backend — the engine's one
+:class:`~repro.api.memo.CheckMemoClient` — or, without one, a private
+client of its own.  Memo keys carry the blaster's layout signature and
+variable frontier, so an entry recorded under one base scope can only
+answer a check whose layout matches it, in any session.
 
 ``config.pool_size`` bounds the number of *idle* sessions kept warm
 (least-recently-used sessions are recycled past the bound); concurrent
@@ -59,6 +65,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.api.config import EngineConfig
+from repro.api.memo import CheckMemoClient
 from repro.core.exceptions import SolverError
 from repro.smt.sat import SatStatistics
 from repro.smt.solver import SmtSolver, SmtStatistics
@@ -149,8 +156,7 @@ class SolverLease:
         The base scope (e.g. the OGIS well-formedness + symbolic-run
         skeleton, or an empty per-CFG scope for GameTime) stays open
         between leases, so a later same-shape tenant skips re-encoding it
-        and keeps the check-memo epoch it defines (see the module
-        docstring for what else survives a release).
+        (see the module docstring for what else survives a release).
 
         Returns ``(solver, base_ready)``.  When the session's sealed base
         fingerprint equals ``fingerprint``, the base scope is kept, a
@@ -175,9 +181,6 @@ class SolverLease:
             return self._solver, True
         self._record.base_fingerprint = None
         self._pending_fingerprint = fingerprint
-        # New epoch: memoized model bits were recorded against the old
-        # base scope's variable layout.
-        self._solver.clear_check_memo()
         self._pop_to(0)
         self._solver.push()
         return self._solver, False
@@ -228,6 +231,9 @@ class SolverPool:
             are kept warm, solvers are constructed with
             ``config.solver_options()``, and ``reuse_sessions`` /
             ``intern_table_limit`` govern reuse and intern-table cleanup.
+        memo_backend: the check memo every created solver shares (see
+            :meth:`set_memo_backend`); None gives each solver a private
+            :class:`~repro.api.memo.CheckMemoClient`.
     """
 
     def __init__(
@@ -240,20 +246,18 @@ class SolverPool:
         self._clock = 0
         self._active: list[SolverLease] = []
         self.statistics = PoolStatistics()
-        #: Shared (cross-session / cross-worker) check-memo backend
-        #: installed on every solver the pool creates; see
-        #: :meth:`set_memo_backend`.
         self._memo_backend = memo_backend
 
     def set_memo_backend(self, backend: Any) -> None:
-        """Install a shared check-memo backend on the pool.
+        """Install the check memo shared by every session of the pool.
 
-        Solvers created *after* the call consult it (see
+        Solvers created *after* the call use it (see
         :meth:`~repro.smt.solver.SmtSolver.set_memo_backend`); existing
-        idle sessions are updated in place.  The engine wires this up —
-        sequential engines hand every pool session one in-process
-        :class:`~repro.api.memo.SharedCheckMemo`, worker processes
-        receive a manager proxy to the parent's store.
+        idle sessions are updated in place.  The engine wires this up:
+        a sequential engine hands its sessions one local
+        :class:`~repro.api.memo.CheckMemoClient`, a worker process one
+        whose remote is the parent's store, a cluster node one whose
+        remote is the memo service.
         """
         self._memo_backend = backend
         for idle in self._idle:
@@ -307,8 +311,7 @@ class SolverPool:
         reused = record is not None
         if record is None:
             solver = SmtSolver(**self.config.solver_options())
-            if self._memo_backend is not None:
-                solver.set_memo_backend(self._memo_backend)
+            solver.set_memo_backend(self._memo_backend or CheckMemoClient())
             record = _SessionRecord(solver, shape, self._clock)
             self.statistics.solvers_created += 1
         lease = SolverLease(self, record, reused)
@@ -400,3 +403,11 @@ class SolverPool:
         if self._active:
             raise SolverError("cannot close the pool while leases are active")
         self._idle = []
+
+
+def private_solver(config: EngineConfig) -> SmtSolver:
+    """A solver outside any pool, built from ``config.solver_options()``,
+    with a private :class:`~repro.api.memo.CheckMemoClient` of its own."""
+    solver = SmtSolver(**config.solver_options())
+    solver.set_memo_backend(CheckMemoClient())
+    return solver

@@ -57,7 +57,6 @@ def extract_basis_paths(
     cfg: ControlFlowGraph,
     constraint_builder: PathConstraintBuilder | None = None,
     check_feasibility: bool = True,
-    max_candidates: int | None = None,
 ) -> BasisExtractionResult:
     """Extract a maximal set of feasible, linearly-independent paths.
 
@@ -68,8 +67,6 @@ def extract_basis_paths(
         check_feasibility: when False, paths are selected on linear
             independence alone (useful for structural tests and for CFGs
             whose paths are all feasible by construction).
-        max_candidates: optional cap on the number of candidate paths
-            examined (a safety valve for CFGs with very many paths).
 
     Returns:
         A :class:`BasisExtractionResult`; its ``basis`` list holds at most
@@ -85,7 +82,7 @@ def extract_basis_paths(
     tracker = RationalRankTracker(cfg.num_edges)
     result = BasisExtractionResult(dimension=dimension)
 
-    for path in enumerate_paths(cfg, limit=max_candidates):
+    for path in enumerate_paths(cfg):
         if result.achieved_rank >= dimension:
             break
         result.paths_considered += 1

@@ -120,15 +120,14 @@ class PathConstraintBuilder:
                 # The SSA encoding has no job-independent constraints to
                 # assert (every path formula is query-local), so the base
                 # scope is sealed empty: its value is the release-time
-                # reset watermark and the check-memo epoch it keeps alive
-                # across jobs.
+                # reset watermark, which returns every job to the same
+                # variable layout (so repeated checks hit the memo).
                 lease.seal_base()
         else:
-            if config is None:
-                from repro.api.config import EngineConfig
+            from repro.api.config import EngineConfig
+            from repro.api.pool import private_solver
 
-                config = EngineConfig()
-            self._solver = SmtSolver(**config.solver_options())
+            self._solver = private_solver(config or EngineConfig())
         self._statistics_base = self._solver.statistics.snapshot()
         self.queries = 0
 

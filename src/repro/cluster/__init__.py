@@ -27,10 +27,11 @@ Topology (three process roles, all stdlib sockets + JSON):
   ``python -m repro.cluster.memod``) serves the shared check memo over
   the same frames, keyed by the :mod:`repro.smt.wire` structural
   digests, so cross-*node* check-memo hits work exactly like the PR-5
-  cross-worker hits.  Nodes reach it through
-  :class:`~repro.cluster.memoclient.ClusterMemoClient` — a read-through
-  local cache that degrades to silent local-only operation (counted in
-  statistics) while the service is down, and re-arms when it returns.
+  cross-worker hits.  Each node's one
+  :class:`~repro.api.memo.CheckMemoClient` keeps a node-local store in
+  front of it (:class:`~repro.cluster.memoclient.RemoteMemoStore`), and
+  degrades to silent local-only operation (counted in statistics) while
+  the service is down, re-arming when it returns.
 
 Auth (:mod:`repro.cluster.auth`): a shared token (``--auth-token`` /
 ``REPRO_AUTH_TOKEN``, constant-time compare) is required before any of

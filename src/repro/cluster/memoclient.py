@@ -1,28 +1,13 @@
-"""Node-side client for the external memo service, with degraded mode.
+"""Node-side transport to the external memo service.
 
-:class:`ClusterMemoClient` is the ``memo_backend`` a node installs on
-its :class:`~repro.api.pool.SolverPool` (via
-``SolverPool(memo_backend=…)`` / ``set_memo_backend``): the solver
-consults it after its own in-memory memo misses, exactly like the
-in-process :class:`~repro.api.memo.MemoClient`.  Two behaviors are new
-for a network-backed store:
-
-* **read-through local cache** — a remote hit (and every local publish)
-  is copied into a bounded local :class:`~repro.api.memo.SharedCheckMemo`,
-  so the socket round trip for a given key is paid once per node, and a
-  degraded client keeps answering everything this node ever learned;
-* **degraded mode with re-arm** — :class:`~repro.api.memo.MemoClient`
-  marks itself *permanently* broken on the first transport failure,
-  which is correct for a dead ``multiprocessing`` manager (it never
-  comes back) but wrong for a network service that restarts.  This
-  client instead counts the failure, answers local-only (silently — the
-  solver never sees the outage), and retries the connection after a
-  fixed number of skipped calls.  The back-off is **counter-based, not
-  clock-based**: deterministic under replay, and free of wall-clock
-  reads in a lint-enforced clock-free zone.
-
-Everything here is fail-open: no store outage, slow socket or protocol
-error ever raises into a solving job.
+:class:`RemoteMemoStore` speaks the memo service's frame protocol with
+the same ``lookup``/``publish`` signature as
+:class:`~repro.api.memo.SharedCheckMemo`, so a node installs it as the
+remote of its one :class:`~repro.api.memo.CheckMemoClient` — the same
+client a worker process puts in front of its parent's store.  The client
+keeps the node-local store in front of the network and makes every
+failure here fail-open (local-only answers, counter-based re-arm); this
+class just raises.
 """
 
 from __future__ import annotations
@@ -30,8 +15,6 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from repro.analysis.annotations import guarded_by
-from repro.api.memo import SharedCheckMemo
 from repro.cluster.protocol import (
     OP_HELLO,
     OP_LOOKUP,
@@ -41,15 +24,6 @@ from repro.cluster.protocol import (
     FramedSocket,
     ProtocolError,
 )
-
-#: Remote calls skipped after a transport failure before re-arming.
-#: Counter-based (one skip per shared-memo consultation), so a node
-#: solving a long batch retries every so often without ever reading a
-#: clock.
-REARM_AFTER_CALLS = 64
-
-#: Default capacity of the node-local read-through cache.
-LOCAL_CACHE_CAPACITY = 4096
 
 
 class RemoteMemoStore:
@@ -123,10 +97,10 @@ class RemoteMemoStore:
             self._link.close()
             self._link = None
 
-    def lookup(self, key: str) -> tuple[str, list[bool] | None] | None:
-        response = self._call(
-            {"op": OP_LOOKUP, "key": key, "client": self.client_id}
-        )
+    def lookup(
+        self, key: str, requester: str
+    ) -> tuple[str, list[bool] | None] | None:
+        response = self._call({"op": OP_LOOKUP, "key": key, "client": requester})
         found = response.get("found")
         if found is None:
             return None
@@ -134,7 +108,11 @@ class RemoteMemoStore:
         return str(verdict), None if bits is None else list(bits)
 
     def publish(
-        self, key: str, verdict: str, model_bits: list[bool] | None
+        self,
+        key: str,
+        verdict: str,
+        model_bits: list[bool] | None,
+        publisher: str,
     ) -> None:
         self._call(
             {
@@ -142,7 +120,7 @@ class RemoteMemoStore:
                 "key": key,
                 "verdict": verdict,
                 "bits": model_bits,
-                "client": self.client_id,
+                "client": publisher,
             }
         )
 
@@ -161,115 +139,3 @@ class RemoteMemoStore:
     def close(self) -> None:
         with self._lock:
             self._teardown()
-
-
-@guarded_by("_lock", "_cooldown", "_counters")
-class ClusterMemoClient:
-    """Solver memo backend: local cache over the remote store, fail-open.
-
-    Duck-typed to :meth:`repro.smt.solver.SmtSolver.set_memo_backend`:
-    ``lookup(key)`` and ``publish(key, verdict, bits)``.
-
-    Args:
-        remote: the RPC handle (its failures are absorbed, counted, and
-            retried after :data:`REARM_AFTER_CALLS` skipped calls).
-        cache_capacity: bound on the node-local read-through cache.
-    """
-
-    def __init__(
-        self,
-        remote: RemoteMemoStore,
-        cache_capacity: int = LOCAL_CACHE_CAPACITY,
-    ) -> None:
-        self.remote = remote
-        self.cache = SharedCheckMemo(cache_capacity)
-        self._lock = threading.Lock()
-        #: Remote calls still to skip before the next reconnect attempt
-        #: (0 = armed).
-        self._cooldown = 0
-        self._counters = {
-            "local_hits": 0,
-            "remote_hits": 0,
-            "remote_misses": 0,
-            "publishes": 0,
-            "degraded_calls": 0,
-            "degradations": 0,
-            "rearms": 0,
-        }
-
-    def _count(self, counter: str) -> None:
-        with self._lock:
-            self._counters[counter] += 1
-
-    def _remote_allowed(self) -> bool:
-        """Whether this call may touch the network (else: degraded skip).
-
-        Decrements the cooldown; the call that brings it to zero is
-        allowed through as the re-arm probe.
-        """
-        with self._lock:
-            if self._cooldown == 0:
-                return True
-            self._cooldown -= 1
-            self._counters["degraded_calls"] += 1
-            if self._cooldown > 0:
-                return False
-        # Cooldown just expired: this call is the probe.  A success
-        # below counts as the re-arm; a failure restarts the cooldown.
-        self._count("rearms")
-        return True
-
-    def _degrade(self) -> None:
-        with self._lock:
-            self._cooldown = REARM_AFTER_CALLS
-            self._counters["degradations"] += 1
-
-    def lookup(self, key: str) -> tuple[str, list[bool] | None] | None:
-        cached = self.cache.lookup(key, self.remote.client_id)
-        if cached is not None:
-            self._count("local_hits")
-            return cached
-        if not self._remote_allowed():
-            return None
-        try:
-            found = self.remote.lookup(key)
-        except Exception:
-            self._degrade()
-            return None
-        if found is None:
-            self._count("remote_misses")
-            return None
-        self._count("remote_hits")
-        verdict, bits = found
-        self.cache.publish(key, verdict, bits, "remote")
-        return found
-
-    def publish(
-        self, key: str, verdict: str, model_bits: list[bool] | None
-    ) -> None:
-        self._count("publishes")
-        # Local first: even a fully degraded client keeps serving what
-        # this node decided.
-        self.cache.publish(key, verdict, model_bits, self.remote.client_id)
-        if not self._remote_allowed():
-            return
-        try:
-            self.remote.publish(key, verdict, model_bits)
-        except Exception:
-            self._degrade()
-
-    def degraded(self) -> bool:
-        """Whether remote calls are currently being skipped."""
-        with self._lock:
-            return self._cooldown > 0
-
-    def statistics(self) -> dict[str, Any]:
-        """JSON-ready counters (plus the local cache's own counters)."""
-        with self._lock:
-            record: dict[str, Any] = dict(self._counters)
-            record["degraded"] = self._cooldown > 0
-        record["local_cache"] = self.cache.statistics()
-        return record
-
-    def close(self) -> None:
-        self.remote.close()

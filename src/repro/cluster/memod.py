@@ -23,7 +23,7 @@ Request/response ops (one frame each way, over
 
 The service is stateless beyond the LRU store: a memod restart merely
 costs warm entries (clients degrade to local-only and re-arm; see
-:class:`~repro.cluster.memoclient.ClusterMemoClient`).  The
+:class:`~repro.api.memo.CheckMemoClient`).  The
 ``memod.down`` fault point sits in the per-request loop so tests can
 kill connections — or the whole handler — deterministically.
 """

@@ -17,9 +17,10 @@ byte-parity requires) behind the framed protocol:
   restart, network blip) is retried with a fixed backoff until it
   succeeds — the node keeps its warm engine, so re-registered nodes
   answer repeated shapes from their session history;
-* with ``--memod`` the engine's solver pool consults the external memo
-  service through a :class:`~repro.cluster.memoclient.ClusterMemoClient`
-  (read-through cache, silent degraded mode).
+* with ``--memod`` the engine's solver pool uses a
+  :class:`~repro.api.memo.CheckMemoClient` whose remote is the external
+  memo service (:class:`~repro.cluster.memoclient.RemoteMemoStore`):
+  node-local store in front, silent degraded mode with re-arm.
 
 The ``node.crash`` fault point is probed before every job execution, so
 tests can ``REPRO_FAULTS="node.crash:exit:9:3"`` a node to die exactly
@@ -36,8 +37,9 @@ from typing import Any
 
 from repro.api.config import EngineConfig
 from repro.api.engine import SciductionEngine
+from repro.api.memo import CheckMemoClient
 from repro.cluster.auth import TokenSet, ensure_bind_allowed
-from repro.cluster.memoclient import ClusterMemoClient, RemoteMemoStore
+from repro.cluster.memoclient import RemoteMemoStore
 from repro.cluster.protocol import (
     OP_DRAIN,
     OP_DRAINED,
@@ -106,16 +108,17 @@ class NodeAgent:
         self.engine = SciductionEngine(
             EngineConfig.from_dict(dict(base.to_dict(), workers=1))
         )
-        self.memo_client: ClusterMemoClient | None = None
+        self.memo_client: CheckMemoClient | None = None
         if memod is not None:
             ensure_bind_allowed(memod[0], self.tokens, "node (memo link)")
-            self.memo_client = ClusterMemoClient(
+            self.memo_client = CheckMemoClient(
                 RemoteMemoStore(
                     memod[0],
                     memod[1],
                     client_id=name,
                     token=self.tokens.first_token(),
-                )
+                ),
+                client_id=name,
             )
             self.engine.pool.set_memo_backend(self.memo_client)
         self._stop = threading.Event()

@@ -161,10 +161,6 @@ class Hyperbox:
                 )
         return " and ".join(pieces)
 
-    def as_bounds(self) -> dict[str, tuple[float, float]]:
-        """Return ``{dimension: (low, high)}``."""
-        return {name: (interval.low, interval.high) for name, interval in self.intervals}
-
 
 class HyperboxHypothesis(StructureHypothesis[Hyperbox]):
     """Structure hypothesis: guards are hyperboxes with grid-aligned vertices."""

@@ -211,7 +211,6 @@ class HybridAutomaton:
         schedule: Sequence[str],
         horizon: float = 500.0,
         switch_policy: str = "latest",
-        record_interval: float | None = None,
     ) -> HybridTrace:
         """Drive the automaton through a prescribed sequence of transitions.
 
@@ -228,8 +227,6 @@ class HybridAutomaton:
                 violate safety — before switching; ``"asap"`` switches at
                 the first instant the guard holds and the dwell time has
                 elapsed.
-            record_interval: sampling period of the returned trace
-                (defaults to the integrator step).
 
         Returns:
             A :class:`HybridTrace`.
@@ -237,7 +234,6 @@ class HybridAutomaton:
         if switch_policy not in {"latest", "asap"}:
             raise SimulationError(f"unknown switch policy {switch_policy!r}")
         step = self.integrator.step
-        record_interval = record_interval or step
         system = self.system
         mode_name = system.initial_mode
         state = system.initial_state
@@ -290,7 +286,7 @@ class HybridAutomaton:
             state = rk4_step(mode.dynamics, state, step)
             time += step
             time_in_mode += step
-            if time - last_record >= record_interval - 1e-12:
+            if time - last_record >= step - 1e-12:
                 if not system.is_safe(mode_name, state):
                     trace.safe = False
                 trace.points.append(HybridTracePoint(time, mode_name, state))

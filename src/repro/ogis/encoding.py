@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 from repro.core.exceptions import BudgetExceededError, UnrealizableError
@@ -87,9 +88,10 @@ class SynthesisEncoder:
             the SAT encoding small; final artifacts can be re-checked at
             any width with :meth:`semantic_difference` or the program's
             ``equivalent_to``.
-        config: an :class:`~repro.api.config.EngineConfig` (or any object
-            with a compatible ``solver_options()`` method) providing the
-            solver flags in one place (defaults to ``EngineConfig()``).
+        config: an :class:`~repro.api.config.EngineConfig` providing the
+            solver flags in one place (defaults to ``EngineConfig()``);
+            private solvers are built with
+            :func:`~repro.api.pool.private_solver`.
         lease: the pooled :class:`~repro.api.pool.SolverLease` to run
             the shared persistent session on, or None for a private
             solver.  On a lease the pool — not this encoder — owns the
@@ -119,7 +121,6 @@ class SynthesisEncoder:
         num_inputs: int,
         num_outputs: int,
         width: int = 8,
-        outputs_from_components: bool = True,
         config=None,
         lease=None,
     ):
@@ -129,21 +130,16 @@ class SynthesisEncoder:
         self.num_inputs = num_inputs
         self.num_outputs = num_outputs
         self.width = width
-        if config is None:
-            from repro.api.config import EngineConfig
+        from repro.api.config import EngineConfig
+        from repro.api.pool import private_solver
 
-            config = EngineConfig()
-        self._solver_kwargs = config.solver_options()
+        self._private_solver = partial(private_solver, config or EngineConfig())
         self._lease = lease
         self.num_lines = num_inputs + len(self.library)
         # The encoding compares locations against the constant ``num_lines``
         # (exclusive upper bound), so the location width must be able to
         # represent that value itself, not just the largest line index.
         self.location_width = max(1, math.ceil(math.log2(self.num_lines + 1)))
-        #: When True, program outputs must be component output lines (they
-        #: cannot simply forward an input), matching the shape of the
-        #: programs printed in the paper's Figure 8.
-        self.outputs_from_components = outputs_from_components
         self.statistics = SynthesisStatistics()
         # Persistent solver state shared by both query kinds (built lazily).
         self._solver: SmtSolver | None = None
@@ -219,10 +215,12 @@ class SynthesisEncoder:
             for argument in inputs:
                 constraints.append(argument.ult(locations.component_outputs[index]))
                 constraints.append(argument.ult(upper))
+        # Program outputs are component output lines (they cannot simply
+        # forward an input), matching the shape of the programs printed in
+        # the paper's Figure 8.
         for output in locations.program_outputs:
             constraints.append(output.ult(upper))
-            if self.outputs_from_components:
-                constraints.append(output.uge(lower))
+            constraints.append(output.uge(lower))
         return constraints
 
     def _dataflow(
@@ -317,10 +315,7 @@ class SynthesisEncoder:
     def _skeleton_fingerprint(self) -> str:
         """Identity of the base skeleton (for cross-job base-scope reuse)."""
         names = ",".join(component.name for component in self.library)
-        return (
-            f"ogis/{names}/w{self.width}/i{self.num_inputs}/o{self.num_outputs}"
-            f"/f{int(self.outputs_from_components)}"
-        )
+        return f"ogis/{names}/w{self.width}/i{self.num_inputs}/o{self.num_outputs}"
 
     def _reset_solver(self) -> None:
         """(Re)build the shared persistent solver with its base skeleton.
@@ -345,7 +340,7 @@ class SynthesisEncoder:
                 self._skeleton_fingerprint()
             )
         else:
-            self._solver = SmtSolver(**self._solver_kwargs)
+            self._solver = self._private_solver()
         self._smt_base = self._solver.statistics.snapshot()
         self._sat_base = self._solver.sat_statistics()
         self._solver_locations = self._locations("s")
@@ -526,7 +521,7 @@ class SynthesisEncoder:
                 equivalence query undecided (an undecided check must not
                 be reported as "equivalent").
         """
-        solver = SmtSolver(**self._solver_kwargs)
+        solver = self._private_solver()
         symbolic_inputs = [
             bv_var(f"eqcheck_in_{index}", self.width) for index in range(self.num_inputs)
         ]

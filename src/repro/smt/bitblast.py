@@ -129,11 +129,6 @@ class BitBlaster:
     # -- public API -------------------------------------------------------
 
     @property
-    def true_literal(self) -> int:
-        """The literal constrained to be true."""
-        return self._true
-
-    @property
     def false_literal(self) -> int:
         """The literal constrained to be false."""
         return self._false
@@ -197,14 +192,6 @@ class BitBlaster:
         :meth:`rollback_variables`.
         """
         return self._declarations[-1][1] if self._declarations else 0
-
-    def bool_variable_literal(self, name: str) -> int | None:
-        """Literal assigned to a declared Boolean variable, if any."""
-        return self._bool_vars.get(name)
-
-    def bv_variable_literals(self, name: str) -> list[int] | None:
-        """Literals assigned to a declared bit-vector variable, if any."""
-        return self._bv_vars.get(name)
 
     def extract_assignment(self, sat_model: Sequence[bool]) -> Assignment:
         """Reconstruct variable values from a SAT model.

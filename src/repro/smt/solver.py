@@ -73,12 +73,11 @@ from repro.smt.terms import (
     Assignment,
     BitVecTerm,
     BoolTerm,
-    BvVar,
-    BoolVar,
     bool_and,
     evaluate,
     free_variables,
 )
+from repro.smt.wire import check_wire_key
 
 
 class SmtResult(enum.Enum):
@@ -112,10 +111,6 @@ class Model:
             return self[name]
         except KeyError:
             return default
-
-    def value_of(self, variable: BvVar | BoolVar) -> int | bool:
-        """Value of a term-level variable object."""
-        return self[variable.name]
 
     def evaluate(self, term) -> int | bool:
         """Evaluate an arbitrary term under this model.
@@ -151,11 +146,11 @@ class SmtStatistics:
     terms_simplified: int = 0
     #: Clauses reclaimed by scope garbage collection (see ``gc_dead_clauses``).
     clauses_collected: int = 0
-    #: Checks answered from the check memo (local or shared) without
-    #: touching the SAT core.
+    #: Checks answered from the check memo without touching the SAT core.
     check_memo_hits: int = 0
-    #: The subset of ``check_memo_hits`` answered by the *shared*
-    #: cross-worker memo backend (see :meth:`SmtSolver.set_memo_backend`).
+    #: The subset of ``check_memo_hits`` served by a *remote* store (the
+    #: parent's store in a worker process, the memo service on a cluster
+    #: node); see :class:`repro.api.memo.CheckMemoClient`.
     shared_memo_hits: int = 0
 
     def merged_with(self, other: "SmtStatistics") -> "SmtStatistics":
@@ -210,23 +205,15 @@ class SmtSolver:
             accumulated by ``pop`` that triggers a level-0 garbage
             collection of the SAT clause database; ``None`` disables the
             collection (ablation knob).
-        memoize_checks: cache decided ``check`` answers keyed by the
-            exact asserted-formula sequence plus the ``extra`` assumptions
-            (hash-consed terms make the key cheap and exact).  A repeated
-            query — the common case on pooled sessions whose job stream
-            repeats problem shapes — returns the recorded verdict and
-            model bits without touching the SAT core.  Sound because a
-            check's verdict is a pure function of the asserted formulas,
-            and the recorded model is exactly the one the deterministic
-            search would recompute; UNKNOWN (budget-limited) answers are
-            never cached.  Off by default: plain solvers prefer the
-            freshest model a re-search would find.
-    """
 
-    #: Bound on memoized check answers (the memo is wiped, not LRU-evicted,
-    #: beyond it — entries are cheap to recompute and the bound exists only
-    #: to keep a pathological stream from pinning unbounded model bits).
-    CHECK_MEMO_LIMIT = 512
+    The solver holds no check memo of its own.  With a memo backend
+    installed (:meth:`set_memo_backend`), every decided ``check`` is
+    looked up and published under its structural key, and a repeated
+    query — the common case on pooled sessions whose job stream repeats
+    problem shapes — returns the recorded verdict and model bits without
+    touching the SAT core.  Without one (the default) every check
+    searches: plain solvers get the freshest model a re-search finds.
+    """
 
     def __init__(
         self,
@@ -234,7 +221,6 @@ class SmtSolver:
         simplify_terms: bool = True,
         polarity_aware: bool = True,
         gc_dead_clauses: int | None = 2000,
-        memoize_checks: bool = False,
     ):
         self._assertions: list[BoolTerm] = []
         self._scopes: list[int] = []
@@ -242,16 +228,10 @@ class SmtSolver:
         self._simplify_terms = simplify_terms
         self._assert_polarity = POSITIVE if polarity_aware else BOTH
         self._gc_dead_clauses = gc_dead_clauses
-        self._memoize_checks = memoize_checks
-        # (assertion tuple, extra tuple) → (verdict, model bits | None).
-        # Keys hold strong references to the hash-consed terms, so key
-        # identity can never be recycled under the memo.
-        self._check_memo: dict = {}
-        # Optional shared (cross-worker) memo backend consulted after a
-        # local miss; see :meth:`set_memo_backend`.
+        # The check memo (see :meth:`set_memo_backend`), or None.
         self._memo_backend = None
-        # Term → structural digest, memoized for shared-memo keys
-        # (cleared together with the local memo).
+        # Term → structural digest for memo keys (dropped at every
+        # base seal, so it never pins an old epoch's terms).
         self._digest_cache: dict = {}
         # Job-level limits (see :meth:`set_job_limits`).
         self._job_conflicts_remaining: int | None = None
@@ -477,115 +457,75 @@ class SmtSolver:
             sat_solver.statistics.clauses_added - clauses_before
         )
         memo_key = None
-        if self._memoize_checks:
+        if self._memo_backend is not None:
             # The memo is consulted *after* the encoding work, so hits
             # and misses leave the solver in the identical state — the
             # variable layout never depends on which checks were cached.
-            # Including the post-encoding variable count in the key makes
-            # a recorded model's bit indices valid by construction: a
-            # hit's layout provably matches the record-time layout for
-            # every variable the memoized check constrains (same formula
-            # sequence blasted from the same frontier; see the solver
-            # pool's base-scope epochs).
-            memo_key = (
-                tuple(self._assertions),
-                tuple(extra),
-                sat_solver.num_variables,
-            )
-            cached = self._check_memo.get(memo_key)
-            if cached is not None:
-                return self._replay_memoized(cached)
-            shared = self._shared_lookup(memo_key)
-            if shared is not None:
-                # Read-through: keep the answer locally so the shared
-                # round trip is paid at most once per solver.
-                self._store_memo(memo_key, shared)
-                self.statistics.shared_memo_hits += 1
-                return self._replay_memoized(shared)
+            # The key is built once and reused for the publish.
+            memo_key = self._memo_key(extra, sat_solver.num_variables, blaster)
+            found = self._memo_backend.lookup(memo_key)
+            if found is not None:
+                return self._replay_memoized(*found)
         self._install_job_limits(sat_solver)
         result = sat_solver.solve(assumptions)
         self._charge_job_conflicts(sat_solver, conflicts_before)
         verdict = self._record_result(result, sat_solver, blaster)
         if memo_key is not None and verdict is not SmtResult.UNKNOWN:
-            entry = (
-                verdict,
+            self._memo_backend.publish(
+                memo_key,
+                verdict.value,
                 sat_solver.cached_model() if verdict is SmtResult.SAT else None,
             )
-            self._store_memo(memo_key, entry)
-            self._shared_publish(memo_key, entry)
         return verdict
 
-    def _store_memo(self, memo_key: tuple, entry: tuple) -> None:
-        if len(self._check_memo) >= self.CHECK_MEMO_LIMIT:
-            self._check_memo.clear()
-        self._check_memo[memo_key] = entry
-
-    # -- shared (cross-worker) memo backend ---------------------------------
+    # -- check memo -------------------------------------------------------
 
     def set_memo_backend(self, backend) -> None:
-        """Install a shared check-memo backend (or None to detach).
+        """Install the check memo (or None to detach).
 
-        ``backend`` is duck-typed (see :class:`repro.api.memo.MemoClient`):
-        ``lookup(key)`` returns ``(verdict_value, model_bits)`` or None,
+        ``backend`` is duck-typed (see
+        :class:`repro.api.memo.CheckMemoClient`): ``lookup(key)`` returns
+        ``(verdict_value, model_bits, remote)`` or None, and
         ``publish(key, verdict_value, model_bits)`` records a decided
-        answer.  The backend is consulted only when ``memoize_checks`` is
-        on and only after the solver-local memo misses; keys are the
-        process-independent wire form of ``(assertions, extras,
-        frontier)`` built by :func:`repro.smt.wire.check_wire_key`, so a
-        verdict decided by one worker process short-circuits the same
-        check in another.
+        answer.  Keys are process-independent (:meth:`_memo_key`), so one
+        backend may serve many solvers, and a verdict decided by one
+        worker process or node short-circuits the same check in another.
         """
         self._memo_backend = backend
 
-    def _shared_key(self, memo_key: tuple) -> str:
-        from repro.smt.wire import check_wire_key
+    def _memo_key(
+        self, extra: Sequence[BoolTerm], frontier: int, blaster: BitBlaster
+    ) -> str:
+        """The structural key of one check: layout signature + wire form.
 
-        assertions, extras, frontier = memo_key
-        # The blaster's declaration-layout signature joins the key: a
-        # variable *count* alone can coincide between sessions whose
-        # caches were polluted differently (e.g. a re-sealed base over
-        # leftover blasted terms), and replayed model bits are only valid
-        # when every declared name sits at the recorded positions.
-        _, blaster = self._core()
-        return (
-            f"{blaster.layout_signature()}:"
-            f"{check_wire_key(assertions, extras, frontier, self._digest_cache)}"
-        )
+        The post-encoding variable count (``frontier``) makes a recorded
+        model's bit indices valid by construction: same formula sequence
+        blasted from the same frontier.  The blaster's declaration-layout
+        signature joins it because a variable *count* alone can coincide
+        between sessions whose caches were polluted differently (e.g. a
+        re-sealed base over leftover blasted terms), and replayed model
+        bits are only valid when every declared name sits at the
+        recorded positions.
+        """
+        digest = check_wire_key(self._assertions, extra, frontier, self._digest_cache)
+        return f"{blaster.layout_signature()}:{digest}"
 
-    def _shared_lookup(self, memo_key: tuple) -> tuple | None:
-        if self._memo_backend is None:
-            return None
-        found = self._memo_backend.lookup(self._shared_key(memo_key))
-        if found is None:
-            return None
-        verdict_value, model_bits = found
-        return (
-            SmtResult(verdict_value),
-            None if model_bits is None else list(model_bits),
-        )
-
-    def _shared_publish(self, memo_key: tuple, entry: tuple) -> None:
-        if self._memo_backend is None:
-            return
-        verdict, model_bits = entry
-        self._memo_backend.publish(
-            self._shared_key(memo_key), verdict.value, model_bits
-        )
-
-    def _replay_memoized(self, cached: tuple) -> SmtResult:
+    def _replay_memoized(
+        self, verdict_value: str, model_bits: list[bool] | None, remote: bool
+    ) -> SmtResult:
         """Answer an already-encoded check from the memo (no search).
 
         Only the SAT search is skipped — the caller has already encoded
         pending assertions and the check's assumptions, exactly as a miss
         would, so the recorded model bits line up with the live variable
-        layout (guaranteed by the variable count in the memo key).  Names
-        blasted only after the recorded model resolve to None, which is
-        correct: the memoized check did not constrain them.  The pool
-        clears the memo whenever a session's base scope is
-        re-established (:meth:`clear_check_memo`).
+        layout (guaranteed by the memo key).  Names blasted only after the
+        recorded model resolve to None, which is correct: the memoized
+        check did not constrain them.
         """
-        verdict, model_bits = cached
+        verdict = SmtResult(verdict_value)
         self.statistics.check_memo_hits += 1
+        if remote:
+            self.statistics.shared_memo_hits += 1
         self._last_model = None
         _, blaster = self._core()
         if verdict is SmtResult.SAT:
@@ -596,26 +536,16 @@ class SmtSolver:
             self._model_source = None
         return verdict
 
-    def clear_check_memo(self) -> None:
-        """Drop every memoized check answer.
-
-        Called by the solver pool whenever a session's base scope is
-        re-established: memoized model bits are only valid relative to
-        the variable layout of the epoch they were recorded in.  (The
-        shared backend is left untouched — its keys embed the variable
-        frontier, so entries from other epochs simply never match.)
-        """
-        self._check_memo.clear()
-        self._digest_cache.clear()
-
     def seal_base(self) -> None:
         """Seal the open scopes as this solver's *base*.
 
         Encodes every pending assertion into the SAT core, then takes the
         SAT watermark (:meth:`repro.smt.sat.CdclSolver.watermark`) that
         :meth:`reset_to_base` returns to.  The mark is dropped as soon as
-        the innermost scope open at sealing time is popped.
+        the innermost scope open at sealing time is popped.  A seal
+        starts a new epoch, so the memo-key digest cache is dropped.
         """
+        self._digest_cache.clear()
         sat_solver, _ = self._core()
         variables_before = sat_solver.num_variables
         clauses_before = sat_solver.statistics.clauses_added

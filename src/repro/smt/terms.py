@@ -76,18 +76,6 @@ def intern_table_size() -> int:
     return len(_intern_table)
 
 
-def clear_intern_table() -> None:
-    """Drop all interned terms (and any open intern scopes).
-
-    Only useful for long-running processes that build unbounded numbers of
-    distinct terms; terms constructed before and after the call no longer
-    share structure.  For job-granular cleanup prefer the scoped interface
-    (:func:`push_intern_scope` / :func:`pop_intern_scope`).
-    """
-    _intern_table.clear()
-    _intern_scopes.clear()
-
-
 def push_intern_scope() -> int:
     """Open an intern scope and return its token (the scope depth).
 

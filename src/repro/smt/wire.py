@@ -1,16 +1,16 @@
 """Process-independent wire digests for hash-consed terms.
 
-The solver-local check memo (:class:`~repro.smt.solver.SmtSolver`) keys
-entries by term *identity* — free under hash-consing, but meaningless
-outside the owning process.  A memo shared across worker processes (see
-:mod:`repro.api.memo`) needs content-addressed keys instead: this module
-digests terms structurally, so two processes that build the same formula
-independently produce the same key.
+Term *identity* is free under hash-consing but meaningless outside the
+owning process.  The check memo (:mod:`repro.api.memo`) is shared across
+sessions, worker processes and nodes, so it needs content-addressed keys
+instead: this module digests terms structurally, so two processes that
+build the same formula independently produce the same key.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence
 
 from repro.smt.terms import Term
 
@@ -83,18 +83,18 @@ def _term_atoms(term: Term) -> list[str]:
 
 
 def check_wire_key(
-    assertions: tuple[Term, ...],
-    extras: tuple[Term, ...],
+    assertions: Sequence[Term],
+    extras: Sequence[Term],
     frontier: int,
     cache: dict[Term, str],
 ) -> str:
-    """The shared-memo key for one ``check``: wire form of
+    """The check-memo key for one ``check``: wire form of
     ``(assertions, extras, frontier)``.
 
-    ``frontier`` is the solver's post-encoding SAT variable count — the
-    same layout witness the solver-local memo uses, which makes a hit's
-    recorded model bits valid by construction (same formula sequence
-    blasted from the same frontier yields the same variable layout).
+    ``frontier`` is the solver's post-encoding SAT variable count, a
+    layout witness that makes a hit's recorded model bits valid by
+    construction (same formula sequence blasted from the same frontier
+    yields the same variable layout).
     """
     digest = hashlib.sha1()
     for formula in assertions:

@@ -13,7 +13,6 @@ class TestEngineConfig:
         config = EngineConfig(
             simplify_terms=False,
             gc_dead_clauses=None,
-            max_conflicts=123,
             pool_size=3,
             reuse_sessions=False,
             intern_table_limit=10,
@@ -31,8 +30,6 @@ class TestEngineConfig:
         # Every option must be a real SmtSolver kwarg (constructing with
         # them all is the proof).
         SmtSolver(**options)
-        # Engine sessions always memoize decided checks.
-        assert options["memoize_checks"] is True
 
     def test_config_is_immutable(self):
         with pytest.raises(Exception):
@@ -43,15 +40,12 @@ class TestEngineConfig:
             "simplify_terms",
             "polarity_aware",
             "gc_dead_clauses",
-            "max_conflicts",
             "workers",
             "pool_size",
             "reuse_sessions",
             "shared_check_memo",
-            "shared_memo_size",
             "intern_table_limit",
             "job_retry_limit",
-            "retry_backoff",
         ]
 
 
@@ -60,14 +54,6 @@ class TestRangeChecks:
     def test_pool_size_below_one_rejected(self, pool_size):
         with pytest.raises(ReproError, match="pool_size"):
             EngineConfig(pool_size=pool_size)
-
-    def test_negative_max_conflicts_rejected(self):
-        with pytest.raises(ReproError, match="max_conflicts"):
-            EngineConfig(max_conflicts=-1)
-
-    def test_zero_and_unlimited_max_conflicts_accepted(self):
-        assert EngineConfig(max_conflicts=0).max_conflicts == 0
-        assert EngineConfig(max_conflicts=None).max_conflicts is None
 
     def test_from_dict_applies_range_checks(self):
         with pytest.raises(ReproError, match="pool_size"):

@@ -290,8 +290,7 @@ class TestDistributionJobs:
         assert len(paths) > 1
 
         # A repeated job lands on the same session, finds its sealed base
-        # scope, and answers every feasibility check from the local memo
-        # (re-sealing would have cleared it).
+        # scope, and answers every feasibility check from the check memo.
         second = engine.run(self.DISTRIBUTION)
         assert second.details["distribution"] == first.details["distribution"]
         assert second.details["engine"]["session_reused"] is True

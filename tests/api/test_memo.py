@@ -1,27 +1,29 @@
-"""Shared cross-worker check memo: store semantics + solver integration.
+"""The one check memo: store semantics, the client, solver and pool wiring.
 
 The store itself (LRU bound, cross-worker hit accounting, first-writer
-wins) is exercised directly; the solver integration is exercised by
-running the same query on independent solvers that share one store — the
-second solver must answer without touching its SAT core.  Worker-process
-integration is covered end to end by ``test_scheduler.py`` (rotated
-batches) and the bench suite's skewed-stream workload.
+wins) is exercised directly.  :class:`CheckMemoClient` is exercised with
+a :class:`SharedCheckMemo` standing in for its remote (the manager proxy
+of a worker process has the same signature) and with failing remotes;
+the network remote is covered by ``tests/cluster/test_memod.py``.  The
+solver integration runs the same query on independent solvers whose
+clients share one remote store — the second solver must answer without
+touching its SAT core.  Worker-process traffic is exercised end to end by
+``TestEngineTraffic`` below and ``test_scheduler.py`` (rotated batches).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api.memo import MemoClient, SharedCheckMemo
+from repro.api.memo import REARM_AFTER_CALLS, CheckMemoClient, SharedCheckMemo
 from repro.smt.solver import SmtResult, SmtSolver
 from repro.smt.terms import bv_const, bv_var
 from repro.smt.wire import check_wire_key, term_digest
 
 
-def _query_solver(store: SharedCheckMemo | None, client_id: str) -> SmtSolver:
-    solver = SmtSolver(memoize_checks=True)
-    if store is not None:
-        solver.set_memo_backend(MemoClient(store, client_id))
+def _query_solver(remote: SharedCheckMemo, client_id: str) -> SmtSolver:
+    solver = SmtSolver()
+    solver.set_memo_backend(CheckMemoClient(remote, client_id))
     return solver
 
 
@@ -29,6 +31,36 @@ def _multiply_query(solver: SmtSolver, width: int = 8) -> SmtResult:
     x = bv_var("x", width)
     solver.add((x * bv_const(3, width)).eq(bv_const(15, width)))
     return solver.check()
+
+
+class _DeadRemote:
+    def lookup(self, key, requester):
+        raise ConnectionResetError("manager gone")
+
+    def publish(self, *args):
+        raise ConnectionResetError("manager gone")
+
+
+class _FlakyRemote(SharedCheckMemo):
+    """A store that fails its first ``failures`` calls."""
+
+    def __init__(self, failures: int) -> None:
+        super().__init__()
+        self.failures = failures
+        self.calls = 0
+
+    def _maybe_fail(self) -> None:
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise EOFError("manager restarting")
+
+    def lookup(self, key, requester):
+        self._maybe_fail()
+        return super().lookup(key, requester)
+
+    def publish(self, key, verdict, model_bits, publisher):
+        self._maybe_fail()
+        super().publish(key, verdict, model_bits, publisher)
 
 
 class TestSharedCheckMemoStore:
@@ -73,18 +105,74 @@ class TestSharedCheckMemoStore:
         with pytest.raises(ValueError):
             SharedCheckMemo(capacity=0)
 
-    def test_broken_transport_degrades_to_noop(self):
-        class _DeadProxy:
-            def lookup(self, key, requester):
-                raise ConnectionResetError("manager gone")
 
-            def publish(self, *args):
-                raise ConnectionResetError("manager gone")
-
-        client = MemoClient(_DeadProxy(), "w0")
+class TestCheckMemoClient:
+    def test_without_remote_the_local_store_answers(self):
+        client = CheckMemoClient()
         assert client.lookup("k") is None
-        assert client.broken is True
+        client.publish("k", "sat", [True])
+        assert client.lookup("k") == ("sat", [True], False)
+        statistics = client.statistics()
+        assert statistics["local_hits"] == 1
+        assert statistics["publishes"] == 1
+        assert statistics["remote_misses"] == 0
+        assert statistics["local_cache"]["entries"] == 1
+
+    def test_local_store_answers_before_the_remote(self):
+        remote = SharedCheckMemo()
+        client = CheckMemoClient(remote, "w0")
+        client.publish("k", "unsat", None)
+        assert remote.lookup("k", "other") == ("unsat", None)  # reached it
+        lookups = remote.statistics()["lookups"]
+        assert client.lookup("k") == ("unsat", None, False)
+        assert remote.statistics()["lookups"] == lookups
+
+    def test_remote_hit_is_copied_locally(self):
+        remote = SharedCheckMemo()
+        remote.publish("k", "sat", [False, True], "w0")
+        client = CheckMemoClient(remote, "w1")
+        assert client.lookup("k") == ("sat", [False, True], True)
+        assert remote.statistics()["cross_worker_hits"] == 1
+        assert client.lookup("k") == ("sat", [False, True], False)
+        assert remote.statistics()["lookups"] == 1
+        statistics = client.statistics()
+        assert (statistics["remote_hits"], statistics["local_hits"]) == (1, 1)
+
+    def test_dead_remote_fails_open(self):
+        client = CheckMemoClient(_DeadRemote(), "w0")
+        assert client.lookup("k") is None
+        assert client.degraded()
         client.publish("k", "sat", None)  # must not raise
+        # The local store still serves what this process decided.
+        assert client.lookup("k") == ("sat", None, False)
+        assert client.statistics()["degradations"] == 1
+
+    def test_counter_based_rearm(self):
+        remote = _FlakyRemote(failures=1)
+        client = CheckMemoClient(remote, "w1")
+        assert client.lookup("trip") is None  # the failing call
+        assert client.degraded()
+        remote.publish("warm", "unsat", None, "w0")
+        calls = remote.calls
+        for index in range(REARM_AFTER_CALLS - 1):
+            assert client.lookup(f"cooldown-{index}") is None
+        assert remote.calls == calls  # degraded calls skip the remote
+        # The next call is the re-arm probe and reaches the store.
+        assert client.lookup("warm") == ("unsat", None, True)
+        assert not client.degraded()
+        statistics = client.statistics()
+        assert statistics["degraded_calls"] == REARM_AFTER_CALLS
+        assert statistics["rearms"] == 1
+
+    def test_failed_rearm_restarts_the_cooldown(self):
+        client = CheckMemoClient(_DeadRemote(), "w0")
+        client.lookup("trip")
+        for index in range(REARM_AFTER_CALLS - 1):
+            client.lookup(f"cooldown-{index}")
+        assert client.lookup("probe") is None
+        assert client.degraded()
+        statistics = client.statistics()
+        assert (statistics["rearms"], statistics["degradations"]) == (1, 2)
 
 
 class TestWireKeys:
@@ -138,7 +226,7 @@ class TestSolverIntegration:
         lookups_before = store.statistics()["lookups"]
         assert solver.check() is SmtResult.SAT
         assert store.statistics()["lookups"] == lookups_before + 1
-        # Read-through: the repeat answers locally, no second round trip.
+        # The repeat answers locally, no second round trip.
         assert solver.check() is SmtResult.SAT
         assert store.statistics()["lookups"] == lookups_before + 1
         assert solver.statistics.check_memo_hits == 2
@@ -146,38 +234,40 @@ class TestSolverIntegration:
 
     def test_unknown_answers_are_never_published(self):
         store = SharedCheckMemo(capacity=64)
-        solver = SmtSolver(max_conflicts=0, memoize_checks=True)
-        solver.set_memo_backend(MemoClient(store, "w0"))
+        solver = SmtSolver(max_conflicts=0)
+        client = CheckMemoClient(store, "w0")
+        solver.set_memo_backend(client)
         x = bv_var("x", 8)
         # Hard enough to exhaust a zero-conflict budget.
         solver.add((x * x).eq(bv_const(49, 8)), x.ugt(bv_const(8, 8)))
         assert solver.check() is SmtResult.UNKNOWN
         assert store.statistics()["publishes"] == 0
-
-    def test_epoch_invalidation_on_clear(self):
-        store = SharedCheckMemo(capacity=64)
-        solver = _query_solver(store, "w0")
-        assert _multiply_query(solver) is SmtResult.SAT
-        solver.clear_check_memo()
-        # The local memo is gone, but the shared entry still matches the
-        # identical epoch (same assertions, same frontier) — the check is
-        # answered shared, not re-searched.
-        assert solver.check() is SmtResult.SAT
-        assert solver.statistics.shared_memo_hits == 1
+        assert client.local.statistics()["publishes"] == 0
 
 
 class TestPoolWiring:
-    def test_pool_installs_backend_on_new_sessions(self):
+    def test_pool_installs_its_backend_on_new_sessions(self):
         from repro.api.config import EngineConfig
         from repro.api.pool import SolverPool
 
-        store = SharedCheckMemo(capacity=64)
-        pool = SolverPool(
-            EngineConfig(), memo_backend=MemoClient(store, "local")
-        )
+        client = CheckMemoClient()
+        pool = SolverPool(EngineConfig(), memo_backend=client)
         lease = pool.acquire(shape="s")
-        assert lease.solver._memo_backend is not None
+        assert lease.solver._memo_backend is client
         pool.release(lease)
+
+    def test_pool_without_backend_gives_each_session_a_private_memo(self):
+        from repro.api.config import EngineConfig
+        from repro.api.pool import SolverPool
+
+        pool = SolverPool(EngineConfig())
+        first = pool.acquire(shape="a")
+        second = pool.acquire(shape="b")
+        backends = {id(first.solver._memo_backend), id(second.solver._memo_backend)}
+        assert None not in (first.solver._memo_backend, second.solver._memo_backend)
+        assert len(backends) == 2
+        pool.release(second)
+        pool.release(first)
 
     def test_engine_reports_shared_memo_statistics(self):
         from repro.api import DeobfuscationProblem, EngineConfig, SciductionEngine
@@ -187,3 +277,61 @@ class TestPoolWiring:
         statistics = engine.statistics()
         assert statistics["shared_memo"]["publishes"] > 0
         assert "pool" in statistics and "scheduler" in statistics
+
+
+class TestEngineTraffic:
+    """The traffic the one memo serves, on sequential and parallel engines."""
+
+    TIMING = {
+        "kind": "timing-analysis",
+        "program": "bounded_linear_search",
+        "program_args": {"length": 4, "word_width": 16},
+        "bound": 250,
+    }
+    DEOBFUSCATION = {"kind": "deobfuscation", "task": "multiply45", "width": 4, "seed": 0}
+
+    @staticmethod
+    def _smt(result) -> dict:
+        return result.details["engine"]["smt_job_statistics"]
+
+    def test_repeat_on_a_recycled_session_answers_from_the_memo(self):
+        from repro.api import EngineConfig, SciductionEngine
+
+        engine = SciductionEngine(EngineConfig(pool_size=1))
+        first = engine.run(dict(self.TIMING))
+        engine.run(dict(self.DEOBFUSCATION))  # recycles the timing session
+        again = engine.run(dict(self.TIMING))
+        assert engine.pool.statistics.solvers_retired >= 1
+        assert again.details["engine"]["session_reused"] is False
+        assert (again.success, again.verdict) == (first.success, first.verdict)
+        stats = self._smt(again)
+        assert stats["checks"] == self._smt(first)["checks"] > 0
+        assert stats["check_memo_hits"] == stats["checks"]
+        # Served by this process's memo, not by a remote store.
+        assert stats["shared_memo_hits"] == 0
+        assert again.details["engine"]["sat_job_statistics"]["decisions"] == 0
+
+    def test_worker_repeat_makes_no_second_manager_lookup(self):
+        from repro.api import EngineConfig, SciductionEngine
+
+        problems = [dict(self.TIMING), dict(self.DEOBFUSCATION)]
+        with SciductionEngine(EngineConfig(workers=2, pool_size=1)) as engine:
+            engine.run_batch([dict(problem) for problem in problems])
+            # The per-batch rotation swaps the two shapes between the
+            # workers: each answers the other's checks from the parent's
+            # store.
+            moved = engine.run_batch([dict(problem) for problem in problems])
+            after_move = engine.statistics()["shared_memo"]
+            assert after_move["cross_worker_hits"] > 0, after_move
+            for result in moved:
+                assert self._smt(result)["shared_memo_hits"] > 0
+            # Rotated back: each worker's own memo still holds the checks
+            # it decided in the first batch, although its session for the
+            # shape was recycled, so no check reaches the manager.
+            back = engine.run_batch([dict(problem) for problem in problems])
+            after_back = engine.statistics()["shared_memo"]
+            assert after_back["lookups"] == after_move["lookups"]
+            for result in back:
+                stats = self._smt(result)
+                assert stats["check_memo_hits"] == stats["checks"] > 0
+                assert stats["shared_memo_hits"] == 0

@@ -1,19 +1,17 @@
-"""Per-job retry budget: crash supervision, fault chains, backoff.
+"""Per-job retry budget: crash supervision and fault chains.
 
 ``EngineConfig.job_retry_limit`` bounds how many times a job may be
 retried after a worker-process crash (parallel path) before it reaches a
 terminal ``failed`` state; the terminal record carries the full fault
 chain, one entry per consumed attempt, so a persistent fault is
-distinguishable from a transient one.  ``retry_backoff`` spaces the
-attempts exponentially.  The ``engine.crash``/``engine.slow`` fault
-sites prove in-process execution faults fold into job outcomes instead
-of propagating.
+distinguishable from a transient one.  The ``engine.crash``/``engine.slow``
+fault sites prove in-process execution faults fold into job outcomes
+instead of propagating.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -64,14 +62,11 @@ class TestConfigKnobs:
     def test_validation(self):
         with pytest.raises(ReproError):
             EngineConfig(job_retry_limit=-1)
-        with pytest.raises(ReproError):
-            EngineConfig(retry_backoff=-0.1)
 
     def test_wire_round_trip(self):
-        config = EngineConfig(job_retry_limit=3, retry_backoff=0.5)
+        config = EngineConfig(job_retry_limit=3)
         rebuilt = EngineConfig.from_dict(config.to_dict())
         assert rebuilt.job_retry_limit == 3
-        assert rebuilt.retry_backoff == 0.5
 
 
 class TestCrashRetryBudget:
@@ -116,20 +111,6 @@ class TestCrashRetryBudget:
         # history lives); the attempt marker proves the crash happened.
         assert "fault_chain" not in results[0].details
         assert (tmp_path / "attempt").exists()
-
-    def test_backoff_spaces_the_attempts(self):
-        engine = SciductionEngine(
-            EngineConfig(workers=2, job_retry_limit=1, retry_backoff=0.2)
-        )
-        doomed = engine.submit(_CrashyProblem(mode="crash-always"))
-        engine.submit(_CrashyProblem(mode="echo"))  # keep the batch parallel
-        start = time.monotonic()
-        engine.run_batch()
-        elapsed = time.monotonic() - start
-        assert doomed.state is JobState.FAILED
-        # One retry at backoff * 2**0: the batch cannot finish faster
-        # than the injected pause.
-        assert elapsed >= 0.2
 
 
 class TestEngineFaultSites:

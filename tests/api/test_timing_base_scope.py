@@ -3,9 +3,9 @@
 :class:`~repro.cfg.ssa.PathConstraintBuilder` now rides the pooled
 lease's ``base_session`` / ``seal_base`` protocol like the OGIS encoder:
 a repeated timing-analysis job finds its CFG's fingerprinted base scope
-still sealed, keeps the session's check-memo epoch alive, and answers
-the whole path-feasibility sweep from the memo instead of re-running the
-SAT search.
+still sealed, re-blasts its paths into the same variable layout, and
+answers the whole path-feasibility sweep from the check memo instead of
+re-running the SAT search.
 """
 
 from __future__ import annotations
@@ -89,12 +89,13 @@ class TestEngineTimingReuse:
     @pytest.mark.sequential_only
     def test_epoch_invalidation_on_base_scope_reseal(self):
         """A different CFG on the same session re-seals the base scope and
-        must not serve the old epoch's memoized answers.
+        must not be served the old base's memoized answers.
 
         ``bounded_linear_search`` with a different length has the *same
         shape key* (same program name, same word width) but a different
-        CFG — the warm session is reused, the fingerprint mismatches, the
-        base scope is re-sealed, and the memo epoch is invalidated.
+        CFG — the warm session is reused, the fingerprint mismatches and
+        the base scope is re-sealed; the memo keys (assertions, frontier,
+        layout) of the new base match none recorded under the old one.
         """
         engine = SciductionEngine(EngineConfig(workers=1, pool_size=1))
         first = engine.run(TimingAnalysisProblem(**SPEC))
@@ -108,9 +109,8 @@ class TestEngineTimingReuse:
         assert other.success
         assert other.details["engine"]["session_reused"] is True
         other_stats = other.details["engine"]["smt_job_statistics"]
-        # New fingerprint ⇒ fresh epoch: no stale local answers, and the
-        # shared store cannot match either (different assertions and
-        # frontier), so every check ran for real.
+        # New fingerprint ⇒ new base: no stale answers match (different
+        # assertions and frontier), so every check ran for real.
         assert other_stats["check_memo_hits"] == 0
         again = engine.run(TimingAnalysisProblem(**SPEC))
         assert (first.success, first.verdict) == (again.success, again.verdict)

@@ -1,15 +1,16 @@
-"""Memo service + client: RPC, auth, degraded mode, counter-based re-arm."""
+"""Memo service + node client: RPC, auth, degraded mode, counter-based re-arm.
+
+A node's memo client is the one :class:`~repro.api.memo.CheckMemoClient`
+with a :class:`~repro.cluster.memoclient.RemoteMemoStore` as its remote.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api.memo import REARM_AFTER_CALLS, CheckMemoClient
 from repro.cluster.auth import TokenSet
-from repro.cluster.memoclient import (
-    REARM_AFTER_CALLS,
-    ClusterMemoClient,
-    RemoteMemoStore,
-)
+from repro.cluster.memoclient import RemoteMemoStore
 from repro.cluster.memod import MemoService
 from repro.cluster.protocol import ProtocolError
 from repro.testing import faults
@@ -29,15 +30,19 @@ def store_for(service: MemoService, client_id: str, token: str | None = None):
     )
 
 
+def client_for(service: MemoService, client_id: str) -> CheckMemoClient:
+    return CheckMemoClient(store_for(service, client_id), client_id)
+
+
 class TestRemoteMemoStore:
     def test_miss_publish_hit(self, memod):
         store = store_for(memod, "n1")
         try:
-            assert store.lookup("k1") is None
-            store.publish("k1", "unsat", None)
-            assert store.lookup("k1") == ("unsat", None)
-            store.publish("k2", "sat", [True, False, True])
-            assert store.lookup("k2") == ("sat", [True, False, True])
+            assert store.lookup("k1", "n1") is None
+            store.publish("k1", "unsat", None, "n1")
+            assert store.lookup("k1", "n1") == ("unsat", None)
+            store.publish("k2", "sat", [True, False, True], "n1")
+            assert store.lookup("k2", "n1") == ("sat", [True, False, True])
         finally:
             store.close()
 
@@ -45,8 +50,8 @@ class TestRemoteMemoStore:
         publisher = store_for(memod, "n1")
         requester = store_for(memod, "n2")
         try:
-            publisher.publish("shared", "unsat", None)
-            assert requester.lookup("shared") == ("unsat", None)
+            publisher.publish("shared", "unsat", None, "n1")
+            assert requester.lookup("shared", "n2") == ("unsat", None)
             stats = requester.statistics()
             assert stats["cross_worker_hits"] == 1
             assert stats["publishes"] == 1
@@ -73,10 +78,10 @@ class TestRemoteMemoStore:
     def test_reconnects_after_teardown(self, memod):
         store = store_for(memod, "n1")
         try:
-            store.publish("k", "unsat", None)
+            store.publish("k", "unsat", None, "n1")
             # Simulate a dropped connection: the next call re-dials.
             store._teardown()
-            assert store.lookup("k") == ("unsat", None)
+            assert store.lookup("k", "n1") == ("unsat", None)
         finally:
             store.close()
 
@@ -92,8 +97,8 @@ class TestMemodAuth:
     def test_good_token(self, authed):
         store = store_for(authed, "n1", token="ci:sekret")
         try:
-            store.publish("k", "unsat", None)
-            assert store.lookup("k") == ("unsat", None)
+            store.publish("k", "unsat", None, "n1")
+            assert store.lookup("k", "n1") == ("unsat", None)
         finally:
             store.close()
 
@@ -101,7 +106,7 @@ class TestMemodAuth:
         store = store_for(authed, "n1", token="wrong")
         try:
             with pytest.raises(ProtocolError, match="hello failed"):
-                store.lookup("k")
+                store.lookup("k", "n1")
         finally:
             store.close()
         assert authed.statistics()["service"]["auth_failures"] >= 1
@@ -110,19 +115,19 @@ class TestMemodAuth:
         store = store_for(authed, "n1", token=None)
         try:
             with pytest.raises(ProtocolError):
-                store.lookup("k")
+                store.lookup("k", "n1")
         finally:
             store.close()
 
 
-class TestClusterMemoClient:
+class TestNodeMemoClient:
     def test_read_through_cache(self, memod):
         publisher = store_for(memod, "n1")
-        client = ClusterMemoClient(store_for(memod, "n2"))
+        client = client_for(memod, "n2")
         try:
-            publisher.publish("k", "unsat", None)
-            assert client.lookup("k") == ("unsat", None)  # remote hit
-            assert client.lookup("k") == ("unsat", None)  # local hit
+            publisher.publish("k", "unsat", None, "n1")
+            assert client.lookup("k") == ("unsat", None, True)  # remote hit
+            assert client.lookup("k") == ("unsat", None, False)  # local hit
             stats = client.statistics()
             assert stats["remote_hits"] == 1
             assert stats["local_hits"] == 1
@@ -132,19 +137,19 @@ class TestClusterMemoClient:
             client.close()
 
     def test_publish_goes_both_ways(self, memod):
-        client = ClusterMemoClient(store_for(memod, "n1"))
+        client = client_for(memod, "n1")
         other = store_for(memod, "n2")
         try:
             client.publish("k", "sat", [True])
-            assert other.lookup("k") == ("sat", [True])  # reached the service
-            assert client.lookup("k") == ("sat", [True])  # and the local cache
+            assert other.lookup("k", "n2") == ("sat", [True])  # reached memod
+            assert client.lookup("k") == ("sat", [True], False)  # and locally
             assert client.statistics()["local_hits"] == 1
         finally:
             client.close()
             other.close()
 
     def test_degrades_silently_when_service_dies(self, memod):
-        client = ClusterMemoClient(store_for(memod, "n1"))
+        client = client_for(memod, "n1")
         try:
             client.publish("k", "unsat", None)
             memod.close()
@@ -153,7 +158,7 @@ class TestClusterMemoClient:
             assert client.lookup("other") is None
             assert client.degraded()
             # Degraded lookups still answer from the local cache.
-            assert client.lookup("k") == ("unsat", None)
+            assert client.lookup("k") == ("unsat", None, False)
             stats = client.statistics()
             assert stats["degradations"] == 1
             assert stats["local_hits"] == 1
@@ -161,7 +166,7 @@ class TestClusterMemoClient:
             client.close()
 
     def test_degraded_calls_skip_the_network(self, memod):
-        client = ClusterMemoClient(store_for(memod, "n1"))
+        client = client_for(memod, "n1")
         try:
             memod.close()
             client.remote._teardown()
@@ -175,10 +180,10 @@ class TestClusterMemoClient:
             client.close()
 
     def test_rearm_after_cooldown_with_restarted_service(self, memod):
-        client = ClusterMemoClient(store_for(memod, "n1"))
+        client = client_for(memod, "n1")
         publisher = store_for(memod, "n2")
         try:
-            publisher.publish("warm", "unsat", None)
+            publisher.publish("warm", "unsat", None, "n2")
             port = memod.port
             memod.close()
             client.remote._teardown()
@@ -189,13 +194,13 @@ class TestClusterMemoClient:
             revived.start()
             try:
                 publisher2 = store_for(revived, "n3")
-                publisher2.publish("warm", "unsat", None)
+                publisher2.publish("warm", "unsat", None, "n3")
                 # Burn through the cooldown: these calls are local-only.
                 for index in range(REARM_AFTER_CALLS - 1):
                     client.lookup(f"cooldown-{index}")
                 assert client.degraded()
                 # The next call is the re-arm probe and reaches the store.
-                assert client.lookup("warm") == ("unsat", None)
+                assert client.lookup("warm") == ("unsat", None, True)
                 assert not client.degraded()
                 stats = client.statistics()
                 assert stats["rearms"] == 1
@@ -208,7 +213,7 @@ class TestClusterMemoClient:
             client.close()
 
     def test_failed_rearm_restarts_cooldown(self, memod):
-        client = ClusterMemoClient(store_for(memod, "n1"))
+        client = client_for(memod, "n1")
         try:
             memod.close()
             client.remote._teardown()
@@ -227,7 +232,7 @@ class TestClusterMemoClient:
 
 class TestMemodFaultPoint:
     def test_memod_down_fault_drops_connections(self, memod):
-        client = ClusterMemoClient(store_for(memod, "n1"))
+        client = client_for(memod, "n1")
         try:
             client.publish("k", "unsat", None)
             with faults.injected({"memod.down": faults.Fault("raise", "EIO")}):
@@ -238,7 +243,7 @@ class TestMemodFaultPoint:
                 assert client.lookup("anything") is None
                 assert client.degraded()
             # Still answering locally while degraded.
-            assert client.lookup("k") == ("unsat", None)
+            assert client.lookup("k") == ("unsat", None, False)
         finally:
             client.close()
 
@@ -266,7 +271,7 @@ class TestHandshakeFailureCleanup:
         link = _DeadLink()
         store = self._store_with_fake_link(monkeypatch, link)
         with pytest.raises(OSError):
-            store.lookup("k")
+            store.lookup("k", "n1")
         assert link.closed
         assert store._link is None  # the next call re-dials
 
@@ -286,6 +291,6 @@ class TestHandshakeFailureCleanup:
         link = _RefusingLink()
         store = self._store_with_fake_link(monkeypatch, link)
         with pytest.raises(ProtocolError, match="bad token"):
-            store.lookup("k")
+            store.lookup("k", "n1")
         assert link.closed
         assert store._link is None

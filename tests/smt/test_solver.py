@@ -365,11 +365,19 @@ class TestQueryShrinkingLayers:
         assert solver.check(x.eq(bv_const(1, 4))) is SmtResult.SAT
 
 
+def _memo_solver() -> SmtSolver:
+    from repro.api.memo import CheckMemoClient
+
+    solver = SmtSolver()
+    solver.set_memo_backend(CheckMemoClient())
+    return solver
+
+
 class TestCheckMemoization:
     def test_repeated_check_hits_the_memo(self):
         from repro.smt.terms import bv_const, bv_var
 
-        solver = SmtSolver(memoize_checks=True)
+        solver = _memo_solver()
         x = bv_var("memo_x", 8)
         solver.add((x * bv_const(3, 8)).eq(bv_const(15, 8)))
         assert solver.check() is SmtResult.SAT
@@ -379,6 +387,8 @@ class TestCheckMemoization:
 
         assert solver.check() is SmtResult.SAT
         assert solver.statistics.check_memo_hits == 1
+        # A process-local hit is not a remote (shared) hit.
+        assert solver.statistics.shared_memo_hits == 0
         # No SAT work was done and the recorded model is served.
         assert solver.sat_statistics().conflicts == conflicts_after_first
         assert solver.model_value("memo_x") == witness
@@ -386,7 +396,7 @@ class TestCheckMemoization:
     def test_new_assertion_misses_the_memo(self):
         from repro.smt.terms import bv_const, bv_var
 
-        solver = SmtSolver(memoize_checks=True)
+        solver = _memo_solver()
         y = bv_var("memo_y", 8)
         solver.add(y.ult(bv_const(10, 8)))
         assert solver.check() is SmtResult.SAT
@@ -397,7 +407,7 @@ class TestCheckMemoization:
     def test_extra_assumptions_key_the_memo(self):
         from repro.smt.terms import bv_const, bv_var
 
-        solver = SmtSolver(memoize_checks=True)
+        solver = _memo_solver()
         z = bv_var("memo_z", 8)
         solver.add(z.ult(bv_const(4, 8)))
         assert solver.check(z.eq(bv_const(2, 8))) is SmtResult.SAT
@@ -419,7 +429,7 @@ class TestCheckMemoization:
     def test_scope_pop_invalidates_by_content(self):
         from repro.smt.terms import bv_const, bv_var
 
-        solver = SmtSolver(memoize_checks=True)
+        solver = _memo_solver()
         w = bv_var("memo_w", 8)
         solver.push()
         solver.add(w.eq(bv_const(1, 8)))
@@ -432,13 +442,44 @@ class TestCheckMemoization:
         assert solver.model_value("memo_w") == 2
         solver.pop()
 
-    def test_clear_check_memo(self):
+    def test_without_a_backend_every_check_searches(self):
         from repro.smt.terms import bv_const, bv_var
 
-        solver = SmtSolver(memoize_checks=True)
+        solver = SmtSolver()
         v = bv_var("memo_v", 8)
         solver.add(v.eq(bv_const(5, 8)))
         assert solver.check() is SmtResult.SAT
-        solver.clear_check_memo()
         assert solver.check() is SmtResult.SAT
         assert solver.statistics.check_memo_hits == 0
+
+    def test_equal_frontier_with_another_layout_never_hits(self):
+        """Two solvers on one memo reach the same (assertions, extras,
+        frontier) with their variables declared in opposite orders: the
+        layout signature in the key keeps the second from replaying model
+        bits recorded under the first's layout."""
+        from repro.api.memo import CheckMemoClient
+        from repro.smt.terms import bool_and, bv_const, bv_var
+
+        memo = CheckMemoClient()
+        x = bv_var("layout_x", 8)
+        y = bv_var("layout_y", 8)
+        both = bool_and(x.eq(bv_const(1, 8)), y.eq(bv_const(2, 8)))
+        solvers = []
+        for first, second in ((x, y), (y, x)):
+            solver = SmtSolver()
+            solver.set_memo_backend(memo)
+            assert solver.check(first.eq(bv_const(1, 8))) is SmtResult.SAT
+            assert solver.check(second.eq(bv_const(1, 8))) is SmtResult.SAT
+            assert solver.check(both) is SmtResult.SAT
+            solvers.append(solver)
+        keys = [
+            solver._memo_key((both,), solver._sat_solver.num_variables, solver._blaster)
+            for solver in solvers
+        ]
+        # Same assertions, extras and frontier — only the layout differs.
+        assert keys[0].split(":", 1)[1] == keys[1].split(":", 1)[1]
+        assert keys[0] != keys[1]
+        backward = solvers[1]
+        assert backward.statistics.check_memo_hits == 0
+        assert backward.model_value("layout_x") == 1
+        assert backward.model_value("layout_y") == 2
