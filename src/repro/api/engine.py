@@ -156,6 +156,8 @@ class Job:
 _WORKER_ENGINE: "SciductionEngine | None" = None
 #: This worker's client id (stamped into shared-memo calls and payloads).
 _WORKER_ID: str = ""
+#: This worker's memo client (None without the parent's shared store).
+_WORKER_MEMO: CheckMemoClient | None = None
 
 
 def _initialize_worker(config_wire: dict, memo_proxy: Any, worker_id: str) -> None:
@@ -169,7 +171,7 @@ def _initialize_worker(config_wire: dict, memo_proxy: Any, worker_id: str) -> No
     worker pool so every solver session publishes and reads cross-worker.
     Without a proxy every session keeps a private memo.
     """
-    global _WORKER_ENGINE, _WORKER_ID
+    global _WORKER_ENGINE, _WORKER_ID, _WORKER_MEMO
     _WORKER_ID = worker_id
     _WORKER_ENGINE = SciductionEngine(
         EngineConfig.from_dict(
@@ -177,9 +179,8 @@ def _initialize_worker(config_wire: dict, memo_proxy: Any, worker_id: str) -> No
         )
     )
     if memo_proxy is not None:
-        _WORKER_ENGINE.pool.set_memo_backend(
-            CheckMemoClient(memo_proxy, worker_id)
-        )
+        _WORKER_MEMO = CheckMemoClient(memo_proxy, worker_id)
+        _WORKER_ENGINE.pool.set_memo_backend(_WORKER_MEMO)
 
 
 def _run_job_in_worker(payload: dict) -> dict:
@@ -190,8 +191,9 @@ def _run_job_in_worker(payload: dict) -> dict:
     clock starts when the job starts executing here, and the per-job
     statistics deltas are snapshotted by this process's lease — never by
     the parent — so parallel batches report per-job work, not
-    pool-lifetime totals.  The worker's cumulative pool statistics ride
-    along so the parent can aggregate fleet-wide counters for
+    pool-lifetime totals.  The worker's cumulative pool statistics and
+    its memo client's counters ride along (outside the result) so the
+    parent can report them per worker in
     :meth:`SciductionEngine.statistics`.
     """
     engine = _WORKER_ENGINE
@@ -204,6 +206,9 @@ def _run_job_in_worker(payload: dict) -> dict:
     response = engine.run_wire(payload)
     response["worker_id"] = _WORKER_ID
     response["pool_statistics"] = asdict(engine.pool.statistics)
+    response["memo_client"] = (
+        None if _WORKER_MEMO is None else _WORKER_MEMO.statistics()
+    )
     return response
 
 
@@ -321,7 +326,7 @@ class _WorkerFleet:
             self._memo_proxy = None
 
 
-@guarded_by("_state_lock", "_jobs", "_worker_pool_statistics")
+@guarded_by("_state_lock", "_jobs", "_worker_statistics")
 class SciductionEngine:
     """Unified engine running declarative problem specs over pooled solvers.
 
@@ -353,8 +358,8 @@ class SciductionEngine:
         # dispatches.
         self._state_lock = threading.Lock()
         self._scheduler_statistics = SchedulerStatistics()
-        #: Latest cumulative pool statistics reported by each worker.
-        self._worker_pool_statistics: dict[str, dict] = {}
+        #: Latest cumulative pool and memo-client counters of each worker.
+        self._worker_statistics: dict[str, dict] = {}
         self._fleet: _WorkerFleet | None = None
         self._fleet_finalizer: "weakref.finalize | None" = None
 
@@ -629,9 +634,9 @@ class SciductionEngine:
                 # statistics() reads this dict from HTTP handler threads
                 # while the dispatch loop completes jobs (LOCK02).
                 with self._state_lock:
-                    self._worker_pool_statistics[value["worker_id"]] = value[
-                        "pool_statistics"
-                    ]
+                    self._worker_statistics[value["worker_id"]] = dict(
+                        value["pool_statistics"], memo_client=value["memo_client"]
+                    )
             elif kind == "crashed":
                 self._record_crash(job)
             elif kind == "error":
@@ -827,7 +832,10 @@ class SciductionEngine:
         * ``scheduler`` — batches, dispatches, steals and crash
           retirements of the parallel work-stealing scheduler;
         * ``workers`` — each worker process's latest cumulative pool
-          counters (reported with every finished job);
+          counters, plus its memo client's counters under
+          ``memo_client`` (``local_hits``, ``remote_hits``, ``degraded``,
+          ``degradations`` …; None without a shared store), reported
+          with every finished job;
         * ``shared_memo`` — the check-memo store counters, summed over
           the engine's in-process store and the manager-served store the
           workers use.  ``cross_worker_hits`` counts verdicts decided by
@@ -849,7 +857,7 @@ class SciductionEngine:
                 else:
                     memo[key] = memo.get(key, 0) + value
         with self._state_lock:
-            workers = dict(sorted(self._worker_pool_statistics.items()))
+            workers = dict(sorted(self._worker_statistics.items()))
         return {
             "pool": asdict(self.pool.statistics),
             "scheduler": self._scheduler_statistics.as_dict(),

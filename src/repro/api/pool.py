@@ -33,9 +33,12 @@ set of long-lived incremental solvers and *leases* them to jobs:
   so only dropping both actually bounds memory) — below the limit,
   cross-job sharing is preserved untouched.
 
-What a warm session keeps from one job to the next is exactly two
+What a warm session keeps from one job to the next is exactly three
 things: the sealed base scope's encoding (its SAT variables and
-clauses) and the bit-blaster caches over those variables.  Everything
+clauses), the bit-blaster caches over those variables, and the
+:attr:`SolverLease.base_cache` of values derived from the base's
+fingerprint — GameTime keeps its path encodings there (interned terms
+keyed by path edges), so a repeated path is not re-encoded.  Everything
 else goes at release: the finished job's variables, clauses and blaster
 entries, *every* learned clause (base-scope ones included; a session
 that never sealed a base keeps only those locked as reasons of level-0
@@ -106,6 +109,9 @@ class _SessionRecord:
     #: (see :meth:`SolverLease.base_session`), or None when the session is
     #: parked at its root.
     base_fingerprint: str | None = None
+    #: Results derived from the sealed base scope alone, kept as long as
+    #: it is (see :attr:`SolverLease.base_cache`); None while unsealed.
+    base_cache: dict | None = None
     #: Whether this session's long-lived graph has been gc-frozen.
     frozen: bool = False
 
@@ -180,6 +186,7 @@ class SolverLease:
             self._solver.push()
             return self._solver, True
         self._record.base_fingerprint = None
+        self._record.base_cache = None
         self._pending_fingerprint = fingerprint
         self._pop_to(0)
         self._solver.push()
@@ -204,8 +211,23 @@ class SolverLease:
             raise SolverError("seal_base requires an unsealed base_session")
         self._solver.seal_base()
         self._record.base_fingerprint = self._pending_fingerprint
+        self._record.base_cache = {}
         self._pending_fingerprint = None
         self._solver.push()
+
+    @property
+    def base_cache(self) -> dict | None:
+        """A dict that lives exactly as long as the sealed base scope.
+
+        Created empty by :meth:`seal_base`, kept by every later
+        same-fingerprint :meth:`base_session`, dropped when the base is
+        popped or re-sealed under another fingerprint, and gone with the
+        session.  The fingerprint pins everything a cached value may
+        depend on, so a tenant can store values derived from it (the
+        GameTime path encodings) for the next tenant.  None until the
+        base is sealed.
+        """
+        return self._record.base_cache
 
     def close(self) -> None:
         """Pop back to the persistent base scope — or the root when none

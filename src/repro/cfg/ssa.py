@@ -15,6 +15,15 @@ bit-vectors.  Two refinements keep the queries small:
   variables (e.g. the accumulating product in modular exponentiation) are
   skipped, which keeps multiplication out of the SAT encoding entirely;
 * constants are folded by the term constructors.
+
+A path's encoding depends only on the CFG, the slicing flag and the
+path's edges, and its terms are hash-consed, so
+:meth:`PathConstraintBuilder.encode` builds each path once: on a pooled
+lease the encodings are kept in the session's base-scope cache
+(:attr:`repro.api.pool.SolverLease.base_cache`, pinned by the CFG
+fingerprint) and serve every later job on the same CFG; a builder without
+a lease keeps them for its own lifetime.  A cached encoding holds the very
+interned terms a rebuild would return.
 """
 
 from __future__ import annotations
@@ -61,6 +70,10 @@ class PathEncoding:
         return bool_and(*self.constraints)
 
 
+#: A path's constraints and input variables, as :meth:`encode` caches them.
+_Encoded = tuple[list[BoolTerm], dict[str, BvVar]]
+
+
 @dataclass
 class FeasiblePath:
     """A path together with a witness test case proving its feasibility."""
@@ -96,8 +109,10 @@ class PathConstraintBuilder:
             CFG finds the scope — and therefore the session's memoized
             feasibility verdicts — still valid, so a repeated
             timing-analysis sweep answers its path queries without
-            re-running the SAT search.  The builder's statistics are
-            per-builder deltas against the solver's state at hand-over.
+            re-running the SAT search, and without re-encoding a path
+            (the encodings stay in the base scope's cache).  The
+            builder's statistics are per-builder deltas against the
+            solver's state at hand-over.
     """
 
     def __init__(
@@ -112,9 +127,10 @@ class PathConstraintBuilder:
         #: Whether this builder found its base scope already sealed by an
         #: earlier same-CFG tenant (telemetry for tests/benchmarks).
         self.base_scope_reused = False
+        self._fingerprint = self._compute_fingerprint()
         if lease is not None:
             self._solver, self.base_scope_reused = lease.base_session(
-                self.fingerprint()
+                self._fingerprint
             )
             if not self.base_scope_reused:
                 # The SSA encoding has no job-independent constraints to
@@ -123,11 +139,17 @@ class PathConstraintBuilder:
                 # reset watermark, which returns every job to the same
                 # variable layout (so repeated checks hit the memo).
                 lease.seal_base()
+            encodings = lease.base_cache
+            assert encodings is not None  # the base is sealed by now
         else:
             from repro.api.config import EngineConfig
             from repro.api.pool import private_solver
 
             self._solver = private_solver(config or EngineConfig())
+            encodings = {}
+        #: Path edges -> (constraints, input variables) of each path
+        #: encoded so far (see :meth:`encode`).
+        self._encodings: dict[tuple[int, ...], _Encoded] = encodings
         self._statistics_base = self._solver.statistics.snapshot()
         self.queries = 0
 
@@ -138,6 +160,9 @@ class PathConstraintBuilder:
         same encodings: same CFG structure (blocks, statements, edge
         conditions, parameters, word width) and the same slicing flag.
         """
+        return self._fingerprint
+
+    def _compute_fingerprint(self) -> str:
         blocks = ";".join(
             ",".join(repr(statement) for statement in block.statements)
             for block in self.cfg.blocks
@@ -274,7 +299,19 @@ class PathConstraintBuilder:
     # -- encoding ------------------------------------------------------------------
 
     def encode(self, path: Path) -> PathEncoding:
-        """Build the SSA path constraints for ``path``."""
+        """The SSA path constraints for ``path``, built once per path.
+
+        A repeated path returns the cached interned terms in fresh
+        containers, so a caller that mutates them cannot change the cache.
+        """
+        cached = self._encodings.get(path.edges)
+        if cached is None:
+            cached = self._encode(path)
+            self._encodings[path.edges] = cached
+        constraints, input_variables = cached
+        return PathEncoding(list(constraints), dict(input_variables))
+
+    def _encode(self, path: Path) -> _Encoded:
         width = self.cfg.word_width
         relevant = self._relevant_variables(path) if self.slice_to_conditions else None
         versions: dict[str, BitVecTerm] = {}
@@ -303,7 +340,7 @@ class PathConstraintBuilder:
                 position += 1
                 if edge.condition is not None:
                     constraints.append(self._condition(edge.condition, versions))
-        return PathEncoding(constraints=constraints, input_variables=input_variables)
+        return constraints, input_variables
 
     # -- queries ---------------------------------------------------------------------
 

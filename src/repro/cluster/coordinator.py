@@ -223,6 +223,7 @@ class ClusterEngine(SciductionEngine):
                     "jobs_completed": 0,
                     "shapes": {},
                     "last_heartbeat": None,
+                    "memo_client": None,
                 },
             )
             stats["registrations"] += 1
@@ -475,6 +476,7 @@ class ClusterEngine(SciductionEngine):
             stats = self._node_stats.get(node_name)
             if stats is not None:
                 stats["jobs_completed"] += 1
+                stats["memo_client"] = payload.get("memo_client")
 
     def _record_reshard(self, node_name: str, job_ids: list[int]) -> None:
         self._journal_soft(
@@ -506,7 +508,12 @@ class ClusterEngine(SciductionEngine):
     # -- reporting ---------------------------------------------------------
 
     def cluster_statistics(self) -> dict[str, Any]:
-        """The ``/stats`` cluster section: topology, failover, memod."""
+        """The ``/stats`` cluster section: topology, failover, memod.
+
+        Each node entry carries its memo client's counters as of the
+        node's last finished job (``memo_client``; None without a memo
+        service or before the first job).
+        """
         with self._cluster_lock:
             now = time.monotonic()  # analysis: allow[WC01] heartbeat-age observability read; never a scheduling input
             nodes = {}
@@ -522,6 +529,7 @@ class ClusterEngine(SciductionEngine):
                     ),
                     "jobs_completed": stats["jobs_completed"],
                     "shapes": sorted(stats["shapes"]),
+                    "memo_client": stats["memo_client"],
                 }
             record: dict[str, Any] = {
                 "nodes": nodes,

@@ -256,6 +256,9 @@ class NodeAgent:
             response = self.engine.run_wire(payload)
             self._jobs_executed += 1
             response["node"] = self.name
+            response["memo_client"] = (
+                None if self.memo_client is None else self.memo_client.statistics()
+            )
             try:
                 link.send(
                     {

@@ -31,6 +31,15 @@ Rewriting returns interned terms (see :mod:`repro.smt.terms`), so a
 simplified term that happens to equal an already-blasted one is
 re-encoded for free.  The pass never *duplicates* sub-terms, so the DAG
 size can only shrink.
+
+Because terms are hash-consed, a formula asserted again (the same path
+constraint in the next job, the same assumption in the next check) is
+the same object, and :func:`simplify_bool` returns its recorded root
+result instead of walking it again.  The table lives in
+:mod:`repro.smt.terms` and is cleared by every intern-scope pop that
+evicts entries, so a cached result is always the object a fresh walk
+would build.  The per-call walk cache of :func:`simplify` is separate
+and dies with the call.
 """
 
 from __future__ import annotations
@@ -70,6 +79,7 @@ from repro.smt.terms import (
     bv_sign_extend,
     bv_zero_extend,
     _bv_op,
+    _simplified,
     evaluate,
 )
 
@@ -112,8 +122,15 @@ def simplify(term: Term) -> Term:
 
 
 def simplify_bool(term: BoolTerm) -> BoolTerm:
-    """:func:`simplify` restricted to Boolean terms (for type checkers)."""
-    result = simplify(term)
+    """:func:`simplify` restricted to Boolean terms, computed once per term.
+
+    A repeated call with the same term returns the identical result
+    object from the simplify table (see the module docstring).
+    """
+    result = _simplified.get(term)
+    if result is None:
+        result = simplify(term)
+        _simplified[term] = result
     assert isinstance(result, BoolTerm)
     return result
 

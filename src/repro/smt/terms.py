@@ -27,14 +27,14 @@ children, never on ``id()``, so keys cannot collide after garbage
 collection.  Direct class instantiation bypasses the intern table; it stays
 legal but forfeits sharing.
 
-The intern table and its scopes are unsynchronized module globals: terms
-are built by one thread per process.  The engine runs each job start to
-finish on the thread that called it, worker processes each have their
-own table, and in the HTTP service the handler threads touch only the
-job queue while a single runner thread owns the engine (see
-:mod:`repro.service.queue`).  A component that builds terms from a second
-thread must first make :func:`_interned` and the scope functions
-thread-safe.
+The intern table, its scopes and the simplify table are unsynchronized
+module globals: terms are built by one thread per process.  The engine
+runs each job start to finish on the thread that called it, worker
+processes each have their own table, and in the HTTP service the handler
+threads touch only the job queue while a single runner thread owns the
+engine (see :mod:`repro.service.queue`).  A component that builds terms
+from a second thread must first make :func:`_interned`, the scope
+functions and the simplify table thread-safe.
 """
 
 from __future__ import annotations
@@ -59,6 +59,12 @@ _intern_table: dict[tuple, "Term"] = {}
 #: the terms a finished job contributed instead of letting the table grow
 #: monotonically.
 _intern_scopes: list[list[tuple]] = []
+
+#: Root results of :func:`repro.smt.simplify.simplify_bool`, keyed by the
+#: input term.  An evicting :func:`pop_intern_scope` clears it, so no
+#: cached result outlives its intern entry: a term rebuilt after eviction
+#: is simplified afresh into the rebuilt (not the evicted) sub-terms.
+_simplified: dict["Term", "Term"] = {}
 
 
 def _interned(key: tuple, build) -> "Term":
@@ -101,7 +107,8 @@ def pop_intern_scope(token: int, discard: bool = True) -> int:
             (guards against unbalanced pops).
         discard: when True, evict the scope's entries from the intern
             table; when False, keep them (they are re-attributed to the
-            enclosing scope, or become permanent at top level).
+            enclosing scope, or become permanent at top level).  A pop
+            that evicts anything also clears the simplify table.
 
     Returns:
         The number of intern-table entries evicted.
@@ -122,6 +129,8 @@ def pop_intern_scope(token: int, discard: bool = True) -> int:
     for key in keys:
         if _intern_table.pop(key, None) is not None:
             evicted += 1
+    if evicted:
+        _simplified.clear()
     return evicted
 
 

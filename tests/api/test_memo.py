@@ -335,3 +335,36 @@ class TestEngineTraffic:
                 stats = self._smt(result)
                 assert stats["check_memo_hits"] == stats["checks"] > 0
                 assert stats["shared_memo_hits"] == 0
+
+    def test_worker_memo_client_counters_reach_engine_statistics(self):
+        import json
+
+        from repro.api import EngineConfig, SciductionEngine
+        from repro.api.results import result_to_dict
+
+        problems = [dict(self.TIMING), dict(self.DEOBFUSCATION)]
+        with SciductionEngine(EngineConfig(workers=2, pool_size=1)) as engine:
+            first = engine.run_batch([dict(problem) for problem in problems])
+            workers = engine.statistics()["workers"]
+            assert len(workers) == 2, workers
+            for record in workers.values():
+                memo = record["memo_client"]
+                assert memo["degraded"] is False
+                assert memo["degradations"] == 0
+                assert memo["publishes"] > 0
+                assert {"local_hits", "remote_hits"} <= set(memo)
+            # The manager serving the shared store goes away: the next
+            # batch moves each shape to the other worker, whose lookups
+            # miss locally, fail on the dead proxy and degrade the client.
+            engine._fleet._memo_manager.shutdown()
+            moved = engine.run_batch([dict(problem) for problem in problems])
+            assert [(r.success, r.verdict) for r in moved] == [
+                (r.success, r.verdict) for r in first
+            ]
+            for record in engine.statistics()["workers"].values():
+                memo = record["memo_client"]
+                assert memo["degraded"] is True, memo
+                assert memo["degradations"] >= 1
+            # Telemetry only: the counters never enter a result.
+            for result in first + moved:
+                assert "memo_client" not in json.dumps(result_to_dict(result))

@@ -14,7 +14,8 @@ import pytest
 
 from repro.api import EngineConfig, SciductionEngine, TimingAnalysisProblem
 from repro.api.pool import SolverPool
-from repro.cfg import build_cfg
+from repro.api.results import result_to_dict, result_wire_canonical
+from repro.cfg import build_cfg, enumerate_paths
 from repro.cfg.programs import absolute_difference, bounded_linear_search
 from repro.cfg.ssa import PathConstraintBuilder
 
@@ -114,3 +115,85 @@ class TestEngineTimingReuse:
         assert other_stats["check_memo_hits"] == 0
         again = engine.run(TimingAnalysisProblem(**SPEC))
         assert (first.success, first.verdict) == (again.success, again.verdict)
+
+
+class TestBaseScopeEncodeCache:
+    def test_same_fingerprint_tenant_reuses_the_encodings(self):
+        pool = SolverPool(EngineConfig())
+        cfg = build_cfg(bounded_linear_search(3, 16))
+        paths = list(enumerate_paths(cfg))
+
+        lease = pool.acquire(shape="timing")
+        first = PathConstraintBuilder(cfg, lease=lease)
+        encodings = [first.encode(path) for path in paths]
+        assert len(lease.base_cache) == len(paths)
+        pool.release(lease)
+
+        lease = pool.acquire(shape="timing")
+        second = PathConstraintBuilder(cfg, lease=lease)
+        assert second.base_scope_reused is True
+        assert len(lease.base_cache) == len(paths)
+        for path, earlier in zip(paths, encodings):
+            again = second.encode(path)
+            assert again.constraints is not earlier.constraints
+            assert all(
+                a is b for a, b in zip(again.constraints, earlier.constraints)
+            )
+        pool.release(lease)
+
+    def test_reseal_under_another_fingerprint_starts_empty(self):
+        pool = SolverPool(EngineConfig(pool_size=1))
+        cfg = build_cfg(bounded_linear_search(4, 16))
+        other_cfg = build_cfg(bounded_linear_search(3, 16))
+
+        lease = pool.acquire(shape="timing")
+        builder = PathConstraintBuilder(cfg, lease=lease)
+        builder.encode(next(enumerate_paths(cfg)))
+        assert lease.base_cache
+        pool.release(lease)
+
+        lease = pool.acquire(shape="timing")
+        assert lease.reused
+        other = PathConstraintBuilder(other_cfg, lease=lease)
+        assert other.base_scope_reused is False
+        assert lease.base_cache == {}
+        pool.release(lease)
+
+    def test_unsealed_lease_has_no_cache(self):
+        pool = SolverPool(EngineConfig())
+        lease = pool.acquire(shape="timing")
+        assert lease.base_cache is None
+        lease.base_session("cfg/unsealed")
+        assert lease.base_cache is None
+        pool.release(lease)
+
+    @pytest.mark.sequential_only
+    def test_per_job_statistics_match_a_run_without_the_cache(self, monkeypatch):
+        """Cached encodings change no per-job count: the same job stream
+        with every builder encoding afresh reports the same results,
+        ``smt_job_statistics`` and deductive query counts."""
+        from repro.api.pool import SolverLease
+
+        problems = [
+            TimingAnalysisProblem(**SPEC),
+            TimingAnalysisProblem(**SPEC),
+            TimingAnalysisProblem(**dict(SPEC, bound=180)),
+        ]
+
+        def run_stream():
+            engine = SciductionEngine(EngineConfig(workers=1))
+            try:
+                return [
+                    result_wire_canonical(result_to_dict(engine.run(problem)))
+                    for problem in problems
+                ]
+            finally:
+                engine.close()
+
+        cached = run_stream()
+        # A fresh dict per access: every builder starts with an empty cache.
+        monkeypatch.setattr(SolverLease, "base_cache", property(lambda self: {}))
+        uncached = run_stream()
+        assert cached == uncached
+        statistics = cached[1]["details"]["engine"]["smt_job_statistics"]
+        assert statistics["checks"] > 0

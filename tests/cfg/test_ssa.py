@@ -105,3 +105,41 @@ class TestIncrementalFeasibility:
         second_sweep = [builder.is_feasible(p) for p in paths]
         assert first_sweep == second_sweep
         assert first_sweep.count(True) == 2
+
+
+class TestEncodeCache:
+    def test_repeat_encode_returns_the_same_terms_in_new_containers(self):
+        cfg = build_cfg(modular_exponentiation(3, 16))
+        builder = PathConstraintBuilder(cfg)
+        path = next(enumerate_paths(cfg))
+        first = builder.encode(path)
+        second = builder.encode(path)
+        assert second.constraints is not first.constraints
+        assert second.input_variables is not first.input_variables
+        assert len(second.constraints) == len(first.constraints)
+        assert all(a is b for a, b in zip(first.constraints, second.constraints))
+        assert second.input_variables == first.input_variables
+        # Mutating a returned encoding does not poison the cache.
+        first.constraints.clear()
+        first.input_variables.clear()
+        third = builder.encode(path)
+        assert all(a is b for a, b in zip(second.constraints, third.constraints))
+        assert len(third.constraints) == len(second.constraints)
+        assert third.input_variables == second.input_variables
+
+    def test_lease_less_builder_hits_within_itself(self):
+        cfg = build_cfg(saturating_add())
+        builder = PathConstraintBuilder(cfg)
+        paths = list(enumerate_paths(cfg))
+        for path in paths:
+            builder.encode(path)
+        assert len(builder._encodings) == len(paths)
+        again = [builder.encode(path) for path in paths]
+        assert len(builder._encodings) == len(paths)
+        # A second builder keeps a cache of its own, and its encodings are
+        # the same interned terms.
+        other = PathConstraintBuilder(cfg)
+        assert other._encodings == {}
+        for path, cached in zip(paths, again):
+            fresh = other.encode(path)
+            assert all(a is b for a, b in zip(fresh.constraints, cached.constraints))

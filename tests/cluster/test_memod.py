@@ -294,3 +294,64 @@ class TestHandshakeFailureCleanup:
             store.lookup("k", "n1")
         assert link.closed
         assert store._link is None
+
+
+class TestNodeMemoStatistics:
+    """A node's memo-client counters reach the coordinator's ``/stats``."""
+
+    TIMING = {
+        "kind": "timing-analysis",
+        "program": "bounded_linear_search",
+        "program_args": {"length": 3, "word_width": 16},
+        "bound": 250,
+    }
+
+    def test_counters_and_degradation_are_reported_per_node(self, memod):
+        import json
+        import threading
+        import time
+
+        from repro.api.config import EngineConfig
+        from repro.api.results import result_to_dict
+        from repro.cluster.coordinator import ClusterEngine
+        from repro.cluster.node import NodeAgent
+
+        cluster = ClusterEngine(EngineConfig(), node_wait=10.0)
+        agent = NodeAgent(
+            "alpha",
+            ("127.0.0.1", cluster.cluster_port),
+            memod=("127.0.0.1", memod.port),
+            quiet=True,
+        )
+        thread = threading.Thread(target=agent.run, daemon=True)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while not cluster.cluster_statistics()["live_nodes"]:
+                assert time.monotonic() < deadline, "node never registered"
+                time.sleep(0.02)
+            cluster.submit(dict(self.TIMING))
+            first = cluster.run_batch()
+            memo = cluster.cluster_statistics()["nodes"]["alpha"]["memo_client"]
+            assert memo["publishes"] > 0
+            assert (memo["degraded"], memo["degradations"]) == (False, 0)
+            # The memo service dies: the node's next remote call fails and
+            # its client degrades, which /stats now shows.
+            memod.close()
+            agent.memo_client.remote._teardown()
+            # Another CFG, so its checks miss the node's local store.
+            cluster.submit(
+                dict(self.TIMING, program_args={"length": 4, "word_width": 16})
+            )
+            second = cluster.run_batch()
+            assert [r.success for r in first + second] == [True, True]
+            memo = cluster.cluster_statistics()["nodes"]["alpha"]["memo_client"]
+            assert memo["degraded"] is True
+            assert memo["degradations"] >= 1
+            for result in first + second:
+                assert "memo_client" not in json.dumps(result_to_dict(result))
+        finally:
+            cluster.close()
+            agent.close()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()

@@ -248,3 +248,29 @@ class TestTrivialComparisons:
         x = bv_var("x", 8)
         result = simplify_bool(x.ult(x))
         assert isinstance(result, BoolConst)
+
+
+class TestSimplifyTable:
+    def test_repeat_calls_share_one_result_across_evictions(self):
+        # simplify_bool computes a term's result once; an evicting
+        # intern-scope pop drops the table, and the recomputed result
+        # still evaluates exactly like the input.
+        rng = random.Random(4242)
+        for trial in range(150):
+            token = terms.push_intern_scope()
+            term = _random_bool(rng, 4)
+            first = simplify_bool(term)
+            assert simplify_bool(term) is first, f"trial {trial}"
+            if terms.pop_intern_scope(token):
+                assert not terms._simplified
+            again = simplify_bool(term)
+            assert simplify_bool(term) is again
+            for _ in range(50):
+                assignment = Assignment(
+                    bv_values={
+                        name: rng.randrange(DOMAIN) for name in VARIABLES
+                    }
+                )
+                assert evaluate(term, assignment) == evaluate(
+                    again, assignment
+                ), f"trial {trial}: {term!r} vs {again!r}"

@@ -242,3 +242,66 @@ class TestInternScopes:
         pop_intern_scope(inner, discard=False)
         assert pop_intern_scope(outer) >= 2
         assert intern_table_size() == base
+
+
+class TestSimplifyTableEviction:
+    """The simplify table follows the intern table: an evicting pop clears
+    it, so no cached result outlives its intern entry."""
+
+    def test_evicting_pop_empties_the_simplify_table(self):
+        from repro.smt.simplify import simplify_bool
+        from repro.smt.terms import _simplified, pop_intern_scope, push_intern_scope
+
+        token = push_intern_scope()
+        x = bv_var("simplify_table_evict", 8)
+        simplify_bool((x + bv_const(0, 8)).ult(bv_const(9, 8)))
+        assert len(_simplified) > 0
+        assert pop_intern_scope(token) > 0
+        assert len(_simplified) == 0
+
+    def test_non_evicting_pops_keep_the_simplify_table(self):
+        from repro.smt.simplify import simplify_bool
+        from repro.smt.terms import _simplified, pop_intern_scope, push_intern_scope
+
+        token = push_intern_scope()
+        formula = (bv_var("simplify_table_keep", 8) + bv_const(0, 8)).ult(
+            bv_const(9, 8)
+        )
+        result = simplify_bool(formula)
+        size = len(_simplified)
+        assert pop_intern_scope(token, discard=False) == 0
+        assert len(_simplified) == size
+        # A discarding pop that evicts nothing keeps the table too.
+        empty = push_intern_scope()
+        assert pop_intern_scope(empty) == 0
+        assert len(_simplified) == size
+        assert simplify_bool(formula) is result
+
+    def test_rebuilt_term_blasts_like_a_cold_solver(self):
+        from repro.smt.simplify import simplify_bool
+        from repro.smt.solver import SmtResult, SmtSolver
+        from repro.smt.terms import pop_intern_scope, push_intern_scope
+
+        x = bv_var("simplify_table_rebuild_x", 8)
+        y = bv_var("simplify_table_rebuild_y", 8)
+        # Built outside any scope, so the input itself is permanent ...
+        formula = (x + bv_const(0, 8)).ult(y)
+        token = push_intern_scope()
+        # ... while its simplified form is first interned in the scope.
+        stale = simplify_bool(formula)
+        assert pop_intern_scope(token) > 0
+        rebuilt = x.ult(y)
+        assert rebuilt is not stale
+        # The evicted result is not served again: the recomputed one is
+        # the rebuilt interned term, so blasting the input next to it
+        # adds no duplicate variables.
+        assert simplify_bool(formula) is rebuilt
+        warm = SmtSolver()
+        warm.add(formula, rebuilt)
+        cold = SmtSolver()
+        cold.add(rebuilt)
+        assert warm.check() is cold.check() is SmtResult.SAT
+        assert (
+            warm.statistics.variables_generated
+            == cold.statistics.variables_generated
+        )
