@@ -57,13 +57,15 @@ class EngineConfig:
             problem shape moves between workers (re-planned batches,
             stolen shape queues, sessions recycled past the pool bound).
             When False every session gets a private memo.
-        intern_table_limit: once the global hash-consing table exceeds
-            this many entries, the pool evicts each finished job's
-            interned terms at lease release and recycles the session
-            that cached them (``None`` = never).  Below the limit,
-            cross-job term sharing — and therefore bit-blast-cache
-            amortization — is fully preserved; past it, memory is
-            genuinely bounded at the cost of cold sessions.
+        intern_table_limit: once the process-wide hash-consing table
+            exceeds this many entries, the next lease release clears it
+            (and the simplify table) and drops every idle pooled session
+            with the releasing one, since their caches hold the old
+            terms (``None`` = never).  Below the limit, cross-job term
+            sharing — and therefore bit-blast-cache amortization — is
+            fully preserved; past it, each shape's next lease starts
+            cold and routing hits resume after it.  A reset changes no
+            verdict.
         job_retry_limit: per-job budget for supervised retries — both a
             worker process crashing mid-job (parallel execution) and a
             poisoned pooled session failing a job (sequential

@@ -300,13 +300,17 @@ class _WorkerFleet:
             executor.shutdown(wait=False, cancel_futures=True)
 
     def memo_statistics(self) -> dict | None:
-        """Counter snapshot of the manager-served shared memo (or None)."""
+        """Counter snapshot of the manager-served shared memo, None without one.
+
+        The snapshot carries ``available``: True when the manager answered,
+        False (and no counters) once its process is gone.
+        """
         if self._memo_proxy is None:
             return None
         try:
-            return self._memo_proxy.statistics()
-        except Exception:  # pragma: no cover — manager already gone
-            return None
+            return dict(self._memo_proxy.statistics(), available=True)
+        except Exception:  # noqa: BLE001 — a dead manager fails in many ways
+            return {"available": False}
 
     def close(self) -> None:
         """Shut down every worker process and the memo manager (idempotent).
@@ -685,7 +689,7 @@ class SciductionEngine:
         job.result = SciductionResult(success=False, details=details)
         self._stamp_engine_details(job)
 
-    def _stamp_engine_details(self, job: Job) -> None:
+    def _stamp_engine_details(self, job: Job, session_reused: bool = False) -> None:
         assert job.result is not None
         job.result.details.setdefault("engine", {}).update(
             {
@@ -693,7 +697,7 @@ class SciductionEngine:
                 "label": job.label,
                 "state": job.state.value,
                 "pooled": job.problem.needs_solver,
-                "session_reused": False,
+                "session_reused": session_reused,
             }
         )
 
@@ -791,14 +795,9 @@ class SciductionEngine:
                     job_smt = job_sat = None
             break
         job.elapsed = time.perf_counter() - start  # analysis: allow[WC01] elapsed-time accounting for the job record; not a decision input
-        result.details.setdefault("engine", {}).update(
-            {
-                "job_id": job.job_id,
-                "label": job.label,
-                "state": job.state.value,
-                "pooled": job.problem.needs_solver,
-                "session_reused": bool(lease is not None and lease.reused),
-            }
+        job.result = result
+        self._stamp_engine_details(
+            job, session_reused=lease is not None and lease.reused
         )
         if job_smt is not None:
             # Per-job accounting: deltas charged to this lease, never the
@@ -818,7 +817,6 @@ class SciductionEngine:
                 "propagations": job_sat.propagations,
                 "learned_clauses": job_sat.learned_clauses,
             }
-        job.result = result
 
     # -- reporting ---------------------------------------------------------
 
@@ -839,15 +837,19 @@ class SciductionEngine:
         * ``shared_memo`` — the check-memo store counters, summed over
           the engine's in-process store and the manager-served store the
           workers use.  ``cross_worker_hits`` counts verdicts decided by
-          one worker and reused by another.
+          one worker and reused by another.  ``manager_available`` says
+          whether the manager-served store's counters are in the sums:
+          None without one, False once its process is gone.
         """
         memo = {}
         stores = []
+        manager_available = None
         if self._memo is not None:
             stores.append(self._memo.local.statistics())
         if self._fleet is not None:
             fleet_memo = self._fleet.memo_statistics()
             if fleet_memo is not None:
+                manager_available = fleet_memo.pop("available")
                 stores.append(fleet_memo)
         for record in stores:
             for key, value in record.items():
@@ -856,6 +858,7 @@ class SciductionEngine:
                     memo[key] = max(memo.get(key, 0), value)
                 else:
                     memo[key] = memo.get(key, 0) + value
+        memo["manager_available"] = manager_available
         with self._state_lock:
             workers = dict(sorted(self._worker_statistics.items()))
         return {

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing.managers import BaseManager
 from typing import Any
 
@@ -76,14 +76,7 @@ class SharedMemoStatistics:
     evictions: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "cross_worker_hits": self.cross_worker_hits,
-            "publishes": self.publishes,
-            "duplicate_publishes": self.duplicate_publishes,
-            "evictions": self.evictions,
-        }
+        return asdict(self)
 
 
 @guarded_by("_lock", "_entries", "_statistics")

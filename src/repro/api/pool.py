@@ -25,13 +25,13 @@ set of long-lived incremental solvers and *leases* them to jobs:
   (``gc.freeze()``);
 * each lease snapshots the solver's statistics at hand-over, so per-job
   accounting is a delta, never the pool-lifetime cumulative counts;
-* each lease opens a hash-consing intern scope
-  (:func:`repro.smt.terms.push_intern_scope`); at release the scope is
-  popped, and once the global intern table has grown past
-  ``config.intern_table_limit`` the scope's entries are evicted *and the
-  session is recycled* (terms live on in the solver's bit-blast caches,
-  so only dropping both actually bounds memory) — below the limit,
-  cross-job sharing is preserved untouched.
+* once the process-wide intern table has grown past
+  ``config.intern_table_limit``, a release starts a new term generation
+  (:func:`repro.smt.terms.clear_intern_table`) and drops every idle
+  session with the releasing one: their bit-blaster caches and base
+  caches hold old-generation terms, so dropping them with the table is
+  what bounds memory.  Each shape's next lease starts cold, and routing
+  hits resume from the one after.  Below the limit nothing is evicted.
 
 What a warm session keeps from one job to the next is exactly three
 things: the sealed base scope's encoding (its SAT variables and
@@ -72,7 +72,7 @@ from repro.api.memo import CheckMemoClient
 from repro.core.exceptions import SolverError
 from repro.smt.sat import SatStatistics
 from repro.smt.solver import SmtSolver, SmtStatistics
-from repro.smt.terms import intern_table_size, pop_intern_scope, push_intern_scope
+from repro.smt.terms import clear_intern_table, intern_table_size
 
 
 @dataclass
@@ -86,7 +86,7 @@ class PoolStatistics:
     #: Solvers discarded via :meth:`SolverPool.retire` (poisoned sessions)
     #: or recycled past the ``pool_size`` / intern-table bounds.
     solvers_retired: int = 0
-    #: Intern-table entries evicted at lease release.
+    #: Intern-table entries dropped by resets at the intern-table limit.
     intern_entries_evicted: int = 0
     #: Leases routed to a session that last solved the same problem shape.
     routing_hits: int = 0
@@ -131,7 +131,6 @@ class SolverLease:
         self._solver = record.solver
         #: Whether this lease reuses a solver warmed by a previous job.
         self.reused = reused
-        self._intern_token = push_intern_scope()
         self._smt_base = self._solver.statistics.snapshot()
         self._sat_base = self._solver.sat_statistics()
         #: Fingerprint handed to :meth:`base_session` but not yet sealed.
@@ -252,7 +251,7 @@ class SolverPool:
         config: engine configuration; up to ``pool_size`` idle sessions
             are kept warm, solvers are constructed with
             ``config.solver_options()``, and ``reuse_sessions`` /
-            ``intern_table_limit`` govern reuse and intern-table cleanup.
+            ``intern_table_limit`` govern reuse and intern-table resets.
         memo_backend: the check memo every created solver shares (see
             :meth:`set_memo_backend`); None gives each solver a private
             :class:`~repro.api.memo.CheckMemoClient`.
@@ -348,12 +347,8 @@ class SolverPool:
         The session is put back on the idle list keyed by the lease's
         shape (evicting the least-recently-used session past
         ``pool_size``), reset to what the module docstring says a warm
-        session keeps.  Below
-        ``config.intern_table_limit`` the job's interned terms are kept
-        so later jobs can share them (and hit the warm bit-blast caches);
-        past the limit the terms are evicted together with the session
-        that caches them, bounding memory in a long-lived process at the
-        cost of a cold next lease.
+        session keeps.  Past ``config.intern_table_limit`` the release
+        clears the intern table and drops every idle session instead.
         """
         self._finish(lease, retire=False)
 
@@ -362,8 +357,7 @@ class SolverPool:
 
         Used when a session has been poisoned — e.g. a job redeclared a
         variable name at a different width than an earlier tenant, which
-        the bit-blaster rejects.  The job's interned terms are always
-        evicted.
+        the bit-blaster rejects.  The intern table is left as it is.
         """
         self._finish(lease, retire=True)
 
@@ -378,20 +372,18 @@ class SolverPool:
             lease.close()
         except Exception:
             retire = True  # a session that cannot be reset is poisoned
-        limit = self.config.intern_table_limit
-        if not retire and limit is not None and intern_table_size() > limit:
-            # Recycle the whole session: evicting intern entries alone
-            # would not bound memory (the solver's bit-blaster caches
-            # keep the evicted terms alive) and would silently destroy
-            # cache sharing — rebuilt terms would re-blast into duplicate
-            # SAT variables on the warm solver.  Dropping the solver with
-            # the terms makes the limit a genuine memory bound.
-            retire = True
-        self.statistics.intern_entries_evicted += pop_intern_scope(
-            lease._intern_token, discard=retire
-        )
         if retire:
             self.statistics.solvers_retired += 1
+            return
+        limit = self.config.intern_table_limit
+        if limit is not None and intern_table_size() > limit:
+            # A new term generation: every idle session's blaster and base
+            # caches hold old-generation terms that would keep the cleared
+            # table's memory alive, and a rebuilt term would re-blast into
+            # duplicate gates beside them — so the sessions go too.
+            self.statistics.intern_entries_evicted += clear_intern_table()
+            self.statistics.solvers_retired += len(self._idle) + 1
+            self._idle = []
             return
         if not self.config.reuse_sessions:
             return

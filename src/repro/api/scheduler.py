@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable
 
 
@@ -61,13 +61,7 @@ class SchedulerStatistics:
     crashed_workers: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "batches": self.batches,
-            "dispatched": self.dispatched,
-            "steals": self.steals,
-            "stolen_jobs": self.stolen_jobs,
-            "crashed_workers": self.crashed_workers,
-        }
+        return asdict(self)
 
 
 class ShapePlan:

@@ -36,9 +36,9 @@ Because terms are hash-consed, a formula asserted again (the same path
 constraint in the next job, the same assumption in the next check) is
 the same object, and :func:`simplify_bool` returns its recorded root
 result instead of walking it again.  The table lives in
-:mod:`repro.smt.terms` and is cleared by every intern-scope pop that
-evicts entries, so a cached result is always the object a fresh walk
-would build.  The per-call walk cache of :func:`simplify` is separate
+:mod:`repro.smt.terms` and is cleared with the intern table by
+:func:`~repro.smt.terms.clear_intern_table`, so a cached result is
+always the object a fresh walk would build.  The per-call walk cache of :func:`simplify` is separate
 and dies with the call.
 """
 

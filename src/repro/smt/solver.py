@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 from repro.core.exceptions import SolverError
@@ -156,15 +156,10 @@ class SmtStatistics:
     def merged_with(self, other: "SmtStatistics") -> "SmtStatistics":
         """Field-wise sum of two statistics records."""
         return SmtStatistics(
-            checks=self.checks + other.checks,
-            sat_answers=self.sat_answers + other.sat_answers,
-            unsat_answers=self.unsat_answers + other.unsat_answers,
-            clauses_generated=self.clauses_generated + other.clauses_generated,
-            variables_generated=self.variables_generated + other.variables_generated,
-            terms_simplified=self.terms_simplified + other.terms_simplified,
-            clauses_collected=self.clauses_collected + other.clauses_collected,
-            check_memo_hits=self.check_memo_hits + other.check_memo_hits,
-            shared_memo_hits=self.shared_memo_hits + other.shared_memo_hits,
+            **{
+                counter.name: getattr(self, counter.name) + getattr(other, counter.name)
+                for counter in fields(self)
+            }
         )
 
     def snapshot(self) -> "SmtStatistics":
@@ -179,15 +174,10 @@ class SmtStatistics:
         a plain field-wise difference is exact.
         """
         return SmtStatistics(
-            checks=self.checks - baseline.checks,
-            sat_answers=self.sat_answers - baseline.sat_answers,
-            unsat_answers=self.unsat_answers - baseline.unsat_answers,
-            clauses_generated=self.clauses_generated - baseline.clauses_generated,
-            variables_generated=self.variables_generated - baseline.variables_generated,
-            terms_simplified=self.terms_simplified - baseline.terms_simplified,
-            clauses_collected=self.clauses_collected - baseline.clauses_collected,
-            check_memo_hits=self.check_memo_hits - baseline.check_memo_hits,
-            shared_memo_hits=self.shared_memo_hits - baseline.shared_memo_hits,
+            **{
+                counter.name: getattr(self, counter.name) - getattr(baseline, counter.name)
+                for counter in fields(self)
+            }
         )
 
 

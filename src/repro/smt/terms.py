@@ -27,14 +27,21 @@ children, never on ``id()``, so keys cannot collide after garbage
 collection.  Direct class instantiation bypasses the intern table; it stays
 legal but forfeits sharing.
 
-The intern table, its scopes and the simplify table are unsynchronized
-module globals: terms are built by one thread per process.  The engine
-runs each job start to finish on the thread that called it, worker
-processes each have their own table, and in the HTTP service the handler
-threads touch only the job queue while a single runner thread owns the
-engine (see :mod:`repro.service.queue`).  A component that builds terms
-from a second thread must first make :func:`_interned`, the scope
-functions and the simplify table thread-safe.
+The intern table and the simplify table are unsynchronized module
+globals: terms are built by one thread per process.  The engine runs each
+job start to finish on the thread that called it, worker processes each
+have their own tables, and in the HTTP service the handler threads touch
+only the job queue while a single runner thread owns the engine (see
+:mod:`repro.service.queue`).  A component that builds terms from a second
+thread must first make :func:`_interned`, :func:`clear_intern_table` and
+the simplify table thread-safe.
+
+A long-lived process bounds the tables with :func:`clear_intern_table`,
+which starts a new term *generation*: every later build interns afresh,
+while terms of the old generation stay alive and correct for as long as
+something holds them (a :class:`~repro.api.pool.SolverPool` resets at
+``EngineConfig.intern_table_limit`` and drops the sessions that cache
+old-generation terms with it).
 """
 
 from __future__ import annotations
@@ -53,17 +60,10 @@ _term_counter = itertools.count()
 #: interned term itself, so ``_id``-based keys never dangle.
 _intern_table: dict[tuple, "Term"] = {}
 
-#: Open intern scopes (see :func:`push_intern_scope`).  Each entry records
-#: the keys interned while that scope was innermost, so a long-lived
-#: process (e.g. a :class:`~repro.api.pool.SolverPool`) can drop exactly
-#: the terms a finished job contributed instead of letting the table grow
-#: monotonically.
-_intern_scopes: list[list[tuple]] = []
-
 #: Root results of :func:`repro.smt.simplify.simplify_bool`, keyed by the
-#: input term.  An evicting :func:`pop_intern_scope` clears it, so no
-#: cached result outlives its intern entry: a term rebuilt after eviction
-#: is simplified afresh into the rebuilt (not the evicted) sub-terms.
+#: input term.  :func:`clear_intern_table` clears it with the intern table,
+#: so a term rebuilt in a new generation is simplified into that
+#: generation's sub-terms.
 _simplified: dict["Term", "Term"] = {}
 
 
@@ -72,8 +72,6 @@ def _interned(key: tuple, build) -> "Term":
     if term is None:
         term = build()
         _intern_table[key] = term
-        if _intern_scopes:
-            _intern_scopes[-1].append(key)
     return term
 
 
@@ -82,56 +80,20 @@ def intern_table_size() -> int:
     return len(_intern_table)
 
 
-def push_intern_scope() -> int:
-    """Open an intern scope and return its token (the scope depth).
+def clear_intern_table() -> int:
+    """Empty the intern table and the simplify table; return the number of
+    intern entries dropped.
 
-    Terms interned while the scope is innermost are recorded so
-    :func:`pop_intern_scope` can later evict exactly those entries.  Scopes
-    nest and must be popped LIFO; :class:`~repro.api.pool.SolverPool`
-    wires one scope around every solver lease so per-job terms can be
-    reclaimed when the lease is released.
-
-    Dropping a scope's entries never invalidates existing terms — they
-    stay alive and structurally correct — it only stops *future* term
-    construction from sharing structure with them.
+    Existing terms stay alive and structurally correct; only *future*
+    construction stops sharing with them, so a structurally equal term
+    built afterwards is a new object.  Nothing result-visible depends on
+    that identity: the bit-blaster maps variables by name and check-memo
+    keys are structural digests.
     """
-    _intern_scopes.append([])
-    return len(_intern_scopes)
-
-
-def pop_intern_scope(token: int, discard: bool = True) -> int:
-    """Close the innermost intern scope opened by :func:`push_intern_scope`.
-
-    Args:
-        token: the value returned by the matching ``push_intern_scope``
-            (guards against unbalanced pops).
-        discard: when True, evict the scope's entries from the intern
-            table; when False, keep them (they are re-attributed to the
-            enclosing scope, or become permanent at top level).  A pop
-            that evicts anything also clears the simplify table.
-
-    Returns:
-        The number of intern-table entries evicted.
-
-    Raises:
-        SolverError: if ``token`` does not match the innermost open scope.
-    """
-    if token != len(_intern_scopes) or not _intern_scopes:
-        raise SolverError(
-            f"intern scope pop out of order (token {token}, depth {len(_intern_scopes)})"
-        )
-    keys = _intern_scopes.pop()
-    if not discard:
-        if _intern_scopes:
-            _intern_scopes[-1].extend(keys)
-        return 0
-    evicted = 0
-    for key in keys:
-        if _intern_table.pop(key, None) is not None:
-            evicted += 1
-    if evicted:
-        _simplified.clear()
-    return evicted
+    dropped = len(_intern_table)
+    _intern_table.clear()
+    _simplified.clear()
+    return dropped
 
 
 def _mask(width: int) -> int:

@@ -232,6 +232,25 @@ class TestSolverIntegration:
         assert solver.statistics.check_memo_hits == 2
         assert solver.statistics.shared_memo_hits == 1
 
+    def test_memo_hits_survive_an_intern_table_reset(self):
+        from repro.smt.terms import clear_intern_table
+
+        client = CheckMemoClient()
+        first = SmtSolver()
+        first.set_memo_backend(client)
+        assert _multiply_query(first) is SmtResult.SAT
+        old_x = bv_var("x", 8)
+        clear_intern_table()
+        # Keys are structural digests, so the rebuilt (new-generation)
+        # query finds the verdict recorded for the old terms.
+        assert bv_var("x", 8) is not old_x
+        second = SmtSolver()
+        second.set_memo_backend(client)
+        assert _multiply_query(second) is SmtResult.SAT
+        assert second.statistics.check_memo_hits == 1
+        assert second.sat_statistics().decisions == 0
+        assert second.model()["x"] == first.model()["x"]
+
     def test_unknown_answers_are_never_published(self):
         store = SharedCheckMemo(capacity=64)
         solver = SmtSolver(max_conflicts=0)
@@ -276,6 +295,8 @@ class TestPoolWiring:
         engine.run(DeobfuscationProblem(task="multiply45", width=4, seed=0))
         statistics = engine.statistics()
         assert statistics["shared_memo"]["publishes"] > 0
+        # run() never starts the worker fleet, so no manager store exists.
+        assert statistics["shared_memo"]["manager_available"] is None
         assert "pool" in statistics and "scheduler" in statistics
 
 
@@ -345,7 +366,9 @@ class TestEngineTraffic:
         problems = [dict(self.TIMING), dict(self.DEOBFUSCATION)]
         with SciductionEngine(EngineConfig(workers=2, pool_size=1)) as engine:
             first = engine.run_batch([dict(problem) for problem in problems])
-            workers = engine.statistics()["workers"]
+            statistics = engine.statistics()
+            assert statistics["shared_memo"]["manager_available"] is True
+            workers = statistics["workers"]
             assert len(workers) == 2, workers
             for record in workers.values():
                 memo = record["memo_client"]
@@ -361,10 +384,14 @@ class TestEngineTraffic:
             assert [(r.success, r.verdict) for r in moved] == [
                 (r.success, r.verdict) for r in first
             ]
-            for record in engine.statistics()["workers"].values():
+            statistics = engine.statistics()
+            for record in statistics["workers"].values():
                 memo = record["memo_client"]
                 assert memo["degraded"] is True, memo
                 assert memo["degradations"] >= 1
+            # The manager store's counters are gone from the sums, and the
+            # section says so instead of silently shrinking.
+            assert statistics["shared_memo"]["manager_available"] is False
             # Telemetry only: the counters never enter a result.
             for result in first + moved:
                 assert "memo_client" not in json.dumps(result_to_dict(result))

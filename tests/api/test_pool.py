@@ -4,9 +4,10 @@ import pytest
 
 from repro.api import EngineConfig, SciductionEngine, SolverPool
 from repro.api.problems import DeobfuscationProblem
+from repro.api.results import result_to_dict
 from repro.core.exceptions import SolverError
 from repro.smt.solver import SmtResult
-from repro.smt.terms import bv_const, bv_var, intern_table_size
+from repro.smt.terms import bv_const, bv_var, clear_intern_table, intern_table_size
 
 
 def _fresh_pool(**overrides) -> SolverPool:
@@ -282,25 +283,33 @@ class TestBaseScopeProtocol:
         pool.release(lease)
 
 
-class TestInternScopeCleanup:
-    def test_entries_evicted_once_table_exceeds_limit(self):
-        pool = _fresh_pool(intern_table_limit=0)
-        lease = pool.acquire()
+class TestInternTableReset:
+    def test_reset_once_table_exceeds_limit(self):
+        clear_intern_table()
+        pool = _fresh_pool(intern_table_limit=40)
+        kept = pool.acquire(shape="a")
+        kept_solver = _sealed_session(kept)
+        bv_var("intern_reset_a", 8) + bv_const(3, 8)
+        pool.release(kept)
+        assert 0 < intern_table_size() <= 40  # below the limit: nothing goes
+        lease = pool.acquire(shape="b")
         solver = _sealed_session(lease)
-        base = intern_table_size()
-        y = bv_var("intern_gc_y", 8)
-        y + bv_const(17, 8)
-        assert intern_table_size() > base
+        y = bv_var("intern_reset_y", 8)
+        for offset in range(50):
+            y + bv_const(offset, 8)
+        grown = intern_table_size()
+        assert grown > 40
         pool.release(lease)
-        assert intern_table_size() == base
-        assert pool.statistics.intern_entries_evicted >= 2
-        # Over the limit, the session is recycled along with its terms —
-        # the solver's bit-blast caches would otherwise keep the evicted
-        # terms alive (and re-blast their replacements into duplicates).
-        assert pool.statistics.solvers_retired == 1
-        follow_up = pool.acquire()
-        assert follow_up.solver is not solver
-        pool.release(follow_up)
+        assert intern_table_size() == 0
+        assert pool.statistics.intern_entries_evicted == grown
+        # A new term generation drops every session whose caches hold the
+        # old terms: the idle one and the releasing one.
+        assert pool.statistics.solvers_retired == 2
+        for shape, old in (("a", kept_solver), ("b", solver)):
+            follow_up = pool.acquire(shape=shape)
+            assert follow_up.solver is not old and not follow_up.reused
+            pool.release(follow_up)
+        assert pool.statistics.routing_hits == 0
 
     def test_entries_kept_below_limit(self):
         pool = _fresh_pool(intern_table_limit=10_000_000)
@@ -315,12 +324,98 @@ class TestInternScopeCleanup:
         assert intern_table_size() == grown
         assert pool.statistics.intern_entries_evicted == 0
 
-    def test_retire_always_evicts_job_terms(self):
-        pool = _fresh_pool(intern_table_limit=10_000_000)
-        lease = pool.acquire()
-        _sealed_session(lease)
-        base = intern_table_size()
+    def test_retire_leaves_the_table_intact(self):
+        clear_intern_table()
+        pool = _fresh_pool(intern_table_limit=40)
+        idle = pool.acquire(shape="idle")
+        idle_solver = _sealed_session(idle)
+        pool.release(idle)
+        poisoned = pool.acquire(shape="poisoned")
+        _sealed_session(poisoned)
         w = bv_var("intern_retire_w", 8)
-        w + bv_const(29, 8)
-        pool.retire(lease)
-        assert intern_table_size() == base
+        built = [w + bv_const(offset, 8) for offset in range(50)]
+        grown = intern_table_size()
+        assert grown > 40
+        pool.retire(poisoned)
+        # Past the limit, yet a retire only drops its own solver.
+        assert intern_table_size() == grown
+        assert (w + bv_const(7, 8)) is built[7]
+        assert pool.statistics.intern_entries_evicted == 0
+        assert pool.statistics.solvers_retired == 1
+        again = pool.acquire(shape="idle")
+        assert again.solver is idle_solver
+        pool.release(again)  # the next release resets
+        assert intern_table_size() == 0
+
+
+def _timing_stream() -> list[dict]:
+    """Three timing programs in blocks of twice-submitted shapes, each
+    block at a new word width so every block grows the intern table."""
+    programs = [
+        ("figure4_toy", {}, 66),
+        ("saturating_add", {}, 49),
+        ("bounded_linear_search", {"length": 4}, 217),
+    ]
+    specs = []
+    for block in range(8):
+        for position, index in enumerate([0, 1, 0, 2, 1, 2]):
+            program, args, wcet = programs[index]
+            specs.append(
+                {
+                    "kind": "timing-analysis",
+                    "program": program,
+                    "program_args": dict(args, word_width=16 + block),
+                    "bound": wcet + position % 3 - 1,
+                    "seed": block * 6 + position,
+                    "distribution": position < 3,
+                }
+            )
+    return specs
+
+
+def _without_session_details(result) -> dict:
+    """A result's wire form minus what depends on session warmth and timing."""
+    wire = result_to_dict(result)
+    wire.pop("elapsed")
+    details = wire["details"]
+    for key in ("engine", "smt_variables_generated", "smt_clauses_generated"):
+        details.pop(key, None)
+    return wire
+
+
+class TestLongLivedPoolDrill:
+    @pytest.mark.sequential_only  # reads the parent engine's own pool
+    def test_routing_hits_resume_after_a_reset(self):
+        """A repeated stream on one engine past a small table limit keeps
+        its routing hits, keeps the table bounded, and answers exactly
+        like an engine that never resets."""
+        limit = 500
+        specs = _timing_stream()
+        clear_intern_table()
+        limited = SciductionEngine(EngineConfig(intern_table_limit=limit))
+        results, hits, first_reset = [], [], None
+        for index, spec in enumerate(specs):
+            results.append(limited.run(spec))
+            # A release past the limit resets, so between jobs the table
+            # holds at most the limit (and within a job, the limit plus
+            # that job's new entries).
+            assert intern_table_size() <= limit, index
+            statistics = limited.pool.statistics
+            hits.append(statistics.routing_hits)
+            if first_reset is None and statistics.intern_entries_evicted:
+                first_reset = index
+        assert first_reset is not None and first_reset < len(specs) // 3
+        unlimited = SciductionEngine(EngineConfig(intern_table_limit=None))
+        unlimited_hits = []
+        for index, spec in enumerate(specs):
+            result = unlimited.run(spec)
+            assert _without_session_details(result) == _without_session_details(
+                results[index]
+            ), index
+            unlimited_hits.append(unlimited.pool.statistics.routing_hits)
+        assert unlimited.pool.statistics.intern_entries_evicted == 0
+        # Routing hits resume after the first reset: at least half as many
+        # as the engine that never resets scores over the same jobs.
+        resumed = hits[-1] - hits[first_reset]
+        assert resumed * 2 >= unlimited_hits[-1] - unlimited_hits[first_reset]
+        assert resumed > 0

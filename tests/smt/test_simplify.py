@@ -251,17 +251,17 @@ class TestTrivialComparisons:
 
 
 class TestSimplifyTable:
-    def test_repeat_calls_share_one_result_across_evictions(self):
-        # simplify_bool computes a term's result once; an evicting
-        # intern-scope pop drops the table, and the recomputed result
-        # still evaluates exactly like the input.
+    def test_repeat_calls_share_one_result_across_resets(self):
+        # simplify_bool computes a term's result once; an intern-table
+        # reset drops the table, and the recomputed result still
+        # evaluates exactly like the input.
         rng = random.Random(4242)
         for trial in range(150):
-            token = terms.push_intern_scope()
             term = _random_bool(rng, 4)
             first = simplify_bool(term)
             assert simplify_bool(term) is first, f"trial {trial}"
-            if terms.pop_intern_scope(token):
+            if trial % 3 == 0:
+                terms.clear_intern_table()
                 assert not terms._simplified
             again = simplify_bool(term)
             assert simplify_bool(term) is again

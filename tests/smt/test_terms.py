@@ -187,114 +187,81 @@ class TestFreeVariables:
             free_variables(term)
 
 
-class TestInternScopes:
-    def test_scoped_entries_evicted_on_discard(self):
-        from repro.smt.terms import (
-            intern_table_size, pop_intern_scope, push_intern_scope,
-        )
+class TestInternTableReset:
+    def test_reset_empties_the_table_and_starts_a_new_generation(self):
+        from repro.smt.terms import clear_intern_table, intern_table_size
 
-        base = intern_table_size()
-        token = push_intern_scope()
-        x = bv_var("intern_scope_x", 8)
+        x = bv_var("intern_reset_x", 8)
         y = x + bv_const(1, 8)
-        assert intern_table_size() > base
-        evicted = pop_intern_scope(token)
-        assert evicted >= 2  # the variable and the add node are new
-        assert intern_table_size() == base
-        # The terms themselves stay alive and usable; only future sharing
-        # with structurally equal terms is lost.
-        rebuilt = bv_var("intern_scope_x", 8) + bv_const(1, 8)
+        assert intern_table_size() >= 3  # the variable, the constant, the add
+        dropped = clear_intern_table()
+        assert dropped >= 3
+        assert intern_table_size() == 0
+        # The old terms stay alive and usable; only sharing with terms
+        # built after the reset is lost.
+        assert evaluate(y, Assignment(bv_values={"intern_reset_x": 5})) == 6
+        rebuilt = bv_var("intern_reset_x", 8) + bv_const(1, 8)
         assert rebuilt is not y
-        assert evaluate(y, Assignment(bv_values={"intern_scope_x": 5})) == 6
+        # The new generation hash-conses as before.
+        assert (bv_var("intern_reset_x", 8) + bv_const(1, 8)) is rebuilt
+        assert intern_table_size() == 3
 
-    def test_scoped_entries_kept_without_discard(self):
-        from repro.smt.terms import (
-            intern_table_size, pop_intern_scope, push_intern_scope,
-        )
+    def test_entries_kept_until_a_reset(self):
+        from repro.smt.terms import intern_table_size
 
-        token = push_intern_scope()
-        kept = bv_var("intern_scope_kept", 8) + bv_const(2, 8)
+        kept = bv_var("intern_reset_kept", 8) + bv_const(2, 8)
         grown = intern_table_size()
-        assert pop_intern_scope(token, discard=False) == 0
-        assert intern_table_size() == grown
-        assert (bv_var("intern_scope_kept", 8) + bv_const(2, 8)) is kept
-
-    def test_nested_scopes_pop_lifo(self):
-        from repro.core.exceptions import SolverError
-        from repro.smt.terms import pop_intern_scope, push_intern_scope
-
-        outer = push_intern_scope()
-        inner = push_intern_scope()
-        with pytest.raises(SolverError, match="out of order"):
-            pop_intern_scope(outer)
-        pop_intern_scope(inner)
-        pop_intern_scope(outer)
-
-    def test_inner_entries_reattributed_to_outer_scope(self):
-        from repro.smt.terms import (
-            intern_table_size, pop_intern_scope, push_intern_scope,
-        )
-
-        base = intern_table_size()
-        outer = push_intern_scope()
-        inner = push_intern_scope()
-        bv_var("intern_scope_nested", 8) + bv_const(3, 8)
-        pop_intern_scope(inner, discard=False)
-        assert pop_intern_scope(outer) >= 2
-        assert intern_table_size() == base
+        for offset in range(3, 8):
+            bv_var("intern_reset_other", 8) + bv_const(offset, 8)
+        assert intern_table_size() > grown
+        assert (bv_var("intern_reset_kept", 8) + bv_const(2, 8)) is kept
 
 
-class TestSimplifyTableEviction:
-    """The simplify table follows the intern table: an evicting pop clears
-    it, so no cached result outlives its intern entry."""
+class TestSimplifyTableReset:
+    """The simplify table follows the intern table: a reset clears both,
+    so no cached result outlives its intern entry."""
 
-    def test_evicting_pop_empties_the_simplify_table(self):
+    def test_reset_empties_the_simplify_table(self):
         from repro.smt.simplify import simplify_bool
-        from repro.smt.terms import _simplified, pop_intern_scope, push_intern_scope
+        from repro.smt.terms import _simplified, clear_intern_table
 
-        token = push_intern_scope()
         x = bv_var("simplify_table_evict", 8)
         simplify_bool((x + bv_const(0, 8)).ult(bv_const(9, 8)))
         assert len(_simplified) > 0
-        assert pop_intern_scope(token) > 0
+        assert clear_intern_table() > 0
         assert len(_simplified) == 0
 
-    def test_non_evicting_pops_keep_the_simplify_table(self):
+    def test_simplify_table_kept_without_a_reset(self):
         from repro.smt.simplify import simplify_bool
-        from repro.smt.terms import _simplified, pop_intern_scope, push_intern_scope
+        from repro.smt.terms import _simplified
 
-        token = push_intern_scope()
         formula = (bv_var("simplify_table_keep", 8) + bv_const(0, 8)).ult(
             bv_const(9, 8)
         )
         result = simplify_bool(formula)
         size = len(_simplified)
-        assert pop_intern_scope(token, discard=False) == 0
-        assert len(_simplified) == size
-        # A discarding pop that evicts nothing keeps the table too.
-        empty = push_intern_scope()
-        assert pop_intern_scope(empty) == 0
-        assert len(_simplified) == size
+        # Building (and simplifying) other terms keeps the entry.
+        simplify_bool(bv_var("simplify_table_other", 8).ult(bv_const(3, 8)))
+        assert len(_simplified) == size + 1
         assert simplify_bool(formula) is result
 
     def test_rebuilt_term_blasts_like_a_cold_solver(self):
         from repro.smt.simplify import simplify_bool
         from repro.smt.solver import SmtResult, SmtSolver
-        from repro.smt.terms import pop_intern_scope, push_intern_scope
+        from repro.smt.terms import clear_intern_table
 
         x = bv_var("simplify_table_rebuild_x", 8)
         y = bv_var("simplify_table_rebuild_y", 8)
-        # Built outside any scope, so the input itself is permanent ...
+        # The input outlives the reset (it is held here) ...
         formula = (x + bv_const(0, 8)).ult(y)
-        token = push_intern_scope()
-        # ... while its simplified form is first interned in the scope.
+        # ... while its simplified form belongs to the old generation.
         stale = simplify_bool(formula)
-        assert pop_intern_scope(token) > 0
+        assert clear_intern_table() > 0
         rebuilt = x.ult(y)
         assert rebuilt is not stale
-        # The evicted result is not served again: the recomputed one is
-        # the rebuilt interned term, so blasting the input next to it
-        # adds no duplicate variables.
+        # The old result is not served again: the recomputed one is the
+        # rebuilt interned term, so blasting the input next to it adds no
+        # duplicate variables.
         assert simplify_bool(formula) is rebuilt
         warm = SmtSolver()
         warm.add(formula, rebuilt)
