@@ -77,7 +77,7 @@ import time
 import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.analysis.annotations import guarded_by
 from repro.api.config import EngineConfig
@@ -89,6 +89,9 @@ from repro.api.scheduler import SchedulerStatistics, WorkStealingScheduler
 from repro.core.exceptions import BudgetExceededError, ReproError, SolverError
 from repro.core.procedure import SciductionResult
 from repro.testing.faults import fault_point
+
+if TYPE_CHECKING:
+    from repro.platform.measurement import MeasurementMemo
 
 
 class JobState(enum.Enum):
@@ -192,7 +195,7 @@ def _run_job_in_worker(payload: dict) -> dict:
     statistics deltas are snapshotted by this process's lease — never by
     the parent — so parallel batches report per-job work, not
     pool-lifetime totals.  The worker's cumulative pool statistics and
-    its memo client's counters ride along (outside the result) so the
+    its memo clients' counters ride along (outside the result) so the
     parent can report them per worker in
     :meth:`SciductionEngine.statistics`.
     """
@@ -209,6 +212,7 @@ def _run_job_in_worker(payload: dict) -> dict:
     response["memo_client"] = (
         None if _WORKER_MEMO is None else _WORKER_MEMO.statistics()
     )
+    response["platform_memo"] = engine._measurement_memo().statistics()
     return response
 
 
@@ -330,7 +334,7 @@ class _WorkerFleet:
             self._memo_proxy = None
 
 
-@guarded_by("_state_lock", "_jobs", "_worker_statistics")
+@guarded_by("_state_lock", "_jobs", "_worker_statistics", "_platform_memo")
 class SciductionEngine:
     """Unified engine running declarative problem specs over pooled solvers.
 
@@ -366,6 +370,9 @@ class SciductionEngine:
         self._worker_statistics: dict[str, dict] = {}
         self._fleet: _WorkerFleet | None = None
         self._fleet_finalizer: "weakref.finalize | None" = None
+        #: This process's memo of platform measurements, built on first
+        #: use (see :meth:`_measurement_memo`).
+        self._platform_memo: MeasurementMemo | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -386,6 +393,22 @@ class SciductionEngine:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    def _measurement_memo(self) -> MeasurementMemo:
+        """This process's memo of platform measurements, built on first use.
+
+        Every timing job this engine runs measures through it, so a
+        distinct (binary, platform, start state, inputs) run happens
+        once per engine process; worker processes each own one.  Built
+        lazily because the platform layer's import would otherwise slow
+        every engine's start-up.
+        """
+        with self._state_lock:
+            if self._platform_memo is None:
+                from repro.platform.measurement import MeasurementMemo
+
+                self._platform_memo = MeasurementMemo()
+            return self._platform_memo
 
     def _worker_fleet(self) -> _WorkerFleet:
         if self._fleet is None:
@@ -639,7 +662,9 @@ class SciductionEngine:
                 # while the dispatch loop completes jobs (LOCK02).
                 with self._state_lock:
                     self._worker_statistics[value["worker_id"]] = dict(
-                        value["pool_statistics"], memo_client=value["memo_client"]
+                        value["pool_statistics"],
+                        memo_client=value["memo_client"],
+                        platform_memo=value["platform_memo"],
                     )
             elif kind == "crashed":
                 self._record_crash(job)
@@ -730,7 +755,10 @@ class SciductionEngine:
                         max_conflicts=job.max_conflicts, deadline=deadline
                     )
                 context = JobContext(
-                    config=self.config, lease=lease, deadline=deadline
+                    config=self.config,
+                    lease=lease,
+                    deadline=deadline,
+                    measurement_memo=self._measurement_memo(),
                 )
                 result = job.problem.run(context)
                 job.state = JobState.COMPLETED
@@ -823,7 +851,7 @@ class SciductionEngine:
     def statistics(self) -> dict:
         """JSON-ready engine-wide counters (the ``/stats`` payload).
 
-        Aggregates four layers:
+        Aggregates five layers:
 
         * ``pool`` — the in-process :class:`~repro.api.pool.SolverPool`
           (sequential execution and ``run()`` calls);
@@ -832,14 +860,19 @@ class SciductionEngine:
         * ``workers`` — each worker process's latest cumulative pool
           counters, plus its memo client's counters under
           ``memo_client`` (``local_hits``, ``remote_hits``, ``degraded``,
-          ``degradations`` …; None without a shared store), reported
-          with every finished job;
+          ``degradations`` …; None without a shared store) and its
+          measurement memo's under ``platform_memo``, reported with
+          every finished job;
         * ``shared_memo`` — the check-memo store counters, summed over
           the engine's in-process store and the manager-served store the
           workers use.  ``cross_worker_hits`` counts verdicts decided by
           one worker and reused by another.  ``manager_available`` says
           whether the manager-served store's counters are in the sums:
-          None without one, False once its process is gone.
+          None without one, False once its process is gone;
+        * ``platform_memo`` — this process's memo of platform
+          measurements (``lookups``, ``hits``, ``evictions``,
+          ``entries``, ``capacity``).  Like every counter here it stays
+          out of results.
         """
         memo = {}
         stores = []
@@ -866,6 +899,7 @@ class SciductionEngine:
             "scheduler": self._scheduler_statistics.as_dict(),
             "workers": workers,
             "shared_memo": memo,
+            "platform_memo": self._measurement_memo().statistics(),
         }
 
     def batch_report(self) -> list[dict]:

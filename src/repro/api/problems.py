@@ -23,12 +23,15 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.api.config import EngineConfig
 from repro.api.pool import SolverLease
 from repro.core.exceptions import ReproError
 from repro.core.procedure import SciductionProcedure, SciductionResult
+
+if TYPE_CHECKING:
+    from repro.platform.measurement import MeasurementMemo
 
 
 @dataclass
@@ -45,11 +48,16 @@ class JobContext:
             the SAT loop via the lease; simulation-backed problems must
             wire it into their own deductive engine (see
             :meth:`SwitchingLogicProblem.build`).
+        measurement_memo: the engine's memo of platform measurements, or
+            ``None`` to run the simulator for every measurement.  Cycle
+            counts are a function of the memo key, so a hit changes no
+            result.
     """
 
     config: EngineConfig = field(default_factory=EngineConfig)
     lease: SolverLease | None = None
     deadline: float | None = None
+    measurement_memo: MeasurementMemo | None = None
 
 
 class ProblemSpec:
@@ -401,6 +409,15 @@ TIMING_ARG_BOUNDS = {
     "length": (0, 8),
 }
 
+#: Largest measurement budget of a timing spec.  The learner lays out its
+#: whole measurement schedule before the first run; the default budget,
+#: 3 × the basis paths, is at most 207 within :data:`TIMING_ARG_BOUNDS`.
+MAX_TIMING_TRIALS = 4096
+
+#: Largest enumeration cap of a timing spec's distribution sweep, and its
+#: default.
+MAX_TIMING_PATHS = 4096
+
 
 @register_problem_type
 @dataclass
@@ -416,14 +433,16 @@ class TimingAnalysisProblem(ProblemSpec):
         bound: optional cycle bound for the ⟨TA⟩ decision problem; when
             given, the result's ``verdict`` answers "is the execution
             time always at most ``bound``?".
-        trials: measurement budget (default: 3 × basis paths).
+        trials: measurement budget (default: 3 × basis paths), at most
+            :data:`MAX_TIMING_TRIALS`.
         seed: RNG seed for the measurement schedule.
         start_state: environment start state for measurements.
         distribution: additionally predict and measure *every* feasible
             path (the paper's Figure 6 distribution) and stamp the
             report into the result details.  Each path is checked once,
             in enumeration order, on the job's own leased session.
-        max_paths: enumeration cap for the distribution sweep.
+        max_paths: enumeration cap for the distribution sweep, at most
+            :data:`MAX_TIMING_PATHS`.
     """
 
     kind: ClassVar[str] = "timing-analysis"
@@ -436,7 +455,7 @@ class TimingAnalysisProblem(ProblemSpec):
     seed: int = 0
     start_state: str = "cold"
     distribution: bool = False
-    max_paths: int = 4096
+    max_paths: int = MAX_TIMING_PATHS
 
     def __post_init__(self) -> None:
         # Validated at decode, so a malformed spec is a 400 at submission
@@ -471,7 +490,12 @@ class TimingAnalysisProblem(ProblemSpec):
                 raise ReproError(
                     f"'program_args'[{name!r}] must be in [{low}, {high}], got {value}"
                 )
-        for name, minimum in (("bound", None), ("trials", 1), ("seed", None), ("max_paths", 1)):
+        for name, minimum, maximum in (
+            ("bound", None, None),
+            ("trials", 1, MAX_TIMING_TRIALS),
+            ("seed", None, None),
+            ("max_paths", 1, MAX_TIMING_PATHS),
+        ):
             value = getattr(self, name)
             if value is None and name in ("bound", "trials"):
                 continue
@@ -479,6 +503,8 @@ class TimingAnalysisProblem(ProblemSpec):
                 raise ReproError(f"{name!r} must be an integer, got {type(value).__name__}")
             if minimum is not None and value < minimum:
                 raise ReproError(f"{name!r} must be at least {minimum}, got {value}")
+            if maximum is not None and value > maximum:
+                raise ReproError(f"{name!r} must be at most {maximum}, got {value}")
         if self.start_state not in ("cold", "warm"):
             raise ReproError(f"'start_state' must be 'cold' or 'warm', got {self.start_state!r}")
         if not isinstance(self.distribution, bool):
@@ -506,6 +532,7 @@ class TimingAnalysisProblem(ProblemSpec):
             seed=self.seed,
             config=context.config,
             lease=context.lease,
+            measurement_memo=context.measurement_memo,
         )
 
     def run_kwargs(self) -> dict:

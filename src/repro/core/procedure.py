@@ -78,7 +78,9 @@ class SciductionResult(Generic[ArtifactT]):
             ...), when ``success`` is True.
         verdict: for verification-style problems, the YES/NO answer.
         iterations: number of inductive-deductive iterations performed.
-        oracle_queries: total number of oracle queries charged.
+        oracle_queries: total number of oracle queries charged: the
+            queries asked, not the simulator or oracle runs behind them
+            (a memoized measurement still counts).
         deductive_queries: total number of deductive-engine queries.
         elapsed: wall-clock seconds for the whole run.
         certificate: the conditional-soundness certificate.

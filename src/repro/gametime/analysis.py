@@ -38,7 +38,12 @@ from repro.cfg.ssa import PathConstraintBuilder
 from repro.gametime.learner import GameTimeLearner
 from repro.gametime.model import WeightPerturbationHypothesis, WeightPerturbationModel
 from repro.platform.compiler import compile_program
-from repro.platform.measurement import MeasurementHarness, PerturbationModel, TimingOracle
+from repro.platform.measurement import (
+    MeasurementHarness,
+    MeasurementMemo,
+    PerturbationModel,
+    TimingOracle,
+)
 from repro.platform.processor import PlatformConfig
 
 
@@ -156,6 +161,10 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
             per-CFG base scope alive across jobs (memoized feasibility
             verdicts on repeated analyses; see
             :class:`~repro.cfg.ssa.PathConstraintBuilder`).
+        measurement_memo: a :class:`~repro.platform.measurement.MeasurementMemo`
+            shared with other analyses (an engine passes its own), or None
+            to run the simulator for every measurement.  Bypassed while
+            ``perturbation`` is set.
     """
 
     name = "gametime"
@@ -172,6 +181,7 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
         seed: int = 0,
         config=None,
         lease=None,
+        measurement_memo: MeasurementMemo | None = None,
     ):
         self.program = program
         self.cfg: ControlFlowGraph = build_cfg(program)
@@ -184,6 +194,7 @@ class GameTime(SciductionProcedure[WeightPerturbationModel]):
             platform=platform,
             start_state=start_state,  # type: ignore[arg-type]
             perturbation=perturbation,
+            memo=measurement_memo,
         )
         self.timing_oracle = TimingOracle(self.harness)
         hypothesis = WeightPerturbationHypothesis(

@@ -6,7 +6,8 @@ standing in for the SimIt-ARM / StrongARM-1100 testbed used by the paper.
 The simulator decodes each binary once and runs it in one loop that charges
 the in-order pipeline's timing and the cache costs itself; every
 measurement starts cold (flushed caches) or warm (program footprint
-pre-loaded).
+pre-loaded), so a harness given a :class:`MeasurementMemo` runs each
+distinct measurement once.
 """
 
 from repro.platform.cache import Cache, CacheConfig, CacheStatistics
@@ -19,6 +20,7 @@ from repro.platform.isa import (
 )
 from repro.platform.measurement import (
     MeasurementHarness,
+    MeasurementMemo,
     PerturbationModel,
     TimingOracle,
 )
@@ -32,6 +34,7 @@ __all__ = [
     "Compiler",
     "Instruction",
     "MeasurementHarness",
+    "MeasurementMemo",
     "Opcode",
     "PerturbationModel",
     "PipelineConfig",

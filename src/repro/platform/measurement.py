@@ -14,16 +14,25 @@ interface:
   each measurement, modelling the path-dependent perturbation π of the
   paper's weight-perturbation structure hypothesis (mean bounded by
   ``mu_max``); with it the platform behaves like a noisy adversary and the
-  game-theoretic averaging in the learner becomes observable.
+  game-theoretic averaging in the learner becomes observable;
+* :class:`MeasurementMemo` — a bounded LRU of cycle counts keyed by what
+  a run depends on.  The simulator is deterministic from a fixed starting
+  state, so without perturbation a repeated (binary, platform, start
+  state, inputs) run tells nothing new; a harness given a memo runs the
+  simulator only on a miss.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
+from repro.analysis.annotations import guarded_by
 from repro.core.exceptions import SimulationError
 from repro.core.oracle import LabelingOracle
 from repro.platform.compiler import compile_program
@@ -31,6 +40,11 @@ from repro.platform.isa import Binary
 from repro.platform.processor import PlatformConfig, Processor, RunResult
 
 StartState = Literal["cold", "warm"]
+
+#: Entry bound of a :class:`MeasurementMemo`.  One engine owns one memo;
+#: over 240 jobs of the ``gametime-sweep`` stream a 512-entry LRU already
+#: keeps every hit.
+MEASUREMENT_MEMO_CAPACITY = 1024
 
 
 @dataclass
@@ -64,6 +78,79 @@ class PerturbationModel:
         return int(round(self._rng.uniform(0.0, 2.0 * self.mean)))
 
 
+def binary_digest(binary: Binary) -> str:
+    """Content digest of everything in ``binary`` a run depends on.
+
+    Covers the instructions, the variable addresses in layout order (the
+    warm start loads them in that order), the parameters, the outputs,
+    the word width and the register count; not the name.  Two separate
+    compilations of one program get the same digest.
+    """
+    content = (
+        tuple(binary.instructions),
+        tuple(binary.variable_addresses.items()),
+        binary.parameters,
+        binary.outputs,
+        binary.word_width,
+        binary.num_registers,
+    )
+    return hashlib.blake2b(repr(content).encode(), digest_size=16).hexdigest()
+
+
+@guarded_by("_lock", "_entries", "_lookups", "_hits", "_evictions")
+class MeasurementMemo:
+    """Bounded LRU of cycle counts, shared by every harness given it.
+
+    A key is ``(binary digest, platform config, start state, inputs in
+    parameter order)``.  The store is thread-safe, so an engine's
+    statistics can be read while a job measures.
+
+    Args:
+        capacity: maximum number of entries; the least-recently-used
+            entry is evicted past the bound.
+    """
+
+    def __init__(self, capacity: int = MEASUREMENT_MEMO_CAPACITY) -> None:
+        if capacity < 1:
+            raise ValueError("measurement memo capacity must be at least 1")
+        self._capacity = capacity
+        self._entries: OrderedDict[tuple, int] = OrderedDict()
+        self._lock = threading.Lock()
+        self._lookups = 0
+        self._hits = 0
+        self._evictions = 0
+
+    def lookup(self, key: tuple) -> int | None:
+        """The stored cycle count for ``key`` (refreshing it), or None."""
+        with self._lock:
+            self._lookups += 1
+            cycles = self._entries.get(key)
+            if cycles is not None:
+                self._hits += 1
+                self._entries.move_to_end(key)
+            return cycles
+
+    def store(self, key: tuple, cycles: int) -> None:
+        """Record the cycle count of one completed run."""
+        with self._lock:
+            self._entries[key] = cycles
+            self._entries.move_to_end(key)
+            while len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
+                self._evictions += 1
+
+    def statistics(self) -> dict:
+        """JSON-ready counter snapshot (includes current size and bound)."""
+        with self._lock:
+            return {
+                "lookups": self._lookups,
+                "hits": self._hits,
+                "evictions": self._evictions,
+                "entries": len(self._entries),
+                "capacity": self._capacity,
+            }
+
+
 class MeasurementHarness:
     """Runs a compiled task on the platform and reports cycle counts.
 
@@ -76,6 +163,10 @@ class MeasurementHarness:
             ``"cold"`` (flushed caches, the paper's experimental setting)
             or ``"warm"`` (flushed, then the program footprint pre-loaded).
         perturbation: optional measurement noise model.
+        memo: optional :class:`MeasurementMemo`; :meth:`measure` then runs
+            the simulator only for a run the memo does not hold.  It is
+            bypassed while ``perturbation`` is set, and :meth:`run` never
+            consults it.
 
     Raises:
         SimulationError: for any other start state.
@@ -87,6 +178,7 @@ class MeasurementHarness:
         platform: PlatformConfig | None = None,
         start_state: StartState = "cold",
         perturbation: PerturbationModel | None = None,
+        memo: MeasurementMemo | None = None,
     ):
         if start_state not in ("cold", "warm"):
             raise SimulationError(
@@ -96,7 +188,13 @@ class MeasurementHarness:
         self.processor = Processor(platform)
         self.start_state = start_state
         self.perturbation = perturbation
-        self.measurements_taken = 0
+        self.memo = memo
+        # The part of every memo key this harness fixes, computed once.
+        self._memo_prefix: tuple = (
+            ()
+            if memo is None
+            else (binary_digest(binary), self.processor.config, start_state)
+        )
 
     @classmethod
     def from_program(cls, program, **kwargs) -> "MeasurementHarness":
@@ -116,7 +214,6 @@ class MeasurementHarness:
         """Run once from the configured start state; return the full result."""
         self._prepare_environment()
         result = self.processor.run(self.binary, inputs)
-        self.measurements_taken += 1
         if self.perturbation is not None:
             extra = self.perturbation.sample()
             result = RunResult(
@@ -130,8 +227,26 @@ class MeasurementHarness:
         return result
 
     def measure(self, inputs: Mapping[str, int] | Sequence[int]) -> int:
-        """Run once and return only the end-to-end cycle count."""
-        return self.run(inputs).cycles
+        """The end-to-end cycle count of one run on ``inputs``.
+
+        With a memo and no perturbation, a run the memo holds is answered
+        from it; otherwise the simulator runs (and a completed run is
+        stored).  A run that raises is never stored.
+        """
+        if self.memo is None or self.perturbation is not None:
+            return self.run(inputs).cycles
+        if isinstance(inputs, Mapping):
+            if not all(name in inputs for name in self.binary.parameters):
+                return self.run(inputs).cycles  # raises: a missing input
+            values = tuple(inputs[name] for name in self.binary.parameters)
+        else:
+            values = tuple(inputs)
+        key = (*self._memo_prefix, values)
+        cycles = self.memo.lookup(key)
+        if cycles is None:
+            cycles = self.run(inputs).cycles
+            self.memo.store(key, cycles)
+        return cycles
 
     def measure_repeated(
         self, inputs: Mapping[str, int] | Sequence[int], trials: int
@@ -150,7 +265,10 @@ class TimingOracle(LabelingOracle[dict[str, int], int]):
     """A :class:`~repro.core.oracle.LabelingOracle` over the harness.
 
     Labels a test case (an input valuation) with its measured cycle count;
-    this is the oracle consumed by GameTime's inductive learner.
+    this is the oracle consumed by GameTime's inductive learner.  Its
+    ``query_count`` counts the measurements asked for, not simulator runs:
+    behind a :class:`MeasurementMemo` a repeated query is answered without
+    running the simulator and still counts.
     """
 
     name = "platform-timing-oracle"

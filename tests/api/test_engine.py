@@ -300,6 +300,49 @@ class TestDistributionJobs:
         assert engine.statistics()["pool"]["solvers_created"] == 1
 
 
+class TestMeasurementMemo:
+    SPECS = [
+        TimingAnalysisProblem(program="conditional_cascade", distribution=True, seed=0),
+        TimingAnalysisProblem(
+            program="modular_exponentiation",
+            program_args={"exponent_bits": 4, "word_width": 16},
+            start_state="warm",
+            bound=900,
+            seed=1,
+        ),
+    ]
+
+    @staticmethod
+    def _canonical(results):
+        return [
+            json.dumps(
+                {key: value for key, value in result_to_dict(result).items() if key != "elapsed"},
+                sort_keys=True,
+            )
+            for result in results
+        ]
+
+    @pytest.mark.sequential_only  # reads this process's memo
+    def test_repeated_timing_specs_hit_the_memo_and_change_no_result(self, monkeypatch):
+        with SciductionEngine(EngineConfig()) as engine:
+            memoized = [engine.run(spec) for spec in self.SPECS + self.SPECS]
+            statistics = engine.statistics()["platform_memo"]
+        assert statistics["hits"] > 0
+        assert statistics["entries"] <= statistics["capacity"]
+        # The counters are telemetry: no result carries them.
+        for result in memoized:
+            assert "platform_memo" not in json.dumps(result_to_dict(result))
+
+        # The same stream on an engine that runs every measurement.
+        monkeypatch.setattr(SciductionEngine, "_measurement_memo", lambda self: None)
+        with SciductionEngine(EngineConfig()) as engine:
+            plain = [engine.run(spec) for spec in self.SPECS + self.SPECS]
+        assert self._canonical(memoized) == self._canonical(plain)
+        assert [result.oracle_queries for result in memoized] == [
+            result.oracle_queries for result in plain
+        ]
+
+
 class TestResultSerialization:
     def test_result_json_roundtrip(self):
         engine = SciductionEngine()
@@ -373,7 +416,9 @@ class TestSharedStateLockDiscipline:
         try:
             engine.run_batch([DEOB, TIMING])
             stats = engine.statistics()
-            assert set(stats) == {"pool", "scheduler", "workers", "shared_memo"}
+            assert set(stats) == {
+                "pool", "scheduler", "workers", "shared_memo", "platform_memo",
+            }
             json.dumps(stats)  # must stay JSON-ready
         finally:
             engine.close()

@@ -376,6 +376,10 @@ class TestEngineTraffic:
                 assert memo["degradations"] == 0
                 assert memo["publishes"] > 0
                 assert {"local_hits", "remote_hits"} <= set(memo)
+            # Each worker reports its own measurement memo; only the one
+            # that ran the timing job has looked anything up.
+            platform = [record["platform_memo"] for record in workers.values()]
+            assert sorted(memo["lookups"] > 0 for memo in platform) == [False, True]
             # The manager serving the shared store goes away: the next
             # batch moves each shape to the other worker, whose lookups
             # miss locally, fail on the dead proxy and degrade the client.
@@ -395,3 +399,4 @@ class TestEngineTraffic:
             # Telemetry only: the counters never enter a result.
             for result in first + moved:
                 assert "memo_client" not in json.dumps(result_to_dict(result))
+                assert "platform_memo" not in json.dumps(result_to_dict(result))

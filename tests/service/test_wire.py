@@ -105,6 +105,8 @@ class TestParseJobRequest:
             ({"trials": 0}, "at least 1"),
             ({"seed": "x"}, "integer"),
             ({"max_paths": -1}, "at least 1"),
+            ({"trials": 10**12}, "at most 4096"),
+            ({"max_paths": 10**12}, "at most 4096"),
             ({"distribution": "yes"}, "boolean"),
             ({"program": 7}, "string"),
             ({"program": "nope"}, "unknown timing-analysis program"),
