@@ -94,6 +94,14 @@ if TYPE_CHECKING:
     from repro.platform.measurement import MeasurementMemo
 
 
+#: Per-job solver counters stamped into ``details.engine``, in wire order.
+_SMT_JOB_COUNTERS = (
+    "checks", "sat_answers", "unsat_answers", "variables_generated",
+    "clauses_generated", "check_memo_hits", "shared_memo_hits",
+)
+_SAT_JOB_COUNTERS = ("conflicts", "decisions", "propagations", "learned_clauses")
+
+
 class JobState(enum.Enum):
     """Lifecycle of a submitted job."""
 
@@ -106,12 +114,28 @@ class JobState(enum.Enum):
     CANCELLED = "cancelled"
 
 
+def failure_result(state: JobState, error: str | None = None, **extra: Any) -> SciductionResult:
+    """The structured unsuccessful result of a job that ended in ``state``.
+
+    ``details`` holds ``outcome`` (the state's value), then ``error``
+    when there is one, then ``extra`` (``partial``, ``fault_chain``).
+    """
+    details: dict[str, Any] = {"outcome": state.value}
+    if error is not None:
+        details["error"] = error
+    details.update(extra)
+    return SciductionResult(success=False, details=details)
+
+
 @dataclass
 class Job:
-    """Handle for one submitted problem.
+    """Handle for one submitted problem, on every execution path.
 
     The handle is returned by :meth:`SciductionEngine.submit` immediately
-    and filled in by :meth:`SciductionEngine.run_batch`.
+    and filled in by :meth:`SciductionEngine.run_batch`.  It owns the
+    job's wire forms: the request (:meth:`payload`), the one fold of an
+    outcome (:meth:`finish`) and the response a remote executor sends
+    back (:meth:`response`, :meth:`fold_response`).
     """
 
     job_id: int
@@ -123,12 +147,12 @@ class Job:
     result: SciductionResult | None = None
     error: str | None = None
     elapsed: float = 0.0
+    _result_wire: dict | None = field(default=None, repr=False, compare=False)
     # Transient parallel-execution state (parent side; never pickled —
     # only wire dictionaries cross the process boundary).
     _future: Future | None = field(default=None, repr=False, compare=False)
     _crash_retries: int = field(default=0, repr=False, compare=False)
     _fault_chain: list = field(default_factory=list, repr=False, compare=False)
-    _result_wire: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def done(self) -> bool:
@@ -136,17 +160,99 @@ class Job:
         return self.state not in (JobState.PENDING, JobState.RUNNING)
 
     def result_wire(self) -> dict | None:
-        """The result's JSON wire form, or None while the job is open.
+        """The result's JSON wire form (made once, with the result; a
+        remote executor's exactly as received), or None while open."""
+        return self._result_wire
 
-        Under ``workers > 1`` this is the *exact* dictionary produced by
-        the worker process (so two runs of the same batch can be compared
-        byte for byte); sequentially it is computed on demand.
+    def payload(self) -> dict:
+        """The request wire form (inverse of :meth:`from_payload`)."""
+        return {
+            "job_id": self.job_id,
+            "problem": self.problem.to_dict(),
+            "max_conflicts": self.max_conflicts,
+            "timeout": self.timeout,
+            "label": self.label,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "Job":
+        """Rebuild a pending job from :meth:`payload` output (raises
+        :class:`ReproError` for a problem kind this process lacks)."""
+        return cls(
+            job_id=payload["job_id"],
+            problem=problem_from_dict(payload["problem"]),
+            max_conflicts=payload["max_conflicts"],
+            timeout=payload["timeout"],
+            label=payload["label"],
+        )
+
+    def finish(
+        self,
+        state: JobState,
+        result: SciductionResult,
+        *,
+        error: str | None = None,
+        elapsed: float | None = None,
+        wire: dict | None = None,
+        engine_details: dict | None = None,
+    ) -> None:
+        """Fold one terminal outcome into the handle.
+
+        ``engine_details`` (when given) are stamped into
+        ``details.engine`` after the job's own fields; ``wire`` is a
+        remote executor's result wire, kept as received.  The state is
+        set last: a job that reads ``done`` has its result wire.
         """
-        if self._result_wire is not None:
-            return self._result_wire
-        if self.result is None:
-            return None
-        return result_to_dict(self.result)
+        if engine_details is not None:
+            result.details.setdefault("engine", {}).update(
+                {
+                    "job_id": self.job_id,
+                    "label": self.label,
+                    "state": state.value,
+                    "pooled": self.problem.needs_solver,
+                    "session_reused": False,
+                    **engine_details,
+                }
+            )
+        self.error = error
+        if elapsed is not None:
+            self.elapsed = elapsed
+        self._result_wire = result_to_dict(result) if wire is None else wire
+        self.result = result
+        self.state = state
+
+    def fail(
+        self, state: JobState, error: str | None = None, *, stamp: bool = True, **extra: Any
+    ) -> None:
+        """End the job with :func:`failure_result`; ``stamp=False`` (a
+        cancelled job, a garbled node result) leaves out ``details.engine``."""
+        self.finish(
+            state,
+            failure_result(state, error, **extra),
+            error=error,
+            engine_details={} if stamp else None,
+        )
+
+    def response(self) -> dict:
+        """A finished job's outcome in wire form."""
+        return {
+            "state": self.state.value,
+            "error": self.error,
+            "elapsed": self.elapsed,
+            "result": self._result_wire,
+        }
+
+    def fold_response(self, response: dict) -> None:
+        """Fold a remote :meth:`response`; a malformed one raises and
+        leaves the handle as it was."""
+        wire = response["result"]
+        self.finish(
+            JobState(response["state"]),
+            result_from_dict(wire),
+            error=response["error"],
+            elapsed=response["elapsed"],
+            wire=wire,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +300,8 @@ def _run_job_in_worker(payload: dict) -> dict:
     clock starts when the job starts executing here, and the per-job
     statistics deltas are snapshotted by this process's lease — never by
     the parent — so parallel batches report per-job work, not
-    pool-lifetime totals.  The worker's cumulative pool statistics and
-    its memo clients' counters ride along (outside the result) so the
-    parent can report them per worker in
+    pool-lifetime totals.  The worker's executor snapshot rides along
+    (outside the result) so the parent can report it per worker in
     :meth:`SciductionEngine.statistics`.
     """
     engine = _WORKER_ENGINE
@@ -208,11 +313,7 @@ def _run_job_in_worker(payload: dict) -> dict:
     fault_point("worker.crash")
     response = engine.run_wire(payload)
     response["worker_id"] = _WORKER_ID
-    response["pool_statistics"] = asdict(engine.pool.statistics)
-    response["memo_client"] = (
-        None if _WORKER_MEMO is None else _WORKER_MEMO.statistics()
-    )
-    response["platform_memo"] = engine._measurement_memo().statistics()
+    response["executor"] = engine.executor_statistics(_WORKER_MEMO)
     return response
 
 
@@ -366,7 +467,7 @@ class SciductionEngine:
         # dispatches.
         self._state_lock = threading.Lock()
         self._scheduler_statistics = SchedulerStatistics()
-        #: Latest cumulative pool and memo-client counters of each worker.
+        #: Latest executor snapshot of each worker.
         self._worker_statistics: dict[str, dict] = {}
         self._fleet: _WorkerFleet | None = None
         self._fleet_finalizer: "weakref.finalize | None" = None
@@ -482,16 +583,9 @@ class SciductionEngine:
         """
         with self._state_lock:
             if job.state is JobState.PENDING:
-                self._mark_cancelled(job)
+                job.fail(JobState.CANCELLED, stamp=False)
                 return True
         return False
-
-    @staticmethod
-    def _mark_cancelled(job: Job) -> None:
-        job.state = JobState.CANCELLED
-        job.result = SciductionResult(
-            success=False, details={"outcome": "cancelled"}
-        )
 
     @property
     def jobs(self) -> tuple[Job, ...]:
@@ -537,36 +631,19 @@ class SciductionEngine:
         return job.result
 
     def run_wire(self, payload: dict) -> dict:
-        """Execute one wire-form job payload; return its wire-form outcome.
+        """Execute one :meth:`Job.payload`; return its :meth:`Job.response`.
 
-        The payload is the exact dictionary the parallel transport ships
-        to worker processes (``job_id``, wire-form ``problem``,
-        ``max_conflicts``, ``timeout``, ``label``); the response carries
-        the terminal state, error, elapsed seconds and the result's wire
-        dictionary.  This is the single remote-execution surface: worker
-        processes (:func:`_run_job_in_worker`) and cluster node agents
+        The single remote-execution surface: worker processes
+        (:func:`_run_job_in_worker`) and cluster node agents
         (:mod:`repro.cluster.node`) both run jobs through it, so every
         execution topology produces byte-identical result wire forms.
-
-        The job handle is transient — it is *not* registered with this
-        engine's job list (the submitting side owns the authoritative
-        handle under its own job id).
+        The job handle is transient (the submitting side owns the
+        authoritative one).  Raises :class:`ReproError` for a problem
+        kind this process does not know; the job never starts.
         """
-        job = Job(
-            job_id=payload["job_id"],
-            problem=problem_from_dict(payload["problem"]),
-            max_conflicts=payload["max_conflicts"],
-            timeout=payload["timeout"],
-            label=payload["label"],
-        )
+        job = Job.from_payload(payload)
         self._execute(job)
-        assert job.result is not None
-        return {
-            "state": job.state.value,
-            "error": job.error,
-            "elapsed": job.elapsed,
-            "result": result_to_dict(job.result),
-        }
+        return job.response()
 
     def run_batch(
         self, problems: list[ProblemSpec | dict] | None = None
@@ -582,16 +659,20 @@ class SciductionEngine:
             self.submit(problem)
         with self._state_lock:
             batch = [job for job in self._jobs if job.state is JobState.PENDING]
-        if self.config.workers > 1 and len(batch) > 1:
-            self._execute_batch_parallel(batch)
-        else:
-            for job in batch:
-                self._execute(job)
+        self._run_jobs(batch)
         results = []
         for job in batch:
             assert job.result is not None
             results.append(job.result)
         return results
+
+    def _run_jobs(self, batch: list[Job]) -> None:
+        """Bring every job of ``batch`` (submission order) to a terminal state."""
+        if self.config.workers > 1 and len(batch) > 1:
+            self._execute_batch_parallel(batch)
+        else:
+            for job in batch:
+                self._execute(job)
 
     # -- parallel execution ------------------------------------------------
 
@@ -616,26 +697,10 @@ class SciductionEngine:
         workers = self.config.workers
         fleet = self._worker_fleet()
 
-        def claim(job: Job) -> bool:
-            with self._state_lock:
-                if job.state is not JobState.PENDING:
-                    return False  # cancelled while queued in the plan
-                job.state = JobState.RUNNING
-                return True
-
         class _Transport:
             @staticmethod
             def submit(worker: int, job: Job) -> Future:
-                job._future = fleet.submit(
-                    worker,
-                    {
-                        "job_id": job.job_id,
-                        "problem": job.problem.to_dict(),
-                        "max_conflicts": job.max_conflicts,
-                        "timeout": job.timeout,
-                        "label": job.label,
-                    },
-                )
+                job._future = fleet.submit(worker, job.payload())
                 return job._future
 
             @staticmethod
@@ -653,42 +718,36 @@ class SciductionEngine:
 
         def complete(job: Job, kind: str, value: Any) -> None:
             if kind == "payload":
-                job.state = JobState(value["state"])
-                job.error = value["error"]
-                job.elapsed = value["elapsed"]
-                job._result_wire = value["result"]
-                job.result = result_from_dict(value["result"])
+                job.fold_response(value)
                 # statistics() reads this dict from HTTP handler threads
                 # while the dispatch loop completes jobs (LOCK02).
                 with self._state_lock:
-                    self._worker_statistics[value["worker_id"]] = dict(
-                        value["pool_statistics"],
-                        memo_client=value["memo_client"],
-                        platform_memo=value["platform_memo"],
-                    )
+                    self._worker_statistics[value["worker_id"]] = value["executor"]
             elif kind == "crashed":
-                self._record_crash(job)
+                # The full fault history, one entry per attempt — a
+                # terminal failure names every crash that consumed the
+                # retry budget.
+                job.fail(
+                    JobState.FAILED,
+                    "worker process crashed (retry budget of "
+                    f"{self.config.job_retry_limit} exhausted)",
+                    fault_chain=list(job._fault_chain),
+                )
             elif kind == "error":
                 # The worker returned an unrunnable-job error (e.g. a
                 # problem kind not registered in the worker process).
-                job.state = JobState.FAILED
-                job.error = str(value)
-                job.result = SciductionResult(
-                    success=False,
-                    details={"outcome": "failed", "error": str(value)},
-                )
-                self._stamp_engine_details(job)
+                job.fail(JobState.FAILED, str(value))
             elif kind == "cancelled" and job.result is None:
                 # Normally cancel() recorded the result before the future
                 # was dropped; a future cancelled from outside (e.g. the
                 # fleet shut down mid-batch) still needs one — run_batch
                 # promises a structured result for every job, never a
                 # raise.
-                self._mark_cancelled(job)
+                job.fail(JobState.CANCELLED, stamp=False)
 
         scheduler = WorkStealingScheduler(
             transport=_Transport,
-            claim=claim,
+            claim=self._claim,
             complete=complete,
             retry_crash=retry_crash,
             statistics=self._scheduler_statistics,
@@ -700,37 +759,17 @@ class SciductionEngine:
             rotation=rotation,
         )
 
-    def _record_crash(self, job: Job) -> None:
-        job.state = JobState.FAILED
-        job.error = (
-            "worker process crashed (retry budget of "
-            f"{self.config.job_retry_limit} exhausted)"
-        )
-        details: dict = {"outcome": "failed", "error": job.error}
-        if job._fault_chain:
-            # The full fault history, one entry per attempt — a terminal
-            # failure names every crash that consumed the retry budget.
-            details["fault_chain"] = list(job._fault_chain)
-        job.result = SciductionResult(success=False, details=details)
-        self._stamp_engine_details(job)
-
-    def _stamp_engine_details(self, job: Job, session_reused: bool = False) -> None:
-        assert job.result is not None
-        job.result.details.setdefault("engine", {}).update(
-            {
-                "job_id": job.job_id,
-                "label": job.label,
-                "state": job.state.value,
-                "pooled": job.problem.needs_solver,
-                "session_reused": session_reused,
-            }
-        )
-
-    def _execute(self, job: Job) -> None:
+    def _claim(self, job: Job) -> bool:
+        """PENDING → RUNNING under the lock :meth:`cancel` takes."""
         with self._state_lock:
             if job.state is not JobState.PENDING:
-                return
+                return False
             job.state = JobState.RUNNING
+            return True
+
+    def _execute(self, job: Job) -> None:
+        if not self._claim(job):
+            return
         deadline = (
             time.monotonic() + job.timeout if job.timeout is not None else None  # analysis: allow[WC01] sanctioned deadline anchor; budget enforcement only
         )
@@ -761,21 +800,17 @@ class SciductionEngine:
                     measurement_memo=self._measurement_memo(),
                 )
                 result = job.problem.run(context)
-                job.state = JobState.COMPLETED
-            except BudgetExceededError as error:
+                state, error = JobState.COMPLETED, None
+            except BudgetExceededError as exhausted:
                 timed_out = deadline is not None and time.monotonic() >= deadline  # analysis: allow[WC01] sanctioned deadline probe; classifies timeout vs budget exhaustion
-                job.state = (
-                    JobState.TIMED_OUT if timed_out else JobState.BUDGET_EXHAUSTED
-                )
-                job.error = str(error)
-                details = {"outcome": job.state.value, "error": str(error)}
-                if error.partial:
-                    # Reusable partial progress (e.g. the OGIS example
-                    # set); resubmitting the problem with it resumes the
-                    # job instead of restarting from zero.
-                    details["partial"] = json_safe(error.partial)
-                result = SciductionResult(success=False, details=details)
-            except SolverError as error:
+                state = JobState.TIMED_OUT if timed_out else JobState.BUDGET_EXHAUSTED
+                error = str(exhausted)
+                # Reusable partial progress (e.g. the OGIS example set);
+                # resubmitting the problem with it resumes the job
+                # instead of restarting from zero.
+                partial = {"partial": json_safe(exhausted.partial)} if exhausted.partial else {}
+                result = failure_result(state, error, **partial)
+            except SolverError as poisoned:
                 # A pooled session can be poisoned by an earlier tenant
                 # (e.g. a variable redeclared at a different width).
                 # Retire it and retry the job on a fresh solver, bounded
@@ -785,7 +820,7 @@ class SciductionEngine:
                 # effects.
                 retire = True
                 fault_chain.append(
-                    f"poisoned session (attempt {retries + 1}): {error}"
+                    f"poisoned session (attempt {retries + 1}): {poisoned}"
                 )
                 if (
                     lease is not None
@@ -797,19 +832,11 @@ class SciductionEngine:
                         lease.solver.set_job_limits()
                     self.pool.retire(lease)
                     continue
-                job.state = JobState.FAILED
-                job.error = str(error)
-                details = {"outcome": "failed", "error": str(error)}
-                if fault_chain:
-                    details["fault_chain"] = list(fault_chain)
-                result = SciductionResult(success=False, details=details)
-            except Exception as error:  # noqa: BLE001 — batch jobs never raise
-                job.state = JobState.FAILED
-                job.error = str(error)
-                result = SciductionResult(
-                    success=False,
-                    details={"outcome": "failed", "error": str(error)},
-                )
+                state, error = JobState.FAILED, str(poisoned)
+                result = failure_result(state, error, fault_chain=list(fault_chain))
+            except Exception as failure:  # noqa: BLE001 — batch jobs never raise
+                state, error = JobState.FAILED, str(failure)
+                result = failure_result(state, error)
             finally:
                 if lease is not None and not lease.released:
                     lease.solver.set_job_limits()
@@ -822,29 +849,25 @@ class SciductionEngine:
                 else:
                     job_smt = job_sat = None
             break
-        job.elapsed = time.perf_counter() - start  # analysis: allow[WC01] elapsed-time accounting for the job record; not a decision input
-        job.result = result
-        self._stamp_engine_details(
-            job, session_reused=lease is not None and lease.reused
-        )
+        engine_details: dict[str, Any] = {
+            "session_reused": lease is not None and lease.reused
+        }
         if job_smt is not None:
             # Per-job accounting: deltas charged to this lease, never the
             # pooled solver's lifetime totals.
-            result.details["engine"]["smt_job_statistics"] = {
-                "checks": job_smt.checks,
-                "sat_answers": job_smt.sat_answers,
-                "unsat_answers": job_smt.unsat_answers,
-                "variables_generated": job_smt.variables_generated,
-                "clauses_generated": job_smt.clauses_generated,
-                "check_memo_hits": job_smt.check_memo_hits,
-                "shared_memo_hits": job_smt.shared_memo_hits,
+            engine_details["smt_job_statistics"] = {
+                name: getattr(job_smt, name) for name in _SMT_JOB_COUNTERS
             }
-            result.details["engine"]["sat_job_statistics"] = {
-                "conflicts": job_sat.conflicts,
-                "decisions": job_sat.decisions,
-                "propagations": job_sat.propagations,
-                "learned_clauses": job_sat.learned_clauses,
+            engine_details["sat_job_statistics"] = {
+                name: getattr(job_sat, name) for name in _SAT_JOB_COUNTERS
             }
+        job.finish(
+            state,
+            result,
+            error=error,
+            elapsed=time.perf_counter() - start,  # analysis: allow[WC01] elapsed-time accounting for the job record; not a decision input
+            engine_details=engine_details,
+        )
 
     # -- reporting ---------------------------------------------------------
 
@@ -857,12 +880,13 @@ class SciductionEngine:
           (sequential execution and ``run()`` calls);
         * ``scheduler`` — batches, dispatches, steals and crash
           retirements of the parallel work-stealing scheduler;
-        * ``workers`` — each worker process's latest cumulative pool
-          counters, plus its memo client's counters under
-          ``memo_client`` (``local_hits``, ``remote_hits``, ``degraded``,
-          ``degradations`` …; None without a shared store) and its
-          measurement memo's under ``platform_memo``, reported with
-          every finished job;
+        * ``workers`` — each worker process's latest
+          :meth:`executor_statistics` snapshot, reported with every
+          finished job: its cumulative pool counters, its memo client's
+          counters under ``memo_client`` (``local_hits``,
+          ``remote_hits``, ``degraded``, ``degradations`` …; None without
+          a shared store) and its measurement memo's under
+          ``platform_memo``;
         * ``shared_memo`` — the check-memo store counters, summed over
           the engine's in-process store and the manager-served store the
           workers use.  ``cross_worker_hits`` counts verdicts decided by
@@ -902,19 +926,30 @@ class SciductionEngine:
             "platform_memo": self._measurement_memo().statistics(),
         }
 
+    def executor_statistics(self, memo_client: CheckMemoClient | None) -> dict:
+        """Pool counters plus ``memo_client`` and ``platform_memo``: the
+        snapshot a worker or node attaches to every response it sends."""
+        return dict(
+            asdict(self.pool.statistics),
+            memo_client=None if memo_client is None else memo_client.statistics(),
+            platform_memo=self._measurement_memo().statistics(),
+        )
+
     def batch_report(self) -> list[dict]:
         """JSON-ready summaries of every finished job."""
         report = []
         for job in self.jobs:
-            if job.result is None:
+            wire = job.result_wire()
+            if wire is None:
                 continue
-            entry = {
-                "job_id": job.job_id,
-                "label": job.label,
-                "state": job.state.value,
-                "elapsed": job.elapsed,
-                "problem": job.problem.to_dict(),
-                "result": result_to_dict(job.result),
-            }
-            report.append(entry)
+            report.append(
+                {
+                    "job_id": job.job_id,
+                    "label": job.label,
+                    "state": job.state.value,
+                    "elapsed": job.elapsed,
+                    "problem": job.problem.to_dict(),
+                    "result": wire,
+                }
+            )
         return report

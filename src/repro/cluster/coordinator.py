@@ -46,7 +46,6 @@ from typing import Any
 from repro.analysis.annotations import guarded_by
 from repro.api.config import EngineConfig
 from repro.api.engine import Job, JobState, SciductionEngine
-from repro.api.results import result_from_dict
 from repro.cluster.auth import TokenSet, ensure_bind_allowed
 from repro.cluster.hashring import rendezvous_owner
 from repro.cluster.memoclient import RemoteMemoStore
@@ -62,7 +61,6 @@ from repro.cluster.protocol import (
     FramedSocket,
     ProtocolError,
 )
-from repro.core.procedure import SciductionResult
 from repro.service.journal import JobJournal, JournalError
 from repro.service.server import SciductionService
 from repro.testing import faults
@@ -148,8 +146,8 @@ class ClusterEngine(SciductionEngine):
         self._links: dict[str, _NodeLink] = {}
         #: Per-node observability (survives death/re-registration).
         self._node_stats: dict[str, dict[str, Any]] = {}
-        #: Events for the dispatch loop: ("result", node, job_id, payload)
-        #: and ("dead", node); registrations just notify.
+        #: Events for the dispatch loop: ("result", node, frame) and
+        #: ("dead", node); registrations just notify.
         self._events: list[tuple[Any, ...]] = []
         #: Reshard history for ``/stats``.
         self._reshard_log: list[dict[str, Any]] = []
@@ -223,7 +221,7 @@ class ClusterEngine(SciductionEngine):
                     "jobs_completed": 0,
                     "shapes": {},
                     "last_heartbeat": None,
-                    "memo_client": None,
+                    "executor": None,
                 },
             )
             stats["registrations"] += 1
@@ -264,9 +262,7 @@ class ClusterEngine(SciductionEngine):
             op = frame.get("op")
             if op == OP_RESULT:
                 with self._cluster_wakeup:
-                    self._events.append(
-                        ("result", node.name, frame.get("job_id"), frame.get("payload"))
-                    )
+                    self._events.append(("result", node.name, frame))
                     self._cluster_wakeup.notify_all()
             elif op == OP_HEARTBEAT:
                 with self._cluster_wakeup:
@@ -305,38 +301,20 @@ class ClusterEngine(SciductionEngine):
         """Refuse local execution: a coordinator never solves in-process."""
         raise NotImplementedError("the coordinator does not execute jobs")
 
-    def run_batch(
-        self, problems: "list[Any] | None" = None
-    ) -> list[SciductionResult]:
-        """Scatter every pending job to the live nodes; gather results.
+    def _run_jobs(self, batch: list[Job]) -> None:
+        """Scatter the batch to the live nodes; gather their results.
 
-        Returns results in submission order, like the base engine.  All
-        failure modes are folded into structured per-job results — a
+        All failure modes are folded into structured per-job results — a
         batch never raises, even with zero registered nodes.
         """
-        for problem in problems or []:
-            self.submit(problem)
-        with self._state_lock:
-            batch = [job for job in self._jobs if job.state is JobState.PENDING]
-        if batch:
-            self._dispatch_batch(batch)
-        results = []
-        for job in batch:
-            assert job.result is not None
-            results.append(job.result)
-        return results
-
-    def _dispatch_batch(self, batch: list[Job]) -> None:
         # Jobs not yet accepted by a live node, in submission order.
         pending: list[Job] = []
         # job_id → (job, owning node name) while a node holds the job.
         in_flight: dict[int, tuple[Job, str]] = {}
         open_jobs: dict[int, Job] = {}
         for job in batch:
-            with self._state_lock:
-                if job.state is not JobState.PENDING:
-                    continue  # cancelled while queued; result already set
-                job.state = JobState.RUNNING
+            if not self._claim(job):
+                continue  # cancelled while queued; result already set
             pending.append(job)
             open_jobs[job.job_id] = job
         nodeless_deadline: float | None = None
@@ -348,12 +326,13 @@ class ClusterEngine(SciductionEngine):
             dead_nodes: list[str] = []
             for event in events:
                 if event[0] == "result":
-                    _, node_name, job_id, payload = event
+                    _, node_name, frame = event
+                    job_id = frame.get("job_id")
                     entry = in_flight.pop(int(job_id), None) if job_id is not None else None
-                    if entry is None or not isinstance(payload, dict):
+                    if entry is None:
                         continue
                     job, _owner = entry
-                    self._complete_remote(job, payload, node_name)
+                    self._complete_remote(job, frame, node_name)
                     open_jobs.pop(job.job_id, None)
                 elif event[0] == "dead":
                     dead_nodes.append(event[1])
@@ -430,15 +409,7 @@ class ClusterEngine(SciductionEngine):
                 if stats is not None:
                     stats["shapes"][shape] = True
             try:
-                node.send_job(
-                    {
-                        "job_id": job.job_id,
-                        "problem": job.problem.to_dict(),
-                        "max_conflicts": job.max_conflicts,
-                        "timeout": job.timeout,
-                        "label": job.label,
-                    }
-                )
+                node.send_job(job.payload())
             except (OSError, ProtocolError):
                 # The link died mid-dispatch (or a net.partition fault
                 # fired): fold the death; the job reshards next scan.
@@ -448,35 +419,34 @@ class ClusterEngine(SciductionEngine):
             in_flight[job.job_id] = (job, owner)
         return unsent
 
-    def _complete_remote(
-        self, job: Job, payload: dict[str, Any], node_name: str
-    ) -> None:
-        """Fold one node's wire-form outcome into the job handle."""
-        try:
-            job.state = JobState(payload["state"])
-            job.error = payload["error"]
-            job.elapsed = payload["elapsed"]
-            result_wire = payload["result"]
-            # Attribute the execution in the same place the engine stamps
-            # its own metadata (details.engine) — observability only, and
-            # stripped by parity comparisons exactly like job_id.
-            engine_details = result_wire.get("details", {}).get("engine")
-            if isinstance(engine_details, dict):
-                engine_details["node"] = node_name
-            job._result_wire = result_wire
-            job.result = result_from_dict(result_wire)
-        except (KeyError, ValueError, TypeError) as error:
-            job.state = JobState.FAILED
-            job.error = f"malformed result from node {node_name!r}: {error}"
-            job.result = SciductionResult(
-                success=False,
-                details={"outcome": "failed", "error": job.error},
-            )
+    def _complete_remote(self, job: Job, frame: dict[str, Any], node_name: str) -> None:
+        """Fold one node's result frame into the job handle."""
+        payload = frame.get("payload")
+        if "error" in frame:
+            # The node could not start the job (e.g. a problem kind it
+            # does not know): the worker's unrunnable-job failure.
+            job.fail(JobState.FAILED, str(frame["error"]))
+        else:
+            try:
+                # Attribute the execution where the engine stamps its own
+                # metadata (details.engine) — observability only, stripped
+                # by parity comparisons exactly like job_id.
+                engine_details = payload["result"].get("details", {}).get("engine")
+                if isinstance(engine_details, dict):
+                    engine_details["node"] = node_name
+                job.fold_response(payload)
+            except (KeyError, ValueError, TypeError, AttributeError) as error:
+                job.fail(
+                    JobState.FAILED,
+                    f"malformed result from node {node_name!r}: {error}",
+                    stamp=False,
+                )
         with self._cluster_lock:
             stats = self._node_stats.get(node_name)
             if stats is not None:
                 stats["jobs_completed"] += 1
-                stats["memo_client"] = payload.get("memo_client")
+                if isinstance(payload, dict):
+                    stats["executor"] = payload.get("executor")
 
     def _record_reshard(self, node_name: str, job_ids: list[int]) -> None:
         self._journal_soft(
@@ -486,16 +456,11 @@ class ClusterEngine(SciductionEngine):
             self._reshard_log.append({"node": node_name, "jobs": job_ids})
 
     def _fail_unplaceable(self, job: Job) -> None:
-        job.state = JobState.FAILED
-        job.error = (
+        job.fail(
+            JobState.FAILED,
             f"no cluster nodes available within {self.node_wait}s; "
-            "the job was never placed"
+            "the job was never placed",
         )
-        job.result = SciductionResult(
-            success=False,
-            details={"outcome": "failed", "error": job.error},
-        )
-        self._stamp_engine_details(job)
 
     def _journal_soft(self, payload: dict[str, Any]) -> None:
         if self.journal is None:
@@ -510,9 +475,12 @@ class ClusterEngine(SciductionEngine):
     def cluster_statistics(self) -> dict[str, Any]:
         """The ``/stats`` cluster section: topology, failover, memod.
 
-        Each node entry carries its memo client's counters as of the
-        node's last finished job (``memo_client``; None without a memo
-        service or before the first job).
+        Each node entry carries the node's executor snapshot as of its
+        last finished job (see
+        :meth:`~repro.api.engine.SciductionEngine.executor_statistics`):
+        its pool counters, ``memo_client`` (None without a memo service)
+        and ``platform_memo``.  Before the node's first job only
+        ``memo_client`` is there, as None.
         """
         with self._cluster_lock:
             now = time.monotonic()  # analysis: allow[WC01] heartbeat-age observability read; never a scheduling input
@@ -529,7 +497,7 @@ class ClusterEngine(SciductionEngine):
                     ),
                     "jobs_completed": stats["jobs_completed"],
                     "shapes": sorted(stats["shapes"]),
-                    "memo_client": stats["memo_client"],
+                    **(stats["executor"] or {"memo_client": None}),
                 }
             record: dict[str, Any] = {
                 "nodes": nodes,

@@ -7,7 +7,9 @@ byte-parity requires) behind the framed protocol:
 
 * the agent **dials the coordinator** and registers under its node name;
   job frames are executed in submission order by a single executor
-  thread and answered with the engine's exact wire-form results;
+  thread and answered with the engine's exact wire-form results (plus
+  its executor snapshot), or with an ``error`` result frame for a job
+  the node cannot start (e.g. an unknown problem kind);
 * a **heartbeat thread** sends liveness frames on a fixed interval (the
   coordinator exposes the observed age in ``/stats``; death *detection*
   is the connection drop itself, which is immediate and unambiguous);
@@ -123,7 +125,6 @@ class NodeAgent:
             self.engine.pool.set_memo_backend(self.memo_client)
         self._stop = threading.Event()
         self._drained = False
-        self._jobs_executed = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -253,19 +254,23 @@ class NodeAgent:
             # cleanup, mid-batch — the coordinator's reshard path is
             # exactly what gets exercised.
             fault_point("node.crash")
-            response = self.engine.run_wire(payload)
-            self._jobs_executed += 1
-            response["node"] = self.name
-            response["memo_client"] = (
-                None if self.memo_client is None else self.memo_client.statistics()
-            )
+            try:
+                response = self.engine.run_wire(payload)
+            except Exception as error:  # noqa: BLE001 — the node keeps serving
+                # An unrunnable job (e.g. a problem kind registered only
+                # in the coordinator process, or version skew): the
+                # coordinator fails it as it does a worker's error.
+                self._log(f"job {payload.get('job_id')} not started: {error}")
+                outcome: dict[str, Any] = {"error": str(error)}
+            else:
+                response["node"] = self.name
+                response["executor"] = self.engine.executor_statistics(
+                    self.memo_client
+                )
+                outcome = {"payload": response}
             try:
                 link.send(
-                    {
-                        "op": OP_RESULT,
-                        "job_id": payload.get("job_id"),
-                        "payload": response,
-                    }
+                    {"op": OP_RESULT, "job_id": payload.get("job_id"), **outcome}
                 )
             except (OSError, ProtocolError):
                 return  # link died; the coordinator reshards this job

@@ -91,7 +91,10 @@ PROTOCOL_OPS: tuple[OpSpec, ...] = (
     OpSpec(OP_REGISTER, ("node", "protocol"), ("node",), ("coordinator",),
            optional=("token",)),
     OpSpec(OP_JOB, ("payload",), ("coordinator",), ("node",)),
-    OpSpec(OP_RESULT, ("job_id", "payload"), ("node",), ("coordinator",)),
+    # Exactly one of ``payload`` (the engine's wire-form outcome) and
+    # ``error`` (the job could not be started on the node).
+    OpSpec(OP_RESULT, ("job_id",), ("node",), ("coordinator",),
+           optional=("payload", "error")),
     OpSpec(OP_HEARTBEAT, ("node",), ("node",), ("coordinator",)),
     OpSpec(OP_DRAIN, (), ("coordinator",), ("node",)),
     OpSpec(OP_DRAINED, ("node",), ("node",), ("coordinator",)),

@@ -44,10 +44,9 @@ import time
 from dataclasses import dataclass, field
 
 from repro.analysis.annotations import guarded_by, holds
-from repro.api.engine import Job, JobState, SciductionEngine
+from repro.api.engine import Job, JobState, SciductionEngine, failure_result
 from repro.api.results import result_to_dict
 from repro.core.exceptions import ReproError
-from repro.core.procedure import SciductionResult
 from repro.service.certstore import CertStore, submission_fingerprint
 from repro.service.journal import (
     EVENT_ACCEPTED,
@@ -60,16 +59,11 @@ from repro.service.journal import (
 )
 from repro.service.stats import DEPTH_BOUNDS, LATENCY_BOUNDS, Histogram
 
-#: Engine job states surfaced verbatim; PENDING is reported as "queued".
-_STATE_NAMES = {
-    JobState.PENDING: "queued",
-    JobState.RUNNING: "running",
-    JobState.COMPLETED: "completed",
-    JobState.FAILED: "failed",
-    JobState.TIMED_OUT: "timed-out",
-    JobState.BUDGET_EXHAUSTED: "budget-exhausted",
-    JobState.CANCELLED: "cancelled",
-}
+
+def _state_name(state: JobState) -> str:
+    """An engine job state as served; PENDING is reported as "queued"."""
+    return "queued" if state is JobState.PENDING else state.value
+
 
 #: States in which a job has a result to serve.
 _TERMINAL = {"completed", "failed", "timed-out", "budget-exhausted", "cancelled"}
@@ -95,14 +89,6 @@ class QueueFullError(ReproError):
 
 class ServiceUnavailableError(ReproError):
     """The service cannot accept jobs (draining, or the journal broke)."""
-
-
-def _cancelled_wire() -> dict:
-    """The wire form the engine produces for a cancelled job (kept
-    identical for jobs cancelled before they ever reach the engine)."""
-    return result_to_dict(
-        SciductionResult(success=False, details={"outcome": "cancelled"})
-    )
 
 
 @dataclass
@@ -134,7 +120,7 @@ class ServiceJob:
     @property
     def state(self) -> str:
         if self._engine_job is not None:
-            return _STATE_NAMES[self._engine_job.state]
+            return _state_name(self._engine_job.state)
         return self._local_state
 
     @property
@@ -145,9 +131,9 @@ class ServiceJob:
     def result(self) -> dict | None:
         """The wire-form result, or None while the job is open."""
         if self._engine_job is not None:
+            # The engine's fold sets the wire before the terminal state,
+            # so a terminal job always has one.
             if self.state in _TERMINAL:
-                # result_wire() may momentarily be None while the runner
-                # thread is still folding the outcome; served as not-done.
                 return self._engine_job.result_wire()
             return None
         return self._local_result
@@ -174,7 +160,7 @@ class ServiceJob:
         engine_job = self._engine_job
         if engine_job is None or not engine_job.done:
             return
-        self._local_state = _STATE_NAMES[engine_job.state]
+        self._local_state = _state_name(engine_job.state)
         self._local_result = engine_job.result_wire()
         self._local_error = engine_job.error
         self._local_elapsed = engine_job.elapsed
@@ -499,7 +485,8 @@ class JobQueue:
             if state != "queued":  # pragma: no cover — defensive
                 return state
             job._local_state = "cancelled"
-            job._local_result = _cancelled_wire()
+            # The engine's cancelled wire, for a job that never reached it.
+            job._local_result = result_to_dict(failure_result(JobState.CANCELLED))
             try:
                 self._pending.remove(job)
             except ValueError:  # pragma: no cover — drained concurrently

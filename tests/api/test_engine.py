@@ -7,6 +7,7 @@ import pytest
 from repro.api import (
     DeobfuscationProblem,
     EngineConfig,
+    Job,
     JobState,
     SciductionEngine,
     SwitchingLogicProblem,
@@ -30,6 +31,53 @@ SWITCHING = SwitchingLogicProblem(
 
 def _verdict_tuple(result):
     return (result.success, result.verdict)
+
+
+def _failure_wire(details):
+    """The full wire form of a structured unsuccessful result."""
+    return {
+        "success": False,
+        "verdict": None,
+        "iterations": 0,
+        "oracle_queries": 0,
+        "deductive_queries": 0,
+        "elapsed": 0.0,
+        "artifact_repr": None,
+        "details": details,
+        "certificate": None,
+    }
+
+
+def _engine_stamp(job, pooled, session_reused=False, counted=None):
+    """The ``details.engine`` record the engine stamps on ``job``.
+
+    ``counted`` is the job's wire: the per-job solver counters it
+    carries are pinned by key and order here; their values measure the
+    search, not the fold under test.
+    """
+    stamp = {
+        "job_id": job.job_id,
+        "label": job.label,
+        "state": job.state.value,
+        "pooled": pooled,
+        "session_reused": session_reused,
+    }
+    if counted is not None:
+        engine = counted["details"]["engine"]
+        assert list(engine["smt_job_statistics"]) == [
+            "checks", "sat_answers", "unsat_answers", "variables_generated",
+            "clauses_generated", "check_memo_hits", "shared_memo_hits",
+        ]
+        assert list(engine["sat_job_statistics"]) == [
+            "conflicts", "decisions", "propagations", "learned_clauses",
+        ]
+        stamp["smt_job_statistics"] = engine["smt_job_statistics"]
+        stamp["sat_job_statistics"] = engine["sat_job_statistics"]
+    return stamp
+
+
+def _same_bytes(left, right):
+    return json.dumps(left) == json.dumps(right)
 
 
 class TestBatchLifecycle:
@@ -126,6 +174,13 @@ class TestBudgetsTimeoutsCancellation:
         assert result.success is False
         assert result.details["outcome"] == "budget-exhausted"
         assert "budget" in (job.error or "")
+        wire = job.result_wire()
+        assert _same_bytes(wire, _failure_wire({
+            "outcome": "budget-exhausted",
+            "error": job.error,
+            "partial": {"examples": [[[68, 32], [32, 68]]], "iterations": 1},
+            "engine": _engine_stamp(job, pooled=True, counted=wire),
+        }))
 
     def test_budget_does_not_leak_into_next_job(self):
         engine = SciductionEngine()
@@ -147,6 +202,13 @@ class TestBudgetsTimeoutsCancellation:
         (result,) = engine.run_batch()
         assert job.state is JobState.TIMED_OUT
         assert result.details["outcome"] == "timed-out"
+        wire = job.result_wire()
+        assert _same_bytes(wire, _failure_wire({
+            "outcome": "timed-out",
+            "error": "synthesis query undecided: solver budget or deadline exhausted",
+            "partial": {"examples": [[[68, 32], [32, 68]]], "iterations": 1},
+            "engine": _engine_stamp(job, pooled=True, counted=wire),
+        }))
 
     def test_cancelled_jobs_never_run(self):
         engine = SciductionEngine()
@@ -158,6 +220,11 @@ class TestBudgetsTimeoutsCancellation:
         assert keep.state is JobState.COMPLETED
         assert cancelled.state is JobState.CANCELLED
         assert cancelled.result.details["outcome"] == "cancelled"
+        # A cancelled job never ran: no error, no engine stamp.
+        assert cancelled.error is None
+        assert _same_bytes(
+            cancelled.result_wire(), _failure_wire({"outcome": "cancelled"})
+        )
         # A finished job cannot be cancelled.
         assert not engine.cancel(keep)
 
@@ -168,7 +235,15 @@ class TestBudgetsTimeoutsCancellation:
         result = engine.run(SwitchingLogicProblem(system="nonexistent-system"))
         assert result.success is False
         assert result.details["outcome"] == "failed"
-        assert engine.jobs[-1].state is JobState.FAILED
+        job = engine.jobs[-1]
+        assert job.state is JobState.FAILED
+        assert _same_bytes(job.result_wire(), _failure_wire({
+            "outcome": "failed",
+            "error": "unknown switching-logic system 'nonexistent-system' "
+            "(available: ['transmission'])",
+            "engine": _engine_stamp(job, pooled=False),
+        }))
+        assert job.error == job.result_wire()["details"]["error"]
 
     def test_deadline_preempts_simulation_backed_job(self):
         """Wall-clock deadlines must reach the reachability oracle.
@@ -368,6 +443,55 @@ class TestResultSerialization:
         assert len(report) == 2
         json.dumps(report)  # must not raise
         assert report[0]["problem"]["kind"] == "deobfuscation"
+        # The report carries each job's own result wire, so it reads the
+        # same under any worker count (artifact_repr stays top-level).
+        assert [entry["result"] for entry in report] == [
+            job.result_wire() for job in engine.jobs
+        ]
+        assert report[0]["result"]["artifact_repr"] is not None
+
+
+class TestJobRecord:
+    def test_payload_round_trips_through_the_wire(self):
+        job = SciductionEngine().submit(
+            TIMING, max_conflicts=7, timeout=2.5, label="pinned"
+        )
+        payload = job.payload()
+        assert payload == {
+            "job_id": job.job_id,
+            "problem": TIMING.to_dict(),
+            "max_conflicts": 7,
+            "timeout": 2.5,
+            "label": "pinned",
+        }
+        rebuilt = Job.from_payload(json.loads(json.dumps(payload)))
+        assert rebuilt.payload() == payload
+        assert rebuilt.problem == TIMING
+        assert rebuilt.state is JobState.PENDING
+
+    def test_terminal_state_is_never_visible_before_its_result(self, monkeypatch):
+        """A reader that sees ``done`` must also see the result wire.
+
+        The service serves a job's state and result from two reads of the
+        handle; a spy on the lease release (which runs after the job's
+        problem returned) observes the handle mid-fold.
+        """
+        from repro.api.pool import SolverPool
+
+        engine = SciductionEngine()
+        seen = []
+        release = SolverPool.release
+
+        def spy(pool, lease):
+            job = engine.jobs[-1]
+            seen.append((job.done, job.result_wire()))
+            release(pool, lease)
+
+        monkeypatch.setattr(SolverPool, "release", spy)
+        engine.run(DEOB)
+        assert seen, "the pooled job never released its lease"
+        for done, wire in seen:
+            assert not done or wire is not None
 
 
 class TestSharedStateLockDiscipline:

@@ -10,6 +10,7 @@ retry does in-process.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -80,6 +81,41 @@ class _StuntProblem(ProblemSpec):
         return SciductionResult(
             success=True, verdict=True, details={"payload": self.payload}
         )
+
+
+@dataclass
+class _LateProblem(ProblemSpec):
+    """Registered only after the worker fleet forked, so the workers
+    cannot decode it: the unrunnable-job path."""
+
+    kind: ClassVar[str] = "test-late-kind"
+    needs_solver: ClassVar[bool] = False
+
+    payload: str = ""
+
+    def run(self, context=None) -> SciductionResult:
+        return SciductionResult(
+            success=True, verdict=True, details={"payload": self.payload}
+        )
+
+
+def _failure_wire(details: dict) -> dict:
+    """The full wire form of a structured unsuccessful result."""
+    return {
+        "success": False,
+        "verdict": None,
+        "iterations": 0,
+        "oracle_queries": 0,
+        "deductive_queries": 0,
+        "elapsed": 0.0,
+        "artifact_repr": None,
+        "details": details,
+        "certificate": None,
+    }
+
+
+def _same_bytes(left: dict | None, right: dict) -> bool:
+    return json.dumps(left) == json.dumps(right)
 
 
 def _canonical_wires(engine: SciductionEngine) -> list[dict]:
@@ -180,6 +216,37 @@ class TestWorkerCrashRetirement:
         assert results[1].details["payload"] == "alive"
 
 
+class TestUnrunnableJobs:
+    def test_kind_unknown_to_the_worker_fails_with_a_structured_error(self):
+        engine = SciductionEngine(EngineConfig(workers=2))
+        try:
+            engine.prestart_workers()
+            register_problem_type(_LateProblem)
+            jobs = [
+                engine.submit(_LateProblem(payload=str(index)), label=f"late-{index}")
+                for index in range(2)
+            ]
+            engine.run_batch()
+            for job in jobs:
+                assert job.state is JobState.FAILED
+                assert (job.error or "").startswith(
+                    "unknown problem kind 'test-late-kind'"
+                )
+                assert _same_bytes(job.result_wire(), _failure_wire({
+                    "outcome": "failed",
+                    "error": job.error,
+                    "engine": {
+                        "job_id": job.job_id,
+                        "label": job.label,
+                        "state": "failed",
+                        "pooled": False,
+                        "session_reused": False,
+                    },
+                }))
+        finally:
+            engine.close()
+
+
 class TestParallelCancellation:
     def test_queued_job_cancelled_while_batch_in_flight(self):
         """Jobs queued behind an in-flight job stay cancellable.
@@ -216,6 +283,9 @@ class TestParallelCancellation:
         assert target.state is JobState.CANCELLED
         assert len(batch_results) == 3
         assert batch_results[2].details["outcome"] == "cancelled"
+        assert _same_bytes(
+            target.result_wire(), _failure_wire({"outcome": "cancelled"})
+        )
 
     def test_cancel_before_batch_skips_submission(self):
         engine = SciductionEngine(EngineConfig(workers=2))
@@ -241,6 +311,22 @@ class TestParallelBudgets:
         assert slow.state is JobState.TIMED_OUT
         assert slow.result.details["outcome"] == "timed-out"
         assert quick.state is JobState.COMPLETED
+        wire = slow.result_wire()
+        stamp = wire["details"]["engine"]
+        assert _same_bytes(wire, _failure_wire({
+            "outcome": "timed-out",
+            "error": slow.error,
+            "partial": {"examples": [[[68, 32], [32, 68]]], "iterations": 1},
+            "engine": {
+                "job_id": slow.job_id,
+                "label": None,
+                "state": "timed-out",
+                "pooled": True,
+                "session_reused": False,
+                "smt_job_statistics": stamp["smt_job_statistics"],
+                "sat_job_statistics": stamp["sat_job_statistics"],
+            },
+        }))
 
     def test_conflict_budget_travels_with_the_job(self):
         engine = SciductionEngine(EngineConfig(workers=2))

@@ -11,6 +11,7 @@ instead of propagating.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from typing import ClassVar
@@ -24,11 +25,30 @@ from repro.api import (
     SciductionEngine,
     register_problem_type,
 )
-from repro.core.exceptions import ReproError
+from repro.core.exceptions import ReproError, SolverError
 from repro.core.procedure import SciductionResult
 from repro.testing import faults
 
 DEOB = {"kind": "deobfuscation", "task": "multiply45", "width": 4, "seed": 0}
+
+
+def _failure_wire(details):
+    """The full wire form of a structured unsuccessful result."""
+    return {
+        "success": False,
+        "verdict": None,
+        "iterations": 0,
+        "oracle_queries": 0,
+        "deductive_queries": 0,
+        "elapsed": 0.0,
+        "artifact_repr": None,
+        "details": details,
+        "certificate": None,
+    }
+
+
+def _same_bytes(left, right):
+    return json.dumps(left) == json.dumps(right)
 
 
 @register_problem_type
@@ -56,6 +76,17 @@ class _CrashyProblem(ProblemSpec):
                 handle.write("attempted")
             os._exit(13)
         return SciductionResult(success=True, verdict=True, details={})
+
+
+@register_problem_type
+@dataclass
+class _PoisonedProblem(ProblemSpec):
+    """A pooled job whose session check always fails like a poisoned one."""
+
+    kind: ClassVar[str] = "test-retry-poisoned"
+
+    def run(self, context=None) -> SciductionResult:
+        raise SolverError("variable 'x' redeclared at width 8")
 
 
 class TestConfigKnobs:
@@ -86,6 +117,18 @@ class TestCrashRetryBudget:
             "worker process crashed (attempt 1)",
             "worker process crashed (attempt 2)",
         ]
+        assert _same_bytes(doomed.result_wire(), _failure_wire({
+            "outcome": "failed",
+            "error": "worker process crashed (retry budget of 1 exhausted)",
+            "fault_chain": chain,
+            "engine": {
+                "job_id": doomed.job_id,
+                "label": None,
+                "state": "failed",
+                "pooled": False,
+                "session_reused": False,
+            },
+        }))
 
     def test_zero_budget_disables_retries(self):
         engine = SciductionEngine(EngineConfig(workers=2, job_retry_limit=0))
@@ -123,6 +166,54 @@ class TestEngineFaultSites:
         assert job.state is JobState.FAILED
         assert "engine.crash" in (job.error or "")
         assert results[0].details["outcome"] == "failed"
+        wire = job.result_wire()
+        engine_stamp = wire["details"]["engine"]
+        assert _same_bytes(wire, _failure_wire({
+            "outcome": "failed",
+            "error": job.error,
+            "engine": {
+                "job_id": job.job_id,
+                "label": None,
+                "state": "failed",
+                "pooled": True,
+                "session_reused": False,
+                "smt_job_statistics": engine_stamp["smt_job_statistics"],
+                "sat_job_statistics": engine_stamp["sat_job_statistics"],
+            },
+        }))
+
+    @pytest.mark.sequential_only
+    def test_poisoned_fresh_session_fails_with_its_fault_chain(self):
+        engine = SciductionEngine(EngineConfig(workers=1))
+        job = engine.submit(_PoisonedProblem())
+        engine.run_batch()
+        assert job.state is JobState.FAILED
+        # A fresh session failing is not retried (it had no earlier
+        # tenant to blame), but the one attempt is on record.
+        assert _same_bytes(job.result_wire(), _failure_wire({
+            "outcome": "failed",
+            "error": "variable 'x' redeclared at width 8",
+            "fault_chain": [
+                "poisoned session (attempt 1): "
+                "variable 'x' redeclared at width 8",
+            ],
+            "engine": {
+                "job_id": job.job_id,
+                "label": None,
+                "state": "failed",
+                "pooled": True,
+                "session_reused": False,
+                "smt_job_statistics": {
+                    "checks": 0, "sat_answers": 0, "unsat_answers": 0,
+                    "variables_generated": 0, "clauses_generated": 0,
+                    "check_memo_hits": 0, "shared_memo_hits": 0,
+                },
+                "sat_job_statistics": {
+                    "conflicts": 0, "decisions": 0, "propagations": 0,
+                    "learned_clauses": 0,
+                },
+            },
+        }))
 
     @pytest.mark.sequential_only
     def test_engine_slow_fault_only_delays(self):

@@ -9,12 +9,14 @@ solving (and byte-parity against it) lives in ``test_failover.py``.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
 import pytest
 
 from repro.api.config import EngineConfig
+from repro.api.engine import JobState
 from repro.cluster.auth import TokenSet
 from repro.cluster.coordinator import ClusterEngine
 from repro.cluster.hashring import rendezvous_owner
@@ -41,6 +43,9 @@ class FakeNode:
         token: registration token, when the coordinator requires auth.
         die_on_job: job_id at whose arrival the node drops its connection
             without answering (simulating a crash mid-job).
+
+    ``replies`` maps a job_id to the result-frame fields sent for it in
+    place of the canned completed result (e.g. a malformed payload).
     """
 
     def __init__(
@@ -54,6 +59,7 @@ class FakeNode:
         self.token = token
         self.die_on_job = die_on_job
         self.received: list[int] = []
+        self.replies: dict[int, dict] = {}
         self.ack: dict | None = None
         self.link = FramedSocket.connect("127.0.0.1", port)
         self._thread: threading.Thread | None = None
@@ -97,6 +103,14 @@ class FakeNode:
             if self.die_on_job is not None and job_id == self.die_on_job:
                 self.link.close()
                 return
+            if job_id in self.replies:
+                try:
+                    self.link.send(
+                        {"op": "result", "job_id": job_id, **self.replies[job_id]}
+                    )
+                except (OSError, ProtocolError):
+                    return
+                continue
             try:
                 self.link.send(
                     {
@@ -138,6 +152,25 @@ def engine():
     instance = ClusterEngine(EngineConfig(), node_wait=5.0)
     yield instance
     instance.close()
+
+
+def failure_wire(details: dict) -> dict:
+    """The full wire form of a structured unsuccessful result."""
+    return {
+        "success": False,
+        "verdict": None,
+        "iterations": 0,
+        "oracle_queries": 0,
+        "deductive_queries": 0,
+        "elapsed": 0.0,
+        "artifact_repr": None,
+        "details": details,
+        "certificate": None,
+    }
+
+
+def same_bytes(left: dict | None, right: dict) -> bool:
+    return json.dumps(left) == json.dumps(right)
 
 
 def wait_for_live(engine: ClusterEngine, count: int, timeout: float = 10.0) -> None:
@@ -276,6 +309,99 @@ class TestScatterGather:
             assert len(results) == 1
             assert keep.job_id in node.received
             assert dropped.job_id not in node.received
+            assert same_bytes(
+                dropped.result_wire(), failure_wire({"outcome": "cancelled"})
+            )
+        finally:
+            node.close()
+
+    def test_malformed_node_result_fails_the_job(self, engine):
+        node = FakeNode("alpha", engine.cluster_port)
+        try:
+            node.register()
+            node.serve()
+            wait_for_live(engine, 1)
+            broken = engine.submit(PROBLEMS[0], label="broken")
+            intact = engine.submit(PROBLEMS[1], label="intact")
+            node.replies[broken.job_id] = {
+                "payload": {"state": "completed", "error": None, "elapsed": 0.5}
+            }
+            results = engine.run_batch()
+            assert broken.state is JobState.FAILED
+            assert broken.error == "malformed result from node 'alpha': 'result'"
+            # The node's outcome never arrived, so no engine stamp.
+            assert same_bytes(broken.result_wire(), failure_wire({
+                "outcome": "failed", "error": broken.error,
+            }))
+            assert intact.state is JobState.COMPLETED and results[1].success
+        finally:
+            node.close()
+
+    def test_result_frame_without_a_dict_payload_fails_the_job(self, engine):
+        node = FakeNode("alpha", engine.cluster_port)
+        try:
+            node.register()
+            node.serve()
+            wait_for_live(engine, 1)
+            job = engine.submit(PROBLEMS[0])
+            node.replies[job.job_id] = {"payload": "garbage"}
+            engine.run_batch()
+            assert job.state is JobState.FAILED
+            assert job.error.startswith("malformed result from node 'alpha': ")
+        finally:
+            node.close()
+
+    def test_node_error_frame_fails_the_job_like_a_worker_error(self, engine):
+        node = FakeNode("alpha", engine.cluster_port)
+        try:
+            node.register()
+            node.serve()
+            wait_for_live(engine, 1)
+            job = engine.submit(PROBLEMS[0], label="undecodable")
+            follow_up = engine.submit(PROBLEMS[0], label="after")
+            message = "unknown problem kind 'plugin-only' (registered: [])"
+            node.replies[job.job_id] = {"error": message}
+            results = engine.run_batch()
+            assert job.state is JobState.FAILED and job.error == message
+            # The wire a worker process gives for the same payload.
+            assert same_bytes(job.result_wire(), failure_wire({
+                "outcome": "failed",
+                "error": message,
+                "engine": {
+                    "job_id": job.job_id,
+                    "label": "undecodable",
+                    "state": "failed",
+                    "pooled": True,
+                    "session_reused": False,
+                },
+            }))
+            assert follow_up.state is JobState.COMPLETED and results[1].success
+            assert engine.cluster_statistics()["nodes"]["alpha"]["jobs_completed"] == 2
+        finally:
+            node.close()
+
+    def test_node_executor_snapshot_is_stored_as_received(self, engine):
+        node = FakeNode("alpha", engine.cluster_port)
+        try:
+            node.register()
+            node.serve()
+            wait_for_live(engine, 1)
+            before = engine.cluster_statistics()["nodes"]["alpha"]
+            assert before["memo_client"] is None and "leases" not in before
+            job = engine.submit(PROBLEMS[0])
+            snapshot = {"leases": 3, "memo_client": None, "platform_memo": {"hits": 1}}
+            node.replies[job.job_id] = {
+                "payload": {
+                    "state": "completed",
+                    "error": None,
+                    "elapsed": 0.0,
+                    "result": failure_wire({"outcome": "cancelled"}),
+                    "executor": snapshot,
+                }
+            }
+            engine.run_batch()
+            entry = engine.cluster_statistics()["nodes"]["alpha"]
+            assert {key: entry[key] for key in snapshot} == snapshot
         finally:
             node.close()
 
@@ -330,6 +456,21 @@ class TestFailover:
             assert len(results) == 1
             assert not results[0].success
             assert "no cluster nodes" in results[0].details["error"]
+            (job,) = instance.jobs
+            assert job.error == (
+                "no cluster nodes available within 0.5s; the job was never placed"
+            )
+            assert same_bytes(job.result_wire(), failure_wire({
+                "outcome": "failed",
+                "error": job.error,
+                "engine": {
+                    "job_id": job.job_id,
+                    "label": "unplaceable",
+                    "state": "failed",
+                    "pooled": True,
+                    "session_reused": False,
+                },
+            }))
         finally:
             instance.close()
 

@@ -332,8 +332,13 @@ class TestNodeMemoStatistics:
                 time.sleep(0.02)
             cluster.submit(dict(self.TIMING))
             first = cluster.run_batch()
-            memo = cluster.cluster_statistics()["nodes"]["alpha"]["memo_client"]
+            entry = cluster.cluster_statistics()["nodes"]["alpha"]
+            memo = entry["memo_client"]
             assert memo["publishes"] > 0
+            # The node's whole executor snapshot: pool counters and its
+            # measurement memo's, like a worker's in engine statistics.
+            assert entry["leases"] == 1
+            assert entry["platform_memo"]["lookups"] > 0
             assert (memo["degraded"], memo["degradations"]) == (False, 0)
             # The memo service dies: the node's next remote call fails and
             # its client degrades, which /stats now shows.

@@ -135,6 +135,18 @@ class TestHttpSurface:
         status, result = call(service, "GET", f"/jobs/{target['job_id']}/result")
         assert status == 200
         assert result["details"]["outcome"] == "cancelled"
+        # Cancelled before it reached the engine, with the engine's wire.
+        assert result == {
+            "success": False,
+            "verdict": None,
+            "iterations": 0,
+            "oracle_queries": 0,
+            "deductive_queries": 0,
+            "elapsed": 0.0,
+            "artifact_repr": None,
+            "details": {"outcome": "cancelled"},
+            "certificate": None,
+        }
         # Double-cancel answers 409; the blocker still completes.
         status, _ = call(service, "DELETE", f"/jobs/{target['job_id']}")
         assert status == 409
