@@ -56,37 +56,86 @@ def path_from_edges(cfg: ControlFlowGraph, edges: Sequence[int]) -> Path:
     return Path(tuple(edges), tuple(nodes))
 
 
+class PathWalk:
+    """One depth-first walk over the source-to-sink paths of a DAG CFG.
+
+    The walk keeps its own stack, so path depth is not limited by the
+    interpreter's recursion limit.  Successor edges are taken in CFG
+    order.  After each :meth:`advance` the current path is ``nodes`` /
+    ``edges``, and ``nodes[branch:]`` are the blocks entered since the
+    previous path: ``nodes[branch]`` is the target of the edge just
+    switched to (the entry for the first path), and every later block
+    was reached by a first out-edge.  :meth:`prune` abandons the rest of
+    the subtree below a block of the current path.
+    """
+
+    def __init__(self, cfg: ControlFlowGraph):
+        cfg.check_single_entry_exit()
+        if not cfg.is_dag():
+            raise CompilationError("path enumeration requires an acyclic CFG")
+        self._successors = [cfg.successor_edges(node) for node in range(cfg.num_blocks)]
+        self.nodes: list[int] = [cfg.entry]
+        self.edges: list[int] = []
+        self.branch = 0
+        self._next = [0]  # per stack block: position of its next successor edge
+        self._started = False
+
+    def advance(self) -> bool:
+        """Move to the next path in depth-first order.
+
+        Returns:
+            False once every path has been walked (or pruned).
+        """
+        nodes, edges, following = self.nodes, self.edges, self._next
+        if not nodes:
+            return False
+        if self._started:
+            while following[-1] == len(self._successors[nodes[-1]]):
+                nodes.pop()
+                following.pop()
+                if not nodes:
+                    return False
+                edges.pop()
+            self.branch = len(nodes)
+        self._started = True
+        successors = self._successors[nodes[-1]]
+        while following[-1] < len(successors):
+            edge = successors[following[-1]]
+            following[-1] += 1
+            edges.append(edge.index)
+            nodes.append(edge.target)
+            following.append(0)
+            successors = self._successors[edge.target]
+        return True
+
+    def prune(self, depth: int) -> None:
+        """Skip every remaining path below ``nodes[depth]`` on this prefix.
+
+        The next :meth:`advance` resumes at ``nodes[depth - 1]``'s next
+        successor edge (``depth`` 0 ends the walk).
+        """
+        del self.nodes[depth:]
+        del self._next[depth:]
+        del self.edges[max(depth - 1, 0):]
+
+    def path(self) -> Path:
+        """The current path."""
+        return Path(tuple(self.edges), tuple(self.nodes))
+
+
 def enumerate_paths(cfg: ControlFlowGraph, limit: int | None = None) -> Iterator[Path]:
     """Lazily enumerate all source-to-sink paths of a DAG CFG.
 
-    Paths are produced in depth-first order.  ``limit`` optionally caps the
-    number of paths yielded (the total count can be exponential in the CFG
-    size; use :meth:`ControlFlowGraph.count_paths` to check first).
+    Paths are produced in depth-first order (one :class:`PathWalk`).
+    ``limit`` optionally caps the number of paths yielded (the total
+    count can be exponential in the CFG size; use
+    :meth:`ControlFlowGraph.count_paths` to check first).
     """
-    cfg.check_single_entry_exit()
-    if not cfg.is_dag():
-        raise CompilationError("path enumeration requires an acyclic CFG")
+    walk = PathWalk(cfg)
     produced = 0
-    stack_nodes = [cfg.entry]
-    stack_edges: list[int] = []
-
-    def dfs(node: int) -> Iterator[Path]:
-        nonlocal produced
-        if node == cfg.exit:
-            if limit is None or produced < limit:
-                produced += 1
-                yield Path(tuple(stack_edges), tuple(stack_nodes))
-            return
-        for edge in cfg.successor_edges(node):
-            if limit is not None and produced >= limit:
-                return
-            stack_edges.append(edge.index)
-            stack_nodes.append(edge.target)
-            yield from dfs(edge.target)
-            stack_edges.pop()
-            stack_nodes.pop()
-
-    yield from dfs(cfg.entry)
+    while (limit is None or produced < limit) and walk.advance():
+        produced += 1
+        yield walk.path()
 
 
 def execution_path(cfg: ControlFlowGraph, inputs) -> Path:

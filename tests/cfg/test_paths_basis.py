@@ -2,6 +2,7 @@
 
 import json
 import random
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,8 +22,11 @@ from repro.cfg import (
     path_from_edges,
     saturating_add,
 )
-from repro.cfg import programs
-from repro.cfg.ssa import PathConstraintBuilder
+from repro.cfg import ControlFlowGraph, programs
+from repro.cfg import basis as basis_module
+from repro.cfg.basis import BasisExtractionResult
+from repro.cfg.paths import Path as CfgPath
+from repro.cfg.ssa import FeasiblePath, PathConstraintBuilder
 
 
 def _indicator(path, num_edges):
@@ -52,6 +56,19 @@ class TestPathEnumeration:
         edges = [cfg.edges[-1].index, cfg.edges[0].index]
         with pytest.raises(CompilationError):
             path_from_edges(cfg, edges)
+
+    def test_long_chain_enumerates_without_recursion(self):
+        # The walk keeps its own stack: depth is not bounded by the
+        # interpreter's recursion limit.
+        cfg = ControlFlowGraph("chain", 16, [])
+        blocks = [cfg.new_block() for _ in range(3000)]
+        for source, target in zip(blocks, blocks[1:]):
+            cfg.add_edge(source, target)
+        (path,) = enumerate_paths(cfg)
+        assert path.edges == tuple(range(2999))
+        assert path.nodes == tuple(blocks)
+        result = extract_basis_paths(cfg, check_feasibility=False)
+        assert result.achieved_rank == 1 and result.paths_considered == 1
 
     def test_execution_path_is_valid_path(self):
         cfg = build_cfg(saturating_add())
@@ -145,6 +162,178 @@ class TestRankTrackerDifferential:
                 assert tracker.add(vector) is increases
                 rank += increases
                 assert tracker.rank == rank
+
+
+def _reference_paths(cfg, limit=None):
+    """Recursive depth-first enumeration: the walk ``enumerate_paths``
+    must reproduce, path for path."""
+    cfg.check_single_entry_exit()
+    produced = 0
+    nodes = [cfg.entry]
+    edges = []
+
+    def dfs(node):
+        nonlocal produced
+        if node == cfg.exit:
+            if limit is None or produced < limit:
+                produced += 1
+                yield CfgPath(tuple(edges), tuple(nodes))
+            return
+        for edge in cfg.successor_edges(node):
+            if limit is not None and produced >= limit:
+                return
+            edges.append(edge.index)
+            nodes.append(edge.target)
+            yield from dfs(edge.target)
+            edges.pop()
+            nodes.pop()
+
+    yield from dfs(cfg.entry)
+
+
+def _reference_extract(cfg, builder, check_feasibility):
+    """The extractor without subtree skipping: every path is rank-tested."""
+    dimension = cfg.basis_dimension()
+    tracker = RationalRankTracker(cfg.num_edges)
+    result = BasisExtractionResult(dimension=dimension)
+    for path in _reference_paths(cfg):
+        if result.achieved_rank >= dimension:
+            break
+        result.paths_considered += 1
+        vector = _indicator(path, cfg.num_edges)
+        if not tracker.would_increase_rank(vector):
+            continue
+        if check_feasibility:
+            feasible = builder.feasibility(path)
+            if feasible is None:
+                result.infeasible_skipped += 1
+                continue
+        else:
+            feasible = FeasiblePath(path=path, test_case={})
+        tracker.add(vector)
+        result.basis.append(feasible)
+        result.achieved_rank = tracker.rank
+    return result
+
+
+class _FakeBuilder:
+    """Feasibility as a fixed function of the path's edges; records every
+    query in order."""
+
+    def __init__(self, seed, infeasible_one_in):
+        self.seed = seed
+        self.infeasible_one_in = infeasible_one_in
+        self.queries = []
+
+    def feasibility(self, path):
+        self.queries.append(path.edges)
+        digest = zlib.crc32(repr((self.seed, path.edges)).encode())
+        if self.infeasible_one_in and digest % self.infeasible_one_in == 0:
+            return None
+        return FeasiblePath(path=path, test_case={"x": digest % 997})
+
+
+def _random_dag(rng, max_paths=3000):
+    """A single-entry/exit DAG with parallel edges and shuffled edge
+    indices (so DFS order differs from edge order)."""
+    while True:
+        size = rng.randint(2, 11)
+        pairs = []
+        for source in range(size - 1):
+            for _ in range(rng.choice([1, 1, 2, 2, 3])):
+                pairs.append((source, rng.randint(source + 1, size - 1)))
+        for target in range(1, size):
+            if not any(t == target for _, t in pairs):
+                pairs.append((rng.randint(0, target - 1), target))
+        rng.shuffle(pairs)
+        cfg = ControlFlowGraph("random", 8, [])
+        for _ in range(size):
+            cfg.new_block()
+        for source, target in pairs:
+            cfg.add_edge(source, target)
+        if cfg.count_paths() <= max_paths:
+            return cfg
+
+
+class TestSkippingWalkDifferential:
+    """The subtree-skipping extractor against the unskipped loop: same
+    feasibility queries in the same order, same result."""
+
+    @pytest.mark.parametrize("check_feasibility", [True, False])
+    def test_matches_unskipped_extraction(self, monkeypatch, check_feasibility):
+        rank_tests = 0
+        probe = RationalRankTracker.would_increase_rank
+
+        def counting(self, vector):
+            nonlocal rank_tests
+            rank_tests += 1
+            return probe(self, vector)
+
+        rng = random.Random(20120603)
+        considered = 0
+        for trial in range(150):
+            cfg = _random_dag(rng)
+            infeasible_one_in = rng.choice([0, 2, 3, 5])
+            reference_builder = _FakeBuilder(trial, infeasible_one_in)
+            expected = _reference_extract(cfg, reference_builder, check_feasibility)
+            builder = _FakeBuilder(trial, infeasible_one_in)
+            monkeypatch.setattr(
+                basis_module.RationalRankTracker, "would_increase_rank", counting
+            )
+            result = extract_basis_paths(cfg, builder, check_feasibility)
+            monkeypatch.undo()
+            assert builder.queries == reference_builder.queries
+            assert [item.path.edges for item in result.basis] == [
+                item.path.edges for item in expected.basis
+            ]
+            assert result.test_cases() == expected.test_cases()
+            assert result.paths_considered == expected.paths_considered
+            assert result.infeasible_skipped == expected.infeasible_skipped
+            assert result.achieved_rank == expected.achieved_rank
+            assert result.dimension == expected.dimension
+            considered += result.paths_considered
+        # Subtrees were skipped, not just walked.
+        assert rank_tests < considered
+
+    def test_enumeration_matches_recursive_reference(self):
+        rng = random.Random(1201)
+        for _ in range(60):
+            cfg = _random_dag(rng)
+            total = cfg.count_paths()
+            for limit in (None, 0, 1, rng.randint(1, total + 2)):
+                assert list(enumerate_paths(cfg, limit)) == list(
+                    _reference_paths(cfg, limit)
+                )
+
+
+class TestBasisExtractionWork:
+    def test_rank_tests_grow_with_the_basis_not_the_path_count(self, monkeypatch):
+        # modexp(16) has 32,769 paths and a 17-path basis; the last basis
+        # path is the last path in DFS order.
+        cfg = build_cfg(modular_exponentiation(16, 16))
+        rank_tests = 0
+        probe = RationalRankTracker.would_increase_rank
+
+        def counting(self, vector):
+            nonlocal rank_tests
+            rank_tests += 1
+            return probe(self, vector)
+
+        builder = PathConstraintBuilder(cfg)
+        queries = []
+        check = builder.feasibility
+
+        def recording(path):
+            queries.append(path.edges)
+            return check(path)
+
+        builder.feasibility = recording
+        monkeypatch.setattr(RationalRankTracker, "would_increase_rank", counting)
+        result = extract_basis_paths(cfg, constraint_builder=builder)
+        assert result.complete and result.achieved_rank == 17
+        assert result.paths_considered == 32769
+        assert len(queries) == 17
+        assert rank_tests <= 1000
 
 
 class TestBasisExtraction:
