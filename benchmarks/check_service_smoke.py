@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """Service smoke check: HTTP results must equal in-process results.
 
-Drives a running ``repro.service`` instance (boot it separately, e.g.
-``python -m repro.service --port 0 --port-file port.txt``) through the
-full zoo:
+Drives a running ``repro.service`` instance booted on a fresh data
+directory (boot it separately, e.g.
+``python -m repro.service --port 0 --port-file port.txt --data-dir svc``)
+through the full zoo:
 
 1. submits one job of **each registered problem kind** over HTTP, waits
    for it, and asserts the wire-form result is byte-identical (modulo
    wall-clock fields) to running the same spec on an in-process
    :class:`~repro.api.engine.SciductionEngine` with the same
    configuration and submission order;
-2. exercises **cancellation**: a queued job behind a slow one is
+2. resubmits the first spec: it must be answered **from the certificate
+   store** with a result byte-identical to the first run's;
+3. exercises **cancellation**: a queued job behind a slow one is
    DELETEd, must report ``cancelled`` with the engine's structured
    cancelled result;
-3. sanity-checks ``/stats``, ``/problems`` and error responses.
+4. sanity-checks ``/stats``, ``/problems`` and error responses.
 
 Exits non-zero on any mismatch.  Usage::
 
@@ -93,18 +96,23 @@ def wait_for_job(base_url: str, job_id: int, timeout_seconds: float = 300.0) -> 
     raise RuntimeError(f"job {job_id} did not finish within {timeout_seconds}s")
 
 
-def check_kind_parity(base_url: str) -> None:
-    """HTTP-submitted jobs must return the in-process engine's exact wire."""
+def check_kind_parity(base_url: str) -> dict:
+    """HTTP-submitted jobs must return the in-process engine's exact wire.
+
+    Returns the first job's served result, as received.
+    """
     # Submit sequentially (each waits for the previous) so the service
     # engine sees the same job order — and therefore the same warm-pool
     # evolution — as the in-process twin below.
     http_wires = []
+    served = []
     for spec in SMOKE_JOBS:
         status, submitted = call(base_url, "POST", "/jobs", {"problem": dict(spec)})
         assert status == 202, (status, submitted)
         record = wait_for_job(base_url, submitted["job_id"])
         status, result = call(base_url, "GET", f"/jobs/{submitted['job_id']}/result")
         assert status == 200, (status, result)
+        served.append(result)
         http_wires.append((record["state"], result_wire_canonical(result)))
 
     engine = SciductionEngine(EngineConfig(workers=1))
@@ -122,6 +130,22 @@ def check_kind_parity(base_url: str) -> None:
             f"local: {json.dumps(local, sort_keys=True)[:2000]}"
         )
         print(f"  [ok] {kind}: HTTP result byte-identical to in-process run")
+    return served[0]
+
+
+def check_certificate_replay(base_url: str, first_result: dict) -> None:
+    """A resubmitted spec is answered from the certificate store, unchanged."""
+    status, submitted = call(
+        base_url, "POST", "/jobs", {"problem": dict(SMOKE_JOBS[0])}
+    )
+    assert status == 202, (status, submitted)
+    assert submitted["from_certificate"] is True, submitted
+    status, result = call(base_url, "GET", f"/jobs/{submitted['job_id']}/result")
+    assert status == 200, (status, result)
+    assert json.dumps(result, sort_keys=True) == json.dumps(
+        first_result, sort_keys=True
+    ), "certificate-store result differs from the first run's"
+    print("  [ok] resubmitted spec served from the certificate store, byte-identical")
 
 
 def check_cancellation(base_url: str) -> None:
@@ -131,12 +155,9 @@ def check_cancellation(base_url: str) -> None:
         base_url, "POST", "/jobs", {"problem": slow, "timeout": 60.0}
     )
     assert status == 202, (status, blocker)
-    status, target = call(
-        base_url,
-        "POST",
-        "/jobs",
-        {"problem": {"kind": "deobfuscation", "task": "multiply45", "width": 4}},
-    )
+    # A spec no earlier check ran: the certificate store cannot answer it.
+    target_spec = {"kind": "deobfuscation", "task": "multiply45", "width": 4, "seed": 1}
+    status, target = call(base_url, "POST", "/jobs", {"problem": target_spec})
     assert status == 202, (status, target)
     status, outcome = call(base_url, "DELETE", f"/jobs/{target['job_id']}")
     assert status == 200 and outcome.get("cancelled") is True, (status, outcome)
@@ -186,7 +207,8 @@ def main(argv: list[str] | None = None) -> int:
     base_url = arguments.base_url.rstrip("/")
     wait_until_healthy(base_url)
     print(f"service smoke against {base_url}")
-    check_kind_parity(base_url)
+    first_result = check_kind_parity(base_url)
+    check_certificate_replay(base_url, first_result)
     check_cancellation(base_url)
     check_stats_and_errors(base_url)
     print("service smoke passed.")

@@ -536,7 +536,7 @@ class SciductionEngine:
 
     def submit(
         self,
-        problem: ProblemSpec | dict,
+        problem: ProblemSpec | dict | Job,
         max_conflicts: int | None = None,
         timeout: float | None = None,
         label: str | None = None,
@@ -544,25 +544,31 @@ class SciductionEngine:
         """Queue a problem for the next :meth:`run_batch`.
 
         Args:
-            problem: a spec instance, or its wire-format dictionary
-                (dispatched through the problem-type registry).
+            problem: a spec instance, its wire-format dictionary
+                (dispatched through the problem-type registry), or a
+                pending :class:`Job` the caller built with its own id
+                (the HTTP service passes ``Job.from_payload`` of each
+                request), queued as it is.
             max_conflicts: job-wide CDCL conflict budget.
             timeout: wall-clock seconds before the job is preempted.
             label: free-form tag echoed into the result details.
         """
-        if isinstance(problem, dict):
-            problem = problem_from_dict(problem)
-        if not isinstance(problem, ProblemSpec):
-            raise ReproError(
-                f"expected a ProblemSpec or wire dict, got {type(problem).__name__}"
+        if isinstance(problem, Job):
+            job = problem
+        else:
+            if isinstance(problem, dict):
+                problem = problem_from_dict(problem)
+            if not isinstance(problem, ProblemSpec):
+                raise ReproError(
+                    f"expected a ProblemSpec or wire dict, got {type(problem).__name__}"
+                )
+            job = Job(
+                job_id=next(self._job_ids),
+                problem=problem,
+                max_conflicts=max_conflicts,
+                timeout=timeout,
+                label=label,
             )
-        job = Job(
-            job_id=next(self._job_ids),
-            problem=problem,
-            max_conflicts=max_conflicts,
-            timeout=timeout,
-            label=label,
-        )
         # Serialized against prune()'s list swap: an unlocked append can
         # land on the list prune() is about to replace and silently lose
         # the handle (LOCK02).

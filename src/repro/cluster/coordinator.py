@@ -25,8 +25,10 @@ Sharding preserves byte-parity by construction:
   job lands on) keeps the re-run byte-identical too.
 
 Durability: assignments (``assigned``) and failover (``resharded``)
-are journaled through the PR-7 WAL.  Replay folds them as history —
-they are neither acceptances nor finishes, so a restarted coordinator
+are journaled through the service's write-ahead journal, naming jobs by
+their HTTP ids (the service queue builds every engine job under the id
+``POST /jobs`` returned).  Replay folds them as history — they are
+neither acceptances nor finishes, so a restarted coordinator
 re-enqueues exactly the accepted-but-unfinished jobs, with the WAL
 recording where each attempt had been placed.
 """
@@ -61,7 +63,7 @@ from repro.cluster.protocol import (
     FramedSocket,
     ProtocolError,
 )
-from repro.service.journal import JobJournal, JournalError
+from repro.service.journal import JobJournal
 from repro.service.server import SciductionService
 from repro.testing import faults
 from repro.testing.faults import fault_point
@@ -396,14 +398,15 @@ class ClusterEngine(SciductionEngine):
             if node is None:
                 unsent.append(job)
                 continue
-            self._journal_soft(
-                {
-                    "event": EVENT_ASSIGNED,
-                    "job": job.job_id,
-                    "node": owner,
-                    "shape": shape,
-                }
-            )
+            if self.journal is not None:
+                self.journal.append_soft(
+                    {
+                        "event": EVENT_ASSIGNED,
+                        "job": job.job_id,
+                        "node": owner,
+                        "shape": shape,
+                    }
+                )
             with self._cluster_lock:
                 stats = self._node_stats.get(owner)
                 if stats is not None:
@@ -449,9 +452,10 @@ class ClusterEngine(SciductionEngine):
                     stats["executor"] = payload.get("executor")
 
     def _record_reshard(self, node_name: str, job_ids: list[int]) -> None:
-        self._journal_soft(
-            {"event": EVENT_RESHARDED, "node": node_name, "jobs": job_ids}
-        )
+        if self.journal is not None:
+            self.journal.append_soft(
+                {"event": EVENT_RESHARDED, "node": node_name, "jobs": job_ids}
+            )
         with self._cluster_lock:
             self._reshard_log.append({"node": node_name, "jobs": job_ids})
 
@@ -461,14 +465,6 @@ class ClusterEngine(SciductionEngine):
             f"no cluster nodes available within {self.node_wait}s; "
             "the job was never placed",
         )
-
-    def _journal_soft(self, payload: dict[str, Any]) -> None:
-        if self.journal is None:
-            return
-        try:
-            self.journal.append(payload)
-        except JournalError:
-            pass  # the queue's journal health surfaces the breakage
 
     # -- reporting ---------------------------------------------------------
 

@@ -42,20 +42,24 @@ from repro.analysis.annotations import guarded_by
 from repro.testing.faults import fault_point
 
 
-def submission_fingerprint(request: dict) -> str:
-    """Content hash of a canonical wire-form submission.
+def canonical_submission(request: dict) -> dict:
+    """The part of a wire-form submission that shapes its result bytes.
 
-    Covers the problem spec and every knob that influences the result
-    bytes: budgets gate outcomes, and the label is echoed into the
-    result details, so both are part of the key.
+    Budgets gate outcomes, and the label is echoed into the result
+    details, so both belong with the problem spec; the accounting
+    ``client`` tag does not.
     """
-    canonical = {
-        "problem": request.get("problem"),
-        "max_conflicts": request.get("max_conflicts"),
-        "timeout": request.get("timeout"),
-        "label": request.get("label"),
+    return {
+        key: request.get(key)
+        for key in ("problem", "max_conflicts", "timeout", "label")
     }
-    body = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+
+
+def submission_fingerprint(request: dict) -> str:
+    """Content hash of :func:`canonical_submission`."""
+    body = json.dumps(
+        canonical_submission(request), sort_keys=True, separators=(",", ":")
+    )
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 

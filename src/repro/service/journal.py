@@ -242,6 +242,20 @@ class JobJournal:
                 ) from error
             self._appended += 1
 
+    def append_soft(self, payload: dict) -> None:
+        """Append one record, degrading instead of raising.
+
+        For the paths that must make progress with a broken journal
+        (finishes, placements, the shutdown marker): the first failure
+        marks the journal broken, ``/healthz`` degrades to 503 and new
+        submissions are refused, but jobs already accepted still run to
+        completion and serve their results from memory.
+        """
+        try:
+            self.append(payload)
+        except JournalError:
+            pass
+
     def sync(self) -> None:
         """Force any batched records to disk now."""
         with self._lock:

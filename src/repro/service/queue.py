@@ -29,6 +29,13 @@ past the bound is rejected with :class:`QueueFullError` carrying a
 histograms, and :meth:`begin_drain` (SIGTERM) flips the queue into
 reject-new/finish-in-flight mode.
 
+One record, one id: a :class:`ServiceJob` keeps the accepted request
+wire and, once terminal, one outcome shaped like :meth:`Job.response`,
+set by :meth:`JobQueue._record_finish` alone.  The runner builds each
+engine job with ``Job.from_payload`` under the job's HTTP id, so worker
+and node frames, ``details.engine.job_id`` and the coordinator's WAL
+records all name the id ``POST /jobs`` returned.
+
 Cancellation composes the two layers: a job still in the service queue
 is cancelled locally; a job already drained into the engine is forwarded
 to :meth:`SciductionEngine.cancel`, which can still cancel anything the
@@ -47,7 +54,11 @@ from repro.analysis.annotations import guarded_by, holds
 from repro.api.engine import Job, JobState, SciductionEngine, failure_result
 from repro.api.results import result_to_dict
 from repro.core.exceptions import ReproError
-from repro.service.certstore import CertStore, submission_fingerprint
+from repro.service.certstore import (
+    CertStore,
+    canonical_submission,
+    submission_fingerprint,
+)
 from repro.service.journal import (
     EVENT_ACCEPTED,
     EVENT_FINISHED,
@@ -60,13 +71,15 @@ from repro.service.journal import (
 from repro.service.stats import DEPTH_BOUNDS, LATENCY_BOUNDS, Histogram
 
 
-def _state_name(state: JobState) -> str:
-    """An engine job state as served; PENDING is reported as "queued"."""
-    return "queued" if state is JobState.PENDING else state.value
+def _failure_outcome(state: JobState, error: str | None = None) -> dict:
+    """The outcome of a job that ends without running in the engine."""
+    return {
+        "state": state.value,
+        "error": error,
+        "elapsed": 0.0,
+        "result": result_to_dict(failure_result(state, error)),
+    }
 
-
-#: States in which a job has a result to serve.
-_TERMINAL = {"completed", "failed", "timed-out", "budget-exhausted", "cancelled"}
 
 #: Fallback Retry-After (seconds) before any latency data exists.
 _DEFAULT_RETRY_AFTER = 5
@@ -93,78 +106,49 @@ class ServiceUnavailableError(ReproError):
 
 @dataclass
 class ServiceJob:
-    """One submitted job as the HTTP surface sees it."""
+    """One submitted job as the HTTP surface sees it.
+
+    It keeps the accepted request wire exactly as journaled, the outcome
+    once the job is terminal (``{state, error, elapsed, result}``, the
+    shape of :meth:`Job.response`, set once by
+    :meth:`JobQueue._record_finish`), and the engine's :class:`Job`
+    only while the job is inside the engine.  The engine job carries
+    this job's id.
+    """
 
     job_id: int
-    problem: dict
-    max_conflicts: int | None = None
-    timeout: float | None = None
-    label: str | None = None
-    client: str | None = None
-    #: Cert-store key of the canonical submission (None with no store).
-    fingerprint: str | None = field(default=None, repr=False)
-    #: Local state ("queued"/"cancelled" before the drain, the final
-    #: state after :meth:`_finalize`); while the job lives in the engine,
-    #: the engine job is authoritative.
-    _local_state: str = field(default="queued", repr=False)
-    _local_result: dict | None = field(default=None, repr=False)
-    _local_error: str | None = field(default=None, repr=False)
-    _local_elapsed: float = field(default=0.0, repr=False)
-    _engine_job: Job | None = field(default=None, repr=False)
-    #: Guards against double journaling/accounting of the terminal
-    #: transition (a cancel can finalize before the batch harvest does).
-    _finish_recorded: bool = field(default=False, repr=False)
+    #: ``problem``, ``max_conflicts``, ``timeout``, ``label``, ``client``.
+    request: dict
     #: Whether the result was answered from the certificate store.
-    from_certificate: bool = field(default=False, repr=False)
+    from_certificate: bool = False
+    outcome: dict | None = field(default=None, repr=False)
+    engine_job: Job | None = field(default=None, repr=False)
+
+    def view(self) -> dict | None:
+        """The outcome as served, or None while the job is open.
+
+        An engine job that finished inside a still-running batch shows
+        its own outcome before the harvest records it.
+        """
+        # Engine job first: _record_finish sets the outcome, then drops it.
+        engine_job = self.engine_job
+        if self.outcome is None and engine_job is not None and engine_job.done:
+            return engine_job.response()
+        return self.outcome
 
     @property
     def state(self) -> str:
-        if self._engine_job is not None:
-            return _state_name(self._engine_job.state)
-        return self._local_state
+        engine_job = self.engine_job
+        view = self.view()
+        if view is not None:
+            return str(view["state"])
+        if engine_job is None or engine_job.state is JobState.PENDING:
+            return "queued"
+        return engine_job.state.value
 
     @property
     def done(self) -> bool:
-        return self.result is not None
-
-    @property
-    def result(self) -> dict | None:
-        """The wire-form result, or None while the job is open."""
-        if self._engine_job is not None:
-            # The engine's fold sets the wire before the terminal state,
-            # so a terminal job always has one.
-            if self.state in _TERMINAL:
-                return self._engine_job.result_wire()
-            return None
-        return self._local_result
-
-    @property
-    def error(self) -> str | None:
-        if self._engine_job is not None:
-            return self._engine_job.error
-        return self._local_error
-
-    @property
-    def elapsed(self) -> float:
-        if self._engine_job is not None:
-            return self._engine_job.elapsed
-        return self._local_elapsed
-
-    def _finalize(self) -> None:
-        """Copy the engine job's outcome locally and release the handle.
-
-        Detaching lets the engine :meth:`~SciductionEngine.prune` its
-        history — without this, a long-lived service would pin every
-        result ever produced in two places.
-        """
-        engine_job = self._engine_job
-        if engine_job is None or not engine_job.done:
-            return
-        self._local_state = _state_name(engine_job.state)
-        self._local_result = engine_job.result_wire()
-        self._local_error = engine_job.error
-        self._local_elapsed = engine_job.elapsed
-        self._engine_job = None
+        return self.view() is not None
 
 
 @guarded_by(
@@ -224,67 +208,46 @@ class JobQueue:
 
     # -- durability plumbing -----------------------------------------------
 
-    def _journal_soft(self, payload: dict) -> None:
-        """Append a record, degrading instead of raising.
-
-        Used on the paths that must make progress even with a broken
-        journal (harvest, cancellation): the journal marks itself broken
-        on the first failure, ``/healthz`` degrades to 503, and new
-        submissions are refused — but jobs already accepted still run to
-        completion and serve their results from memory.
-        """
-        if self.journal is None:
-            return
-        try:
-            self.journal.append(payload)
-        except JournalError:
-            pass
-
     @holds("_lock")
-    def _record_finish(self, job: ServiceJob) -> None:
-        """Journal + persist + account one terminal transition (locked).
+    def _record_finish(
+        self, job: ServiceJob, outcome: dict, *, replayed: bool = False
+    ) -> None:
+        """Set a job's outcome, then journal, persist and account it (locked).
 
-        Idempotent per job: the first caller (batch harvest or an
-        in-engine cancellation) wins.
+        Every terminal transition comes through here, once per job: the
+        first caller wins (a cancel can finish an engine job before the
+        batch harvest does).  A ``replayed`` outcome is already in the
+        journal, so it is only set.
         """
-        if job._finish_recorded:
+        if job.outcome is not None:
             return
-        job._finish_recorded = True
-        state = job.state
-        self._journal_soft(
-            {
-                "event": EVENT_FINISHED,
-                "job": job.job_id,
-                "state": state,
-                "result": job.result,
-                "error": job.error,
-                "elapsed": job.elapsed,
-            }
-        )
-        if (
-            self.certstore is not None
-            and job.fingerprint is not None
-            and state == "completed"
-            and not job.from_certificate
-            and job.result is not None
-        ):
-            self.certstore.put(
-                job.fingerprint,
-                {
-                    "fingerprint": job.fingerprint,
-                    "request": {
-                        "problem": job.problem,
-                        "max_conflicts": job.max_conflicts,
-                        "timeout": job.timeout,
-                        "label": job.label,
+        job.outcome = outcome
+        job.engine_job = None
+        if not replayed:
+            if self.journal is not None:
+                self.journal.append_soft(
+                    {"event": EVENT_FINISHED, "job": job.job_id, **outcome}
+                )
+            if (
+                self.certstore is not None
+                and outcome["state"] == "completed"
+                and not job.from_certificate
+                and outcome["result"] is not None
+            ):
+                fingerprint = submission_fingerprint(job.request)
+                self.certstore.put(
+                    fingerprint,
+                    {
+                        "fingerprint": fingerprint,
+                        "request": canonical_submission(job.request),
+                        "state": outcome["state"],
+                        "result": outcome["result"],
+                        "elapsed": outcome["elapsed"],
                     },
-                    "state": state,
-                    "result": job.result,
-                    "elapsed": job.elapsed,
-                },
-            )
-        if job.client is not None:
-            self._client_counters(job.client)["completed"] += 1
+                )
+            client = job.request.get("client")
+            if client is not None:
+                self._client_counters(client)["completed"] += 1
         self._done.notify_all()
 
     @holds("_lock")
@@ -308,37 +271,22 @@ class JobQueue:
         """
         with self._wakeup:
             self._ids = itertools.count(replay.next_job_id)
-            for replayed in replay.finished:
-                job = self._job_from_request(replayed.job_id, replayed.request)
-                job._local_state = (
-                    replayed.state if replayed.state in _TERMINAL else "failed"
+            for replayed in replay.finished + replay.unfinished:
+                job = self._jobs[replayed.job_id] = ServiceJob(
+                    replayed.job_id, replayed.request
                 )
-                job._local_result = replayed.result
-                job._local_error = replayed.error
-                job._local_elapsed = replayed.elapsed
-                job._finish_recorded = True
-                self._jobs[job.job_id] = job
-            for replayed in replay.unfinished:
-                job = self._job_from_request(replayed.job_id, replayed.request)
-                self._jobs[job.job_id] = job
-                self._pending.append(job)
+                if not replayed.finished:
+                    self._pending.append(job)
+                    continue
+                outcome = {
+                    "state": replayed.state,
+                    "error": replayed.error,
+                    "elapsed": replayed.elapsed,
+                    "result": replayed.result,
+                }
+                self._record_finish(job, outcome, replayed=True)
             if self._pending:
                 self._wakeup.notify_all()
-
-    def _job_from_request(self, job_id: int, request: dict) -> ServiceJob:
-        return ServiceJob(
-            job_id=job_id,
-            problem=request.get("problem", {}),
-            max_conflicts=request.get("max_conflicts"),
-            timeout=request.get("timeout"),
-            label=request.get("label"),
-            client=request.get("client"),
-            fingerprint=(
-                submission_fingerprint(request)
-                if self.certstore is not None
-                else None
-            ),
-        )
 
     # -- HTTP-side API -----------------------------------------------------
 
@@ -370,18 +318,10 @@ class JobQueue:
                 raise QueueFullError(
                     len(self._pending), self._retry_after_estimate()
                 )
-            job = ServiceJob(
-                job_id=next(self._ids),
-                problem=request["problem"],
-                max_conflicts=request["max_conflicts"],
-                timeout=request["timeout"],
-                label=request["label"],
-                client=client,
-            )
+            job = ServiceJob(next(self._ids), request)
             cert: dict | None = None
             if self.certstore is not None:
-                job.fingerprint = submission_fingerprint(request)
-                cert = self.certstore.get(job.fingerprint)
+                cert = self.certstore.get(submission_fingerprint(request))
             # Durability barrier: acceptance reaches the disk before the
             # job is registered (and before the HTTP 202 goes out).  A
             # failed append raises — the client gets a 503, and no
@@ -389,17 +329,7 @@ class JobQueue:
             if self.journal is not None:
                 try:
                     self.journal.append(
-                        {
-                            "event": EVENT_ACCEPTED,
-                            "job": job.job_id,
-                            "request": {
-                                "problem": job.problem,
-                                "max_conflicts": job.max_conflicts,
-                                "timeout": job.timeout,
-                                "label": job.label,
-                                "client": job.client,
-                            },
-                        }
+                        {"event": EVENT_ACCEPTED, "job": job.job_id, "request": request}
                     )
                 except JournalError as error:
                     raise ServiceUnavailableError(
@@ -413,11 +343,14 @@ class JobQueue:
                 # the engine never sees it.  The journal still records a
                 # finish so a restart replays it as history, not work.
                 job.from_certificate = True
-                job._local_state = str(cert.get("state", "completed"))
                 result = cert.get("result")
-                job._local_result = result if isinstance(result, dict) else None
-                job._local_elapsed = 0.0
-                self._record_finish(job)
+                outcome = {
+                    "state": str(cert.get("state", "completed")),
+                    "error": None,
+                    "elapsed": 0.0,
+                    "result": result if isinstance(result, dict) else None,
+                }
+                self._record_finish(job, outcome)
                 return job
             self._pending.append(job)
             self._depth_histogram.observe(len(self._pending))
@@ -468,31 +401,22 @@ class JobQueue:
             job = self._jobs.get(job_id)
             if job is None:
                 return None
-            state = job.state
-            if state in _TERMINAL:
-                return f"finished:{state}"
-            if job._engine_job is not None:
-                if self.engine.cancel(job._engine_job):
-                    # The engine marked it cancelled synchronously; fold
-                    # the outcome now so the journal and long-pollers see
-                    # it without waiting for the batch harvest.
-                    job._finalize()
-                    self._record_finish(job)
-                    return "cancelled"
-                if job._engine_job is not None and job._engine_job.done:
-                    return f"finished:{job.state}"
-                return "running"
-            if state != "queued":  # pragma: no cover — defensive
-                return state
-            job._local_state = "cancelled"
-            # The engine's cancelled wire, for a job that never reached it.
-            job._local_result = result_to_dict(failure_result(JobState.CANCELLED))
-            try:
+            if job.done:
+                return f"finished:{job.state}"
+            engine_job = job.engine_job
+            if engine_job is None:
+                # Still queued: the engine's cancelled wire, for a job
+                # that never reached it.
                 self._pending.remove(job)
-            except ValueError:  # pragma: no cover — drained concurrently
-                pass
-            self._record_finish(job)
-            return "cancelled"
+                self._record_finish(job, _failure_outcome(JobState.CANCELLED))
+                return "cancelled"
+            if self.engine.cancel(engine_job):
+                # The engine marked it cancelled synchronously; record
+                # the outcome now so the journal and long-pollers see it
+                # without waiting for the batch harvest.
+                self._record_finish(job, engine_job.response())
+                return "cancelled"
+            return f"finished:{job.state}" if engine_job.done else "running"
 
     def counts(self) -> dict:
         """Per-state job counts (for ``/stats``)."""
@@ -581,8 +505,8 @@ class JobQueue:
             self._runner.join(timeout=timeout)
         with self._lock:
             all_done = not self._pending and not self._runner.is_alive()
-        if all_done:
-            self._journal_soft({"event": EVENT_SHUTDOWN})
+        if all_done and self.journal is not None:
+            self.journal.append_soft({"event": EVENT_SHUTDOWN})
 
     # -- runner side -------------------------------------------------------
 
@@ -594,46 +518,44 @@ class JobQueue:
         with self._wakeup:
             while not self._pending and not self._stopped:
                 self._wakeup.wait()  # analysis: allow[BLK01] parked runner: wait() releases the lock while blocked; submit()/stop() notify_all
-            drained = self._pending[:]
+            drained = []
+            for job in self._pending:
+                try:
+                    engine_job = Job.from_payload({**job.request, "job_id": job.job_id})
+                except Exception as error:  # noqa: BLE001 — the runner keeps serving
+                    # An undecodable request (one replayed from a journal
+                    # this process cannot run) fails alone.
+                    self._record_finish(
+                        job, _failure_outcome(JobState.FAILED, str(error))
+                    )
+                    continue
+                job.engine_job = self.engine.submit(engine_job)
+                if self.journal is not None:
+                    self.journal.append_soft({"event": EVENT_STARTED, "job": job.job_id})
+                drained.append(job)
             self._pending.clear()
-            for job in drained:
-                job._engine_job = self.engine.submit(
-                    job.problem,
-                    max_conflicts=job.max_conflicts,
-                    timeout=job.timeout,
-                    label=job.label,
-                )
-                self._journal_soft(
-                    {"event": EVENT_STARTED, "job": job.job_id}
-                )
             return drained
 
     def _harvest(self, drained: list[ServiceJob]) -> None:
-        """Fold a finished batch back and bound retained memory
-        (runner thread only): finished jobs keep a local copy of their
-        wire-form outcome, the engine forgets its handles, terminal
-        transitions are journaled and completed results persisted to the
-        cert store, and the oldest finished service records past
-        ``max_history`` are evicted."""
+        """Record a finished batch and bound retained memory (runner
+        thread only): each job keeps only its wire-form outcome, the
+        engine forgets its handles, and the oldest finished service
+        records past ``max_history`` are evicted."""
         with self._lock:
             for job in drained:
-                job._finalize()
-                kind = str(job.problem.get("kind", "unknown"))
-                histogram = self._latency_histograms.get(kind)
-                if histogram is None:
-                    histogram = self._latency_histograms[kind] = Histogram(
-                        LATENCY_BOUNDS
-                    )
-                histogram.observe(job.elapsed)
-                self._record_finish(job)
+                if job.engine_job is not None:  # not cancelled in the engine
+                    self._record_finish(job, job.engine_job.response())
+                assert job.outcome is not None
+                kind = str(job.request["problem"].get("kind", "unknown"))
+                self._latency_histograms.setdefault(
+                    kind, Histogram(LATENCY_BOUNDS)
+                ).observe(job.outcome["elapsed"])
             self.engine.prune()
             if len(self._jobs) > self.max_history:
                 for job_id in sorted(self._jobs):
                     if len(self._jobs) <= self.max_history:
                         break
-                    if self._jobs[job_id]._engine_job is None and self._jobs[
-                        job_id
-                    ].state != "queued":
+                    if self._jobs[job_id].outcome is not None:
                         del self._jobs[job_id]
 
 

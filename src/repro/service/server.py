@@ -248,11 +248,11 @@ class _Handler(BaseHTTPRequestHandler):
                 job = self._job_or_404(match.group(1))
                 if job is None:
                     return
-                result = job.result
-                if result is None:
+                outcome = job.view()
+                if outcome is None or outcome["result"] is None:
                     self._fail(409, f"job {job.job_id} is {job.state}; no result yet")
                     return
-                self._reply(200, result)
+                self._reply(200, outcome["result"])
                 return
             self._fail(404, f"unknown path {self.path}")
         except WireError as error:

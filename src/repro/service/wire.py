@@ -100,17 +100,20 @@ def parse_job_request(payload: Any) -> dict:
 
 def job_record_wire(job: "ServiceJob") -> dict:
     """The ``GET /jobs/<id>`` record for a :class:`~repro.service.queue.ServiceJob`."""
+    request = job.request
+    view = job.view()
+    outcome = view or {"error": None, "elapsed": 0.0}
     return {
         "job_id": job.job_id,
         "state": job.state,
-        "done": job.done,
-        "problem": job.problem,
-        "max_conflicts": job.max_conflicts,
-        "timeout": job.timeout,
-        "label": job.label,
-        "client": job.client,
-        "error": job.error,
-        "elapsed": job.elapsed,
+        "done": view is not None,
+        "problem": request.get("problem"),
+        "max_conflicts": request.get("max_conflicts"),
+        "timeout": request.get("timeout"),
+        "label": request.get("label"),
+        "client": request.get("client"),
+        "error": outcome["error"],
+        "elapsed": outcome["elapsed"],
         "from_certificate": job.from_certificate,
     }
 
@@ -120,8 +123,8 @@ def job_summary_wire(job: "ServiceJob") -> dict:
     return {
         "job_id": job.job_id,
         "state": job.state,
-        "kind": job.problem.get("kind"),
-        "label": job.label,
+        "kind": job.request.get("problem", {}).get("kind"),
+        "label": job.request.get("label"),
     }
 
 

@@ -12,17 +12,20 @@ from __future__ import annotations
 import json
 import threading
 import time
+import urllib.request
 
 import pytest
 
 from repro.api.config import EngineConfig
 from repro.api.engine import JobState
+from repro.api.problems import problem_from_dict
 from repro.cluster.auth import TokenSet
 from repro.cluster.coordinator import ClusterEngine
 from repro.cluster.hashring import rendezvous_owner
 from repro.cluster.node import PROTOCOL_VERSION
 from repro.cluster.protocol import FramedSocket, ProtocolError
-from repro.service.journal import JobJournal
+from repro.service import SciductionService
+from repro.service.journal import JobJournal, decode_record, recover
 from repro.testing import faults
 
 PROBLEMS = [
@@ -495,3 +498,70 @@ class TestFailover:
         finally:
             alpha.close()
             beta.close()
+
+
+def http(url: str, method: str = "GET", body: dict | None = None) -> dict:
+    data = None if body is None else json.dumps(body).encode("utf-8")
+    request = urllib.request.Request(url, data=data, method=method)
+    with urllib.request.urlopen(request, timeout=60) as response:
+        return json.loads(response.read())
+
+
+class TestServiceJobIds:
+    def test_http_ids_run_through_the_cluster_after_a_cert_hit(self, tmp_path):
+        engine = ClusterEngine(EngineConfig(), node_wait=5.0)
+        service = SciductionService(
+            engine=engine, port=0, quiet=True, data_dir=tmp_path
+        )
+        engine.journal = service.journal
+        # The node owning B's shape dies on HTTP job 3, which is B once a
+        # cert hit has taken id 2.
+        victim = rendezvous_owner(
+            problem_from_dict(PROBLEMS[1]).shape_key(), ["alpha", "beta"]
+        )
+        nodes = [
+            FakeNode(name, engine.cluster_port, die_on_job=3 if name == victim else None)
+            for name in ("alpha", "beta")
+        ]
+        try:
+            for node in nodes:
+                node.register()
+                node.serve()
+            wait_for_live(engine, 2)
+            service.start()
+            url = service.url
+
+            def submit(problem: dict) -> dict:
+                return http(f"{url}/jobs", "POST", {"problem": problem})
+
+            first = submit(PROBLEMS[0])
+            assert http(f"{url}/jobs/{first['job_id']}?wait=30")["done"]
+            hit = submit(PROBLEMS[0])
+            assert hit["from_certificate"] is True
+            second = submit(PROBLEMS[1])
+            assert [first["job_id"], hit["job_id"], second["job_id"]] == [1, 2, 3]
+            assert http(f"{url}/jobs/3?wait=30")["state"] == "completed"
+
+            results = {
+                job_id: http(f"{url}/jobs/{job_id}/result") for job_id in (1, 2, 3)
+            }
+            for job_id in (1, 3):
+                assert results[job_id]["details"]["engine"]["job_id"] == job_id
+            # The cert hit serves job 1's result, byte for byte.
+            assert json.dumps(results[2]) == json.dumps(results[1])
+            stats = http(f"{url}/stats")["cluster"]
+            assert stats["resharding_events"] == [{"node": victim, "jobs": [3]}]
+        finally:
+            service.shutdown()
+            for node in nodes:
+                node.close()
+        lines = (tmp_path / "journal.wal").read_bytes().splitlines(keepends=True)
+        records = [decode_record(line) for line in lines]
+        assigned = [
+            record["job"] for record in records if record["event"] == "assigned"
+        ]
+        assert sorted(set(assigned)) == [1, 3] and assigned.count(3) == 2
+        assert [job.job_id for job in recover(tmp_path / "journal.wal").finished] == [
+            1, 2, 3,
+        ]
+

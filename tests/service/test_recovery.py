@@ -8,6 +8,11 @@ uninterrupted run on a fresh directory.  A second test sends ``SIGTERM``
 and asserts the graceful-drain contract: in-flight jobs finish, the
 journal ends on a clean-shutdown marker, and a replay re-enqueues
 nothing.
+
+The in-process tests at the end boot services on hand-written journals
+and pin what a data directory serves: a replayed request the engine
+cannot decode fails alone, and cancelled and replayed outcomes are
+served byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +29,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.service.journal import recover
+from repro.api import EngineConfig, JobState, result_to_dict
+from repro.api.engine import failure_result
+from repro.service import SciductionService
+from repro.service.journal import JobJournal, recover
+from repro.testing import faults
 
 #: Distinct problem shapes (different widths / kinds), so neither
 #: session reuse nor memo warmth differs between an interrupted run
@@ -106,12 +115,10 @@ def wait_all(url: str, job_ids: list[int], timeout: float = 240.0) -> None:
 
 
 def canonical_result(result: dict) -> dict:
-    """Strip the volatile fields: wall-clock elapsed, and the engine-side
-    job id (a restarted engine renumbers the re-run suffix of the batch)."""
+    """Strip the volatile field, wall-clock elapsed.  The engine-side job
+    id stays: it is the HTTP id, so a restart keeps it."""
     normalized = json.loads(json.dumps(result))
     normalized.pop("elapsed", None)
-    engine = normalized.get("details", {}).get("engine", {})
-    engine.pop("job_id", None)
     return normalized
 
 
@@ -195,3 +202,121 @@ class TestKillAndRestart:
         assert sorted(job.job_id for job in replay.finished) == sorted(job_ids)
         assert all(job.state == "completed" for job in replay.finished)
         assert replay.truncated_bytes == 0
+
+
+def raw_get(url: str) -> bytes:
+    with urllib.request.urlopen(url, timeout=120) as response:
+        return response.read()
+
+
+def served_bytes(wire: dict) -> bytes:
+    """The bytes the service sends for a wire-form body."""
+    return json.dumps(wire, sort_keys=True).encode("utf-8")
+
+
+def accepted(job_id: int, problem: dict) -> dict:
+    return {
+        "event": "accepted",
+        "job": job_id,
+        "request": {
+            "problem": problem,
+            "max_conflicts": None,
+            "timeout": None,
+            "label": None,
+            "client": None,
+        },
+    }
+
+
+def write_journal(data_dir: Path, *records: dict) -> None:
+    journal = JobJournal(data_dir / "journal.wal")
+    for record in records:
+        journal.append(record)
+    journal.close()
+
+
+@pytest.fixture
+def boot():
+    """Start in-process services on data directories; shut all down after."""
+    started: list[SciductionService] = []
+
+    def start(data_dir: Path) -> SciductionService:
+        service = SciductionService(
+            EngineConfig(workers=1), port=0, quiet=True, data_dir=data_dir
+        )
+        service.start()
+        started.append(service)
+        return service
+
+    yield start
+    faults.reset()  # never shut down with an armed plan
+    for service in started:
+        service.shutdown()
+
+
+class TestRecordedOutcomes:
+    def test_undecodable_replayed_request_fails_alone(self, tmp_path, boot):
+        # Over MAX_TIMING_PATHS: POST /jobs would refuse it, but a journal
+        # can still hold it (written by hand or by another version).
+        problem = dict(PROBLEMS[2], max_paths=99999)
+        write_journal(tmp_path, accepted(1, problem))
+        url = boot(tmp_path).url
+        record = request(f"{url}/jobs/1?wait=10")
+        assert (record["state"], record["done"]) == ("failed", True)
+        assert "max_paths" in record["error"]
+        expected = result_to_dict(failure_result(JobState.FAILED, record["error"]))
+        assert raw_get(f"{url}/jobs/1/result") == served_bytes(expected)
+        # The runner survived: a later job runs.
+        job_id = request(f"{url}/jobs", "POST", {"problem": PROBLEMS[0]})["job_id"]
+        assert job_id == 2
+        assert request(f"{url}/jobs/{job_id}?wait=60")["state"] == "completed"
+        assert request(f"{url}/healthz")["status"] == "ok"
+        replay = recover(tmp_path / "journal.wal")
+        assert [(job.job_id, job.state) for job in replay.finished] == [
+            (1, "failed"),
+            (2, "completed"),
+        ]
+        assert replay.finished[0].result == expected
+
+    def test_cancelled_while_queued_serves_the_engine_wire(self, tmp_path, boot):
+        url = boot(tmp_path).url
+        with faults.injected({"engine.slow": faults.Fault("sleep", "2")}):
+            blocker = request(f"{url}/jobs", "POST", {"problem": PROBLEMS[0]})
+            deadline = time.monotonic() + 30
+            while request(f"{url}/jobs/{blocker['job_id']}")["state"] != "running":
+                assert time.monotonic() < deadline, "blocker never started"
+                time.sleep(0.02)
+            target = request(f"{url}/jobs", "POST", {"problem": PROBLEMS[1]})
+            assert request(f"{url}/jobs/{target['job_id']}")["state"] == "queued"
+            outcome = request(f"{url}/jobs/{target['job_id']}", "DELETE")
+            assert outcome == {"cancelled": True}
+        expected = served_bytes(result_to_dict(failure_result(JobState.CANCELLED)))
+        assert raw_get(f"{url}/jobs/{target['job_id']}/result") == expected
+
+    def test_replayed_finished_job_serves_its_journaled_wire(self, tmp_path, boot):
+        wire = {
+            "success": True,
+            "verdict": True,
+            "iterations": 3,
+            "oracle_queries": 7,
+            "deductive_queries": 2,
+            "elapsed": 0.3333333333333333,
+            "artifact_repr": "r0 = x * 45",
+            "details": {"zeta": [1, 2.5, None], "alpha": {"b": "é", "a": 1e-07}},
+            "certificate": None,
+        }
+        finished = {
+            "event": "finished",
+            "job": 1,
+            "state": "completed",
+            "error": None,
+            "elapsed": 0.125,
+            "result": wire,
+        }
+        write_journal(tmp_path, accepted(1, PROBLEMS[0]), finished)
+        url = boot(tmp_path).url
+        assert raw_get(f"{url}/jobs/1/result") == served_bytes(wire)
+        record = request(f"{url}/jobs/1")
+        assert (record["state"], record["done"], record["error"], record["elapsed"]) == (
+            "completed", True, None, 0.125,
+        )
