@@ -53,7 +53,8 @@ and the memo manager persist across batches;
 Per-job controls (both execution modes):
 
 * ``max_conflicts`` — a job-wide CDCL conflict budget spanning all of the
-  job's checks;
+  job's checks, installed with the job's solver lease as one absolute
+  conflict ceiling;
 * ``timeout`` — a wall-clock limit enforced inside the SAT search loop
   for SMT-backed jobs and inside the reachability oracle's integration
   loop for simulation-backed (switching-logic) jobs;
@@ -784,7 +785,11 @@ class SciductionEngine:
         fault_chain: list[str] = []
         while True:
             lease = (
-                self.pool.acquire(shape=job.problem.shape_key())
+                self.pool.acquire(
+                    shape=job.problem.shape_key(),
+                    max_conflicts=job.max_conflicts,
+                    deadline=deadline,
+                )
                 if job.problem.needs_solver
                 else None
             )
@@ -795,10 +800,6 @@ class SciductionEngine:
                 # into the job outcome like any organic failure.
                 fault_point("engine.slow")
                 fault_point("engine.crash")
-                if lease is not None:
-                    lease.solver.set_job_limits(
-                        max_conflicts=job.max_conflicts, deadline=deadline
-                    )
                 context = JobContext(
                     config=self.config,
                     lease=lease,
@@ -834,8 +835,6 @@ class SciductionEngine:
                     and retries < self.config.job_retry_limit
                 ):
                     retries += 1
-                    if lease.solver is not None:
-                        lease.solver.set_job_limits()
                     self.pool.retire(lease)
                     continue
                 state, error = JobState.FAILED, str(poisoned)
@@ -845,7 +844,6 @@ class SciductionEngine:
                 result = failure_result(state, error)
             finally:
                 if lease is not None and not lease.released:
-                    lease.solver.set_job_limits()
                     job_smt = lease.smt_statistics()
                     job_sat = lease.sat_statistics()
                     if retire:

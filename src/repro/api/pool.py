@@ -25,6 +25,9 @@ set of long-lived incremental solvers and *leases* them to jobs:
   (``gc.freeze()``);
 * each lease snapshots the solver's statistics at hand-over, so per-job
   accounting is a delta, never the pool-lifetime cumulative counts;
+* :meth:`SolverPool.acquire` installs a job's limits (one absolute
+  conflict ceiling and a deadline) on the leased solver, and release or
+  retire clears them first, so no later tenant inherits them;
 * once the process-wide intern table has grown past
   ``config.intern_table_limit``, a release starts a new term generation
   (:func:`repro.smt.terms.clear_intern_table`) and drops every idle
@@ -284,8 +287,17 @@ class SolverPool:
         for idle in self._idle:
             idle.solver.set_memo_backend(backend)
 
-    def acquire(self, shape: str | None = None) -> SolverLease:
+    def acquire(
+        self,
+        shape: str | None = None,
+        *,
+        max_conflicts: int | None = None,
+        deadline: float | None = None,
+    ) -> SolverLease:
         """Lease a solver session, preferring one warmed on ``shape``.
+
+        ``max_conflicts`` and ``deadline`` are the job's limits, installed
+        with :meth:`~repro.smt.solver.SmtSolver.set_job_limits`.
 
         Routing policy (when ``reuse_sessions`` is on):
 
@@ -335,6 +347,7 @@ class SolverPool:
             solver.set_memo_backend(self._memo_backend or CheckMemoClient())
             record = _SessionRecord(solver, shape, self._clock)
             self.statistics.solvers_created += 1
+        record.solver.set_job_limits(max_conflicts, deadline)
         lease = SolverLease(self, record, reused)
         self._active.append(lease)
         if reused:
@@ -368,6 +381,7 @@ class SolverPool:
             raise SolverError("solver leases must be released in LIFO order")
         self._active.pop()
         lease.released = True
+        lease.solver.set_job_limits()
         try:
             lease.close()
         except Exception:

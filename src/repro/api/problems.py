@@ -627,7 +627,7 @@ class SwitchingLogicProblem(ProblemSpec):
         # Deadlines cannot be enforced in a SAT loop here — the deductive
         # engine is numerical simulation — so hand them to the
         # reachability oracle's own preemption hook.
-        setup.synthesizer.set_deadline(context.deadline)
+        setup.synthesizer.reachability.set_deadline(context.deadline)
         return setup.synthesizer
 
     def finish(

@@ -36,13 +36,10 @@ recording where each attempt had been placed.
 from __future__ import annotations
 
 import argparse
-import signal
 import socket
-import sys
 import threading
 import time
 from pathlib import Path
-from types import FrameType
 from typing import Any
 
 from repro.analysis.annotations import guarded_by
@@ -640,40 +637,14 @@ def main(argv: list[str] | None = None) -> int:
         auth=tokens,
     )
     engine.journal = service.journal
-    if service.replay is not None and service.replay.records:
-        replay = service.replay
-        print(
-            "journal replay: "
-            f"{len(replay.finished)} finished restored, "
-            f"{len(replay.unfinished)} unfinished re-enqueued, "
-            f"{replay.truncated_bytes} torn bytes truncated, "
-            f"clean_shutdown={replay.clean_shutdown}",
-            flush=True,
-        )
-
-    def _on_sigterm(signum: int, frame: FrameType | None) -> None:
-        threading.Thread(
-            target=service.shutdown, name="coordinator-drain"
-        ).start()
-
-    signal.signal(signal.SIGTERM, _on_sigterm)
-
-    print(
+    return service.run_cli(
         f"sciduction coordinator listening on {service.url} "
         f"(cluster {engine.cluster_host}:{engine.cluster_port})",
-        flush=True,
+        [
+            (arguments.port_file, service.port),
+            (arguments.cluster_port_file, engine.cluster_port),
+        ],
     )
-    if arguments.port_file is not None:
-        arguments.port_file.write_text(f"{service.port}\n")
-    if arguments.cluster_port_file is not None:
-        arguments.cluster_port_file.write_text(f"{engine.cluster_port}\n")
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-    finally:
-        service.shutdown()
-    return 0
 
 
 if __name__ == "__main__":

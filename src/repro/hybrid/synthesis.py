@@ -117,21 +117,6 @@ class SwitchingLogicSynthesizer(SciductionProcedure[SwitchingLogic]):
         self._corner_checks_passed = True
         super().__init__(hypothesis=HyperboxHypothesis(self.grids))
 
-    # -- job limits ---------------------------------------------------------------
-
-    def set_deadline(self, deadline: float | None = None) -> None:
-        """Install a wall-clock deadline on the underlying simulation oracle.
-
-        The deductive engine of this procedure is numerical simulation, so
-        a timeout cannot be enforced inside a SAT loop the way the
-        SMT-backed procedures do it; instead the reachability oracle polls
-        the clock between integration steps and raises
-        :class:`~repro.core.exceptions.BudgetExceededError` once the
-        deadline has passed.  The engine layer calls this when a
-        switching-logic job is submitted with a ``timeout``.
-        """
-        self.reachability.set_deadline(deadline)
-
     # -- soundness ----------------------------------------------------------------
 
     def hypothesis_evidence(self) -> HypothesisValidityEvidence:

@@ -31,7 +31,8 @@ Endpoints (see :mod:`repro.service.server`)::
                              is already running or finished)
     GET    /stats            engine + queue + certstore + client counters
     GET    /problems         registered problem kinds
-    GET    /healthz          liveness probe (503 when the journal broke)
+    GET    /healthz          liveness probe (503 when the journal broke
+                             or the runner died)
 
 Run it::
 

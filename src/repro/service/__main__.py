@@ -28,11 +28,7 @@ Fault injection (testing only): set ``REPRO_FAULTS`` to a plan like
 from __future__ import annotations
 
 import argparse
-import signal
-import sys
-import threading
 from pathlib import Path
-from types import FrameType
 
 from repro.api.config import EngineConfig
 from repro.cluster.auth import TokenSet, ensure_bind_allowed
@@ -112,37 +108,10 @@ def main(argv: list[str] | None = None) -> int:
         max_pending=arguments.max_pending,
         auth=tokens,
     )
-    if service.replay is not None and service.replay.records:
-        replay = service.replay
-        print(
-            "journal replay: "
-            f"{len(replay.finished)} finished restored, "
-            f"{len(replay.unfinished)} unfinished re-enqueued, "
-            f"{replay.truncated_bytes} torn bytes truncated, "
-            f"clean_shutdown={replay.clean_shutdown}",
-            flush=True,
-        )
-
-    def _on_sigterm(signum: int, frame: FrameType | None) -> None:
-        # shutdown() joins the runner and HTTP threads, so it must not
-        # run on the main thread while serve_forever() holds it — a
-        # helper thread drains while serve_forever unblocks below.
-        threading.Thread(
-            target=service.shutdown, name="sciduction-drain"
-        ).start()
-
-    signal.signal(signal.SIGTERM, _on_sigterm)
-
-    print(f"sciduction service listening on {service.url}", flush=True)
-    if arguments.port_file is not None:
-        arguments.port_file.write_text(f"{service.port}\n")
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-    finally:
-        service.shutdown()
-    return 0
+    return service.run_cli(
+        f"sciduction service listening on {service.url}",
+        [(arguments.port_file, service.port)],
+    )
 
 
 if __name__ == "__main__":

@@ -508,6 +508,14 @@ class JobQueue:
         if all_done and self.journal is not None:
             self.journal.append_soft({"event": EVENT_SHUTDOWN})
 
+    def runner_alive(self) -> bool:
+        return self._runner.is_alive()
+
+    def runner_failed(self) -> bool:
+        """Whether the runner thread is down while the queue is not stopping."""
+        with self._lock:
+            return not self._runner.is_alive() and not self._stopped
+
     # -- runner side -------------------------------------------------------
 
     def _drain(self) -> list[ServiceJob]:
@@ -558,6 +566,21 @@ class JobQueue:
                     if self._jobs[job_id].outcome is not None:
                         del self._jobs[job_id]
 
+    def _fail_batch(self, drained: list[ServiceJob], error: Exception) -> None:
+        """Finish a batch whose run or harvest raised (runner thread only):
+        each open job ends with its engine response, or ``failed`` in the
+        engine too, so no later batch runs it."""
+        message = f"batch failed: {type(error).__name__}: {error}"
+        with self._lock:
+            for job in drained:
+                engine_job = job.engine_job
+                if engine_job is None:  # already recorded
+                    continue
+                if not engine_job.done:
+                    engine_job.fail(JobState.FAILED, message, stamp=False)
+                self._record_finish(job, engine_job.response())
+            self.engine.prune()
+
 
 class _Runner(threading.Thread):
     """The single thread that owns the engine and runs the batches."""
@@ -570,7 +593,10 @@ class _Runner(threading.Thread):
         while True:
             drained = self._queue._drain()
             if drained:
-                self._queue.engine.run_batch()
-                self._queue._harvest(drained)
+                try:
+                    self._queue.engine.run_batch()
+                    self._queue._harvest(drained)
+                except Exception as error:  # noqa: BLE001 — the runner keeps serving
+                    self._queue._fail_batch(drained, error)
             elif self._queue._stopped:
                 return

@@ -13,16 +13,19 @@ replaying any existing journal *before* serving — accepted jobs survive
 ``kill -9``.  ``max_pending`` adds admission control (429 with
 ``Retry-After``), ``GET /jobs/<id>?wait=N`` long-polls, and
 ``/healthz`` degrades to 503 when the journal can no longer accept
-writes.
+writes or the runner thread has died.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import signal
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import FrameType
 from typing import TYPE_CHECKING, Any
 from urllib.parse import parse_qs
 
@@ -229,18 +232,12 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             match = _JOB_PATH.match(route)
             if match:
-                wait = self._wait_seconds(query)
-                if wait > 0:
-                    job = self.service.queue.wait_for_done(
-                        int(match.group(1)), wait
-                    )
-                    if job is None:
-                        self._fail(404, f"unknown job id {match.group(1)}")
-                    else:
-                        self._reply(200, job_record_wire(job))
-                    return
-                job = self._job_or_404(match.group(1))
-                if job is not None:
+                job = self.service.queue.wait_for_done(
+                    int(match.group(1)), self._wait_seconds(query)
+                )
+                if job is None:
+                    self._fail(404, f"unknown job id {match.group(1)}")
+                else:
                     self._reply(200, job_record_wire(job))
                 return
             match = _RESULT_PATH.match(route)
@@ -358,7 +355,6 @@ class SciductionService:
             summary is exposed as :attr:`replay`).  ``None`` (default)
             keeps the pre-PR-7 in-memory behavior.
         max_pending: admission bound forwarded to the queue (429 past it).
-        journal_sync_every: fsync cadence forwarded to the journal.
         engine: inject a pre-built engine (the cluster coordinator hands
             in a :class:`~repro.cluster.coordinator.ClusterEngine`);
             ``config`` is ignored when given — the engine's own config
@@ -377,7 +373,6 @@ class SciductionService:
         quiet: bool = False,
         data_dir: Path | str | None = None,
         max_pending: int | None = None,
-        journal_sync_every: int = 1,
         engine: SciductionEngine | None = None,
         auth: "TokenSet | None" = None,
     ) -> None:
@@ -392,7 +387,7 @@ class SciductionService:
             # Replay first: recover() truncates any torn tail in place,
             # so the append handle opens onto a clean record boundary.
             self.replay = recover(journal_path)
-            self.journal = JobJournal(journal_path, sync_every=journal_sync_every)
+            self.journal = JobJournal(journal_path)
             self.certstore = CertStore(root / "certs")
         self.queue = JobQueue(
             self.engine,
@@ -459,13 +454,20 @@ class SciductionService:
         """The ``/healthz`` status code and payload.
 
         Healthy is 200.  A journal that can no longer accept writes
-        means new work cannot be made durable — that is a 503, so load
-        balancers stop routing submissions here.  A degraded cert store
-        stays 200 (it is an optimization, not a promise) but is
-        reported.
+        means new work cannot be made durable, and a runner thread that
+        died while the queue is not stopping means accepted work never
+        runs — either is a 503, so load balancers stop routing
+        submissions here.  A degraded cert store stays 200 (it is an
+        optimization, not a promise) but is reported.
         """
-        payload: dict = {"status": "ok"}
+        payload: dict = {
+            "status": "ok",
+            "runner": {"alive": self.queue.runner_alive()},
+        }
         status = 200
+        if self.queue.runner_failed():
+            status = 503
+            payload["status"] = "degraded"
         if self.journal is not None:
             journal_health = {
                 "enabled": True,
@@ -512,6 +514,46 @@ class SciductionService:
         self.queue.start()
         self._serving = True
         self._httpd.serve_forever()
+
+    def run_cli(
+        self, banner: str, port_files: list[tuple[Path | None, int]]
+    ) -> int:
+        """Serve on the calling thread until Ctrl-C or SIGTERM; return 0.
+
+        The serve loop of ``python -m repro.service`` and ``python -m
+        repro.cluster.coordinator``: print the journal replay summary
+        (when the replay found records) and ``banner``, write each
+        ``(path, port)`` port file (None paths skipped), and drain on
+        the way out.  SIGTERM drains from a helper thread, because
+        :meth:`shutdown` joins the threads :meth:`serve_forever` runs
+        on.
+        """
+        if self.replay is not None and self.replay.records:
+            replay = self.replay
+            print(
+                "journal replay: "
+                f"{len(replay.finished)} finished restored, "
+                f"{len(replay.unfinished)} unfinished re-enqueued, "
+                f"{replay.truncated_bytes} torn bytes truncated, "
+                f"clean_shutdown={replay.clean_shutdown}",
+                flush=True,
+            )
+
+        def _on_sigterm(signum: int, frame: FrameType | None) -> None:
+            threading.Thread(target=self.shutdown, name="sciduction-drain").start()
+
+        signal.signal(signal.SIGTERM, _on_sigterm)
+        print(banner, flush=True)
+        for path, port in port_files:
+            if path is not None:
+                path.write_text(f"{port}\n")
+        try:
+            self.serve_forever()
+        except KeyboardInterrupt:
+            print("shutting down", file=sys.stderr)
+        finally:
+            self.shutdown()
+        return 0
 
     def shutdown(self) -> None:
         """Graceful drain: refuse new jobs, finish everything accepted,

@@ -180,7 +180,6 @@ class CdclSolver:
         clause_decay: float = 0.999,
         restart_base: int = 100,
         max_learned_ratio: float = 0.5,
-        max_conflicts: int | None = None,
     ):
         self._num_vars = 0
         self._clauses: list[_Clause] = []
@@ -207,12 +206,11 @@ class CdclSolver:
         self._clause_decay = clause_decay
         self._restart_base = restart_base
         self._max_learned_ratio = max_learned_ratio
-        self._max_conflicts = max_conflicts
         # Job-level limits (see :meth:`set_limits`): an absolute ceiling on
         # ``statistics.conflicts`` and a ``time.monotonic()`` deadline,
-        # both answering UNKNOWN when exceeded.  Unlike ``max_conflicts``
-        # (a per-solve budget) these span solve() calls, which lets the
-        # SMT/engine layers enforce per-*job* budgets across many checks.
+        # both answering UNKNOWN when exceeded.  Both span solve() calls,
+        # which lets the SMT/engine layers enforce per-*job* budgets
+        # across many checks.
         self._conflict_ceiling: int | None = None
         self._deadline: float | None = None
         self._unsat = False
@@ -320,8 +318,8 @@ class CdclSolver:
 
         Returns:
             :data:`SatResult.SAT`, :data:`SatResult.UNSAT`, or
-            :data:`SatResult.UNKNOWN` if a conflict budget was configured
-            and exhausted.
+            :data:`SatResult.UNKNOWN` once a limit installed by
+            :meth:`set_limits` is reached.
 
         The model cached by a previous satisfiable call is invalidated on
         entry: after a non-SAT answer, :meth:`model` raises
@@ -344,10 +342,6 @@ class CdclSolver:
             self._unsat = True
             return SatResult.UNSAT
 
-        # The conflict budget applies per solve() call, so an incremental
-        # sequence of checks does not starve later calls of their budget.
-        conflict_budget = self._max_conflicts
-        conflicts_at_start = self.statistics.conflicts
         restart_count = 0
         conflicts_until_restart = self._restart_base * luby(restart_count + 1)
         conflicts_since_restart = 0
@@ -358,7 +352,7 @@ class CdclSolver:
             if conflict is not None:
                 self.statistics.conflicts += 1
                 conflicts_since_restart += 1
-                if self._limits_exhausted(conflicts_at_start, conflict_budget):
+                if self._limits_exhausted():
                     self._backtrack(0)
                     return SatResult.UNKNOWN
                 if self._decision_level() == 0:
@@ -486,13 +480,9 @@ class CdclSolver:
         self._conflict_ceiling = conflict_ceiling
         self._deadline = deadline
 
-    def _limits_exhausted(
-        self, conflicts_at_start: int, conflict_budget: int | None
-    ) -> bool:
-        """Whether any conflict budget / ceiling / deadline is exceeded."""
+    def _limits_exhausted(self) -> bool:
+        """Whether the conflict ceiling or the deadline is reached."""
         conflicts = self.statistics.conflicts
-        if conflict_budget is not None and conflicts - conflicts_at_start >= conflict_budget:
-            return True
         if self._conflict_ceiling is not None and conflicts >= self._conflict_ceiling:
             return True
         if (

@@ -39,7 +39,9 @@ job's scopes are popped, :meth:`SmtSolver.reset_to_base` returns the
 solver to that watermark in one SAT pass — the job's variables, clauses
 and blaster cache entries go, as does every learned clause, and the
 search heuristics restart from a fresh solver's state.  Popping the base
-scope itself drops the watermark.
+scope itself drops the watermark.  A job's limits are installed with its
+lease (:meth:`SmtSolver.set_job_limits`) as one absolute conflict ceiling
+and a deadline, which the CDCL loop checks in one place.
 
 Every query is shrunk before it reaches the SAT core, in three layers
 that can each be disabled independently (the ablation knobs used by
@@ -185,8 +187,6 @@ class SmtSolver:
     """A QF_BV SMT solver built on bit-blasting + CDCL SAT.
 
     Args:
-        max_conflicts: optional conflict budget per ``check`` (returns
-            :data:`SmtResult.UNKNOWN` when exhausted).
         simplify_terms: run the word-level simplifier over every formula
             before bit-blasting (default True; ablation knob).
         polarity_aware: blast asserted formulas under positive polarity
@@ -207,14 +207,12 @@ class SmtSolver:
 
     def __init__(
         self,
-        max_conflicts: int | None = None,
         simplify_terms: bool = True,
         polarity_aware: bool = True,
         gc_dead_clauses: int | None = 2000,
     ):
         self._assertions: list[BoolTerm] = []
         self._scopes: list[int] = []
-        self._max_conflicts = max_conflicts
         self._simplify_terms = simplify_terms
         self._assert_polarity = POSITIVE if polarity_aware else BOTH
         self._gc_dead_clauses = gc_dead_clauses
@@ -223,9 +221,9 @@ class SmtSolver:
         # Term → structural digest for memo keys (dropped at every
         # base seal, so it never pins an old epoch's terms).
         self._digest_cache: dict = {}
-        # Job-level limits (see :meth:`set_job_limits`).
-        self._job_conflicts_remaining: int | None = None
-        self._job_deadline: float | None = None
+        # Job limits as (absolute conflict ceiling, deadline), see
+        # :meth:`set_job_limits`; :meth:`_core` installs them on creation.
+        self._job_limits: tuple[int | None, float | None] = (None, None)
         self._last_model: Model | None = None
         # (blaster, sat model bits) of the last SAT answer; the Model is
         # built lazily from it on the first model() call, so checks whose
@@ -332,44 +330,31 @@ class SmtSolver:
 
         Args:
             max_conflicts: total CDCL conflict budget shared by all
-                subsequent ``check`` calls (unlike the constructor's
-                ``max_conflicts``, which is per-check); exhausted checks
-                answer :data:`SmtResult.UNKNOWN`.
+                subsequent ``check`` calls; exhausted checks answer
+                :data:`SmtResult.UNKNOWN`.
             deadline: ``time.monotonic()`` timestamp after which checks
                 answer :data:`SmtResult.UNKNOWN`.
 
-        This is how the engine layer (:mod:`repro.api`) enforces per-job
-        budgets and timeouts on pooled solvers without rebuilding them.
+        The budget is installed once, as the absolute ceiling ``lifetime
+        SAT conflicts (0 before the core exists) + max_conflicts``; the
+        count is monotone (:meth:`reset_to_base` never rewinds it), so
+        the ceiling spends the budget across checks.
         """
-        self._job_conflicts_remaining = max_conflicts
-        self._job_deadline = deadline
-        if self._sat_solver is not None and max_conflicts is None and deadline is None:
-            self._sat_solver.set_limits(None, None)
-
-    def _install_job_limits(self, sat_solver: CdclSolver) -> None:
         ceiling = None
-        if self._job_conflicts_remaining is not None:
-            ceiling = sat_solver.statistics.conflicts + max(
-                0, self._job_conflicts_remaining
-            )
-        sat_solver.set_limits(ceiling, self._job_deadline)
-
-    def _charge_job_conflicts(
-        self, sat_solver: CdclSolver, conflicts_before: int
-    ) -> None:
-        if self._job_conflicts_remaining is not None:
-            spent = sat_solver.statistics.conflicts - conflicts_before
-            self._job_conflicts_remaining = max(
-                0, self._job_conflicts_remaining - spent
-            )
+        if max_conflicts is not None:
+            ceiling = self.sat_statistics().conflicts + max_conflicts
+        self._job_limits = (ceiling, deadline)
+        if self._sat_solver is not None:
+            self._sat_solver.set_limits(ceiling, deadline)
 
     # -- incremental core ---------------------------------------------------
 
     def _core(self) -> tuple[CdclSolver, BitBlaster]:
         """The persistent SAT solver + blaster pair (created on first use)."""
         if self._sat_solver is None:
-            self._sat_solver = CdclSolver(max_conflicts=self._max_conflicts)
+            self._sat_solver = CdclSolver()
             self._blaster = BitBlaster(self._sat_solver)
+            self._sat_solver.set_limits(*self._job_limits)
             # Count the blaster's true-constant variable and unit clause
             # as encoding work.
             self.statistics.variables_generated += self._sat_solver.num_variables
@@ -420,7 +405,7 @@ class SmtSolver:
 
         Returns:
             :data:`SmtResult.SAT`, :data:`SmtResult.UNSAT`, or
-            :data:`SmtResult.UNKNOWN` when the conflict budget is exhausted.
+            :data:`SmtResult.UNKNOWN` when a job limit is reached.
         """
         self.statistics.checks += 1
         for formula in extra:
@@ -431,7 +416,6 @@ class SmtSolver:
         sat_solver, blaster = self._core()
         variables_before = sat_solver.num_variables
         clauses_before = sat_solver.statistics.clauses_added
-        conflicts_before = sat_solver.statistics.conflicts
         self._encode_pending()
         assumptions = list(self._activations)
         # ``extra`` formulas are assumed true for this check only, which is
@@ -456,9 +440,7 @@ class SmtSolver:
             found = self._memo_backend.lookup(memo_key)
             if found is not None:
                 return self._replay_memoized(*found)
-        self._install_job_limits(sat_solver)
         result = sat_solver.solve(assumptions)
-        self._charge_job_conflicts(sat_solver, conflicts_before)
         verdict = self._record_result(result, sat_solver, blaster)
         if memo_key is not None and verdict is not SmtResult.UNKNOWN:
             self._memo_backend.publish(
@@ -640,7 +622,7 @@ class SmtSolver:
 
     def is_satisfiable(self, formula: BoolTerm) -> bool:
         """One-shot satisfiability check of ``formula`` alone."""
-        solver = SmtSolver(max_conflicts=self._max_conflicts)
+        solver = SmtSolver()
         solver.add(formula)
         return solver.check() is SmtResult.SAT
 
@@ -648,17 +630,17 @@ class SmtSolver:
         """One-shot validity check (negation unsatisfiable)."""
         from repro.smt.terms import bool_not
 
-        solver = SmtSolver(max_conflicts=self._max_conflicts)
+        solver = SmtSolver()
         solver.add(bool_not(formula))
         return solver.check() is SmtResult.UNSAT
 
 
-def solve(formulas: Iterable[BoolTerm], max_conflicts: int | None = None) -> tuple[SmtResult, Model | None]:
+def solve(formulas: Iterable[BoolTerm]) -> tuple[SmtResult, Model | None]:
     """Solve the conjunction of ``formulas`` in one shot.
 
     Returns the verdict and, when satisfiable, a :class:`Model`.
     """
-    solver = SmtSolver(max_conflicts=max_conflicts)
+    solver = SmtSolver()
     solver.add(*list(formulas))
     verdict = solver.check()
     model = solver.model() if verdict is SmtResult.SAT else None

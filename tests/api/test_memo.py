@@ -253,7 +253,8 @@ class TestSolverIntegration:
 
     def test_unknown_answers_are_never_published(self):
         store = SharedCheckMemo(capacity=64)
-        solver = SmtSolver(max_conflicts=0)
+        solver = SmtSolver()
+        solver.set_job_limits(max_conflicts=0)
         client = CheckMemoClient(store, "w0")
         solver.set_memo_backend(client)
         x = bv_var("x", 8)

@@ -108,6 +108,28 @@ class TestLeaseLifecycle:
         assert pool.statistics.solvers_retired == 1
 
 
+class TestJobLimits:
+    def test_lease_limits_end_with_the_lease(self):
+        pool = _fresh_pool()
+        x = bv_var("pool_limits_x", 8)
+        # Needs conflicts: x * x == 49 with x > 8 (x = 135 is a model).
+        query = ((x * x).eq(bv_const(49, 8)), x.ugt(bv_const(8, 8)))
+
+        limited = pool.acquire(shape="s", max_conflicts=0)
+        session = _sealed_session(limited)
+        session.add(*query)
+        assert session.check() is SmtResult.UNKNOWN
+        pool.release(limited)
+
+        # The same session, leased without limits, decides the query.
+        unlimited = pool.acquire(shape="s")
+        assert unlimited.solver is limited.solver
+        session = _sealed_session(unlimited)
+        session.add(*query)
+        assert session.check() is SmtResult.SAT
+        pool.release(unlimited)
+
+
 class TestPerJobAccounting:
     def test_statistics_are_deltas_not_pool_lifetime(self):
         pool = _fresh_pool()

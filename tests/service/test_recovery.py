@@ -320,3 +320,35 @@ class TestRecordedOutcomes:
         assert (record["state"], record["done"], record["error"], record["elapsed"]) == (
             "completed", True, None, 0.125,
         )
+
+
+class TestRunnerSurvival:
+    def test_a_raising_batch_fails_alone(self, tmp_path, boot, monkeypatch):
+        service = boot(tmp_path)
+        url = service.url
+        run_batch = service.engine.run_batch
+        calls = []
+
+        def raise_once():
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("injected batch failure")
+            return run_batch()
+
+        monkeypatch.setattr(service.engine, "run_batch", raise_once)
+        first = request(f"{url}/jobs", "POST", {"problem": PROBLEMS[0]})["job_id"]
+        record = request(f"{url}/jobs/{first}?wait=10")
+        assert (record["state"], record["done"]) == ("failed", True)
+        assert record["error"] == "batch failed: RuntimeError: injected batch failure"
+        expected = result_to_dict(failure_result(JobState.FAILED, record["error"]))
+        assert raw_get(f"{url}/jobs/{first}/result") == served_bytes(expected)
+        # The runner survived: a later job runs, and the service is healthy.
+        second = request(f"{url}/jobs", "POST", {"problem": PROBLEMS[1]})["job_id"]
+        assert request(f"{url}/jobs/{second}?wait=60")["state"] == "completed"
+        health = request(f"{url}/healthz")
+        assert (health["status"], health["runner"]) == ("ok", {"alive": True})
+        replay = recover(tmp_path / "journal.wal")
+        assert [(job.job_id, job.state) for job in replay.finished] == [
+            (first, "failed"),
+            (second, "completed"),
+        ]

@@ -136,7 +136,8 @@ class TestBasicSolving:
 
     def test_conflict_budget_returns_unknown(self):
         rng = random.Random(7)
-        solver = CdclSolver(max_conflicts=1)
+        solver = CdclSolver()
+        solver.set_limits(conflict_ceiling=1)
         num_vars = 20
         solver.ensure_variables(num_vars)
         for clause in _random_clauses(rng, num_vars, 120):
@@ -205,8 +206,9 @@ class TestModelLifetime:
 
     def test_model_after_unknown_raises(self):
         # (a|b), (~a|b), (a|~b): satisfiable, but the first decision (~a,
-        # saved phase False) forces a conflict, exhausting a zero budget.
-        solver = CdclSolver(max_conflicts=0)
+        # saved phase False) forces a conflict, reaching a zero ceiling.
+        solver = CdclSolver()
+        solver.set_limits(conflict_ceiling=0)
         a, b = solver.new_variable(), solver.new_variable()
         assert solver.solve() is SatResult.SAT  # caches a model
         solver.add_clause([make_literal(a), make_literal(b)])
@@ -286,22 +288,6 @@ class TestIncrementalSolving:
         assert solver.value(y) is True
         solver.add_clause([make_literal(y, True)])
         assert solver.solve() is SatResult.UNSAT
-
-    def test_conflict_budget_is_per_call(self):
-        # With a lifetime budget the second call would return UNKNOWN
-        # immediately; with a per-call budget, learned clauses accumulate
-        # across calls until the guarded pigeonhole is refuted.
-        solver = CdclSolver(max_conflicts=3)
-        guard = solver.new_variable()
-        _pigeonhole_clauses(solver, 3, 2, guard=guard)
-        result = solver.solve([make_literal(guard)])
-        for _ in range(200):
-            if result is not SatResult.UNKNOWN:
-                break
-            result = solver.solve([make_literal(guard)])
-        assert result is SatResult.UNSAT
-        # The relaxed problem is still satisfiable afterwards.
-        assert solver.solve([make_literal(guard, True)]) is SatResult.SAT
 
     def test_job_limits_span_solve_calls(self):
         # A conflict ceiling is absolute: on an instance that cannot be

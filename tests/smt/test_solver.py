@@ -42,6 +42,18 @@ class TestSmtSolver:
         solver.pop()
         assert solver.check() is SmtResult.SAT
 
+    def test_job_limits_set_before_the_sat_core_exists_are_enforced(self):
+        solver = SmtSolver()
+        solver.set_job_limits(max_conflicts=0)  # no SAT core yet
+        x = bv_var("x", 8)
+        # Needs conflicts: x * x == 49 with x > 8 (x = 135 is a model).
+        solver.add((x * x).eq(bv_const(49, 8)), x.ugt(bv_const(8, 8)))
+        assert solver.check() is SmtResult.UNKNOWN
+        assert solver.check() is SmtResult.UNKNOWN  # the budget stays spent
+        solver.set_job_limits()
+        assert solver.check() is SmtResult.SAT
+        assert (solver.model()["x"] ** 2) % 256 == 49
+
     def test_pop_without_push_raises(self):
         with pytest.raises(SolverError):
             SmtSolver().pop()
