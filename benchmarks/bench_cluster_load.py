@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Cluster load generator: end-to-end latency percentiles over HTTP.
 
-Boots the full cluster topology (memod + coordinator + two nodes, every
+Boots the full cluster topology (a coordinator and two nodes, every
 role a real subprocess on an ephemeral port), then drives it with a
 skewed job stream from concurrent clients the way a production caller
 fleet would: each client submits one job and long-polls it to a
 terminal state, and the submit→done wall time is that job's end-to-end
 latency.  The report records p50/p95/p99 latency, throughput, and the
-cluster's own counters (per-node completion, memo publishes/hits).
+cluster's own counters (per-node completion, and the publishes and
+hits of the coordinator's shared check memo).
 
 The numbers are wall-clock and machine-dependent, so they are merged
 into ``BENCH_perf.json`` under the ``cluster`` key as *information* —
@@ -137,17 +138,11 @@ def main(argv: list[str] | None = None) -> int:
         state = Path(scratch)
         processes: dict[str, subprocess.Popen] = {}
         try:
-            processes["memod"] = spawn(
-                [sys.executable, "-m", "repro.cluster.memod",
-                 "--port", "0", "--port-file", str(state / "memod.port")]
-            )
-            memod_port = wait_port(state / "memod.port")
             processes["coordinator"] = spawn(
                 [sys.executable, "-m", "repro.cluster.coordinator",
                  "--port", "0", "--port-file", str(state / "http.port"),
                  "--cluster-port", "0",
                  "--cluster-port-file", str(state / "cluster.port"),
-                 "--memod", f"127.0.0.1:{memod_port}",
                  "--data-dir", str(state / "coordinator-data"),
                  "--quiet"]
             )
@@ -157,7 +152,6 @@ def main(argv: list[str] | None = None) -> int:
                 processes[name] = spawn(
                     [sys.executable, "-m", "repro.cluster.node",
                      "--coordinator", f"127.0.0.1:{cluster_port}",
-                     "--memod", f"127.0.0.1:{memod_port}",
                      "--name", name, "--quiet"]
                 )
             while len(call(base, "GET", "/stats")["cluster"]["live_nodes"]) \
@@ -174,8 +168,8 @@ def main(argv: list[str] | None = None) -> int:
                 }
                 for name, record in cluster["nodes"].items()
             }
-            report["memod"] = {
-                key: cluster["memod"].get(key, 0)
+            report["memo"] = {
+                key: cluster["memo"][key]
                 for key in ("publishes", "hits", "cross_worker_hits")
             }
         finally:
@@ -191,10 +185,10 @@ def main(argv: list[str] | None = None) -> int:
             if arguments.output.exists()
             else {}
         )
-        merged["cluster"] = report
-        arguments.output.write_text(
-            json.dumps(merged, indent=2, sort_keys=True) + "\n"
-        )
+        # Only the cluster block is rewritten (its keys sorted); every
+        # other block keeps its bytes and key order.
+        merged["cluster"] = json.loads(json.dumps(report, sort_keys=True))
+        arguments.output.write_text(json.dumps(merged, indent=2) + "\n")
         print(f"merged under 'cluster' into {arguments.output}")
     return 0
 

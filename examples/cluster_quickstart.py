@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Quickstart: the sciduction engine as a multi-node cluster.
 
-Boots the full cluster topology from ``docs/CLUSTER.md`` — one memo
-service, one coordinator, two node agents, every role a real
-subprocess on an ephemeral port — then drives it over the same HTTP
+Boots the full cluster topology from ``docs/CLUSTER.md`` — one
+coordinator and two node agents, every role a real subprocess on an
+ephemeral port — then drives it over the same HTTP
 surface the single-process service exposes:
 
 1. a small job stream submitted over the wire, sharded across the two
    nodes by problem shape (rendezvous hashing),
 2. the ``/stats`` cluster section — per-node liveness, owned shapes,
-   completed-job counts, memo-service counters,
+   completed-job counts, the shared check memo's counters,
 3. a graceful drain: SIGTERM to the coordinator, nodes exit 0.
 
 Run with::
@@ -73,17 +73,11 @@ def main() -> int:
         stale.unlink()
     processes: dict[str, subprocess.Popen] = {}
     try:
-        processes["memod"] = spawn(
-            [sys.executable, "-m", "repro.cluster.memod",
-             "--port", "0", "--port-file", str(state / "memod.port")]
-        )
-        memod_port = wait_port(state / "memod.port")
         processes["coordinator"] = spawn(
             [sys.executable, "-m", "repro.cluster.coordinator",
              "--port", "0", "--port-file", str(state / "http.port"),
              "--cluster-port", "0",
              "--cluster-port-file", str(state / "cluster.port"),
-             "--memod", f"127.0.0.1:{memod_port}",
              "--data-dir", str(state / "coordinator-data"),
              "--quiet"]
         )
@@ -94,7 +88,6 @@ def main() -> int:
             processes[name] = spawn(
                 [sys.executable, "-m", "repro.cluster.node",
                  "--coordinator", f"127.0.0.1:{cluster_port}",
-                 "--memod", f"127.0.0.1:{memod_port}",
                  "--name", name, "--quiet"]
             )
         while len(call(base, "GET", "/stats")["cluster"]["live_nodes"]) < 2:
@@ -134,9 +127,9 @@ def main() -> int:
                 f"  node {name}: jobs_completed={record['jobs_completed']}"
                 f" shapes={record['shapes']}"
             )
-        memod = cluster["memod"]
-        print("  memod:", {key: memod.get(key, 0)
-                           for key in ("publishes", "hits", "cross_worker_hits")})
+        memo = cluster["memo"]
+        print("  memo:", {key: memo[key]
+                          for key in ("publishes", "hits", "cross_worker_hits")})
 
         # Graceful drain: the coordinator forwards the drain to its
         # nodes; everything exits 0 on its own.

@@ -92,7 +92,6 @@ PROTO_MODULES = {
     "cluster/protocol.py": "protocol",
     "cluster/coordinator.py": "coordinator",
     "cluster/node.py": "node",
-    "cluster/memod.py": "memod",
     "cluster/memoclient.py": "memoclient",
 }
 

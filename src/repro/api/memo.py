@@ -19,12 +19,13 @@ that backend:
   private solver or session (one client each); it is the manager proxy
   of the parent's store in a worker process (:func:`start_shared_memo`)
   and a :class:`~repro.cluster.memoclient.RemoteMemoStore` on a cluster
-  node.  A lookup tries the local store first, so a repeated check costs
-  no round trip; a remote hit is copied into the local store, and every
-  publish goes to both.  The remote is fail-open: a failed call is
-  counted, the client answers local-only, and the remote is retried
-  after :data:`REARM_AFTER_CALLS` skipped calls (a counter, not a clock,
-  so the back-off is deterministic and free of wall-clock reads).
+  node, dialing the one store its coordinator hosts.  A lookup tries the
+  local store first, so a repeated check costs no round trip; a remote
+  hit is copied into the local store, and every publish goes to both.
+  The remote is fail-open: a failed call is counted, the client answers
+  local-only, and the remote is retried after :data:`REARM_AFTER_CALLS`
+  skipped calls (a counter, not a clock, so the back-off is
+  deterministic and free of wall-clock reads).
 * :func:`check_wire_key` builds the digest part of the key.  Keys are
   content-addressed — hash-consed terms are digested structurally, so
   two workers that assert the same formulas from the same variable

@@ -1,8 +1,8 @@
 """Shared-token authentication for every cluster-facing surface.
 
 The single-node service only ever bound loopback, so it could defer an
-auth story; a cluster cannot — coordinator, nodes and the memo service
-talk over real network sockets.  The model is deliberately small:
+auth story; a cluster cannot — the coordinator and its nodes talk over
+real network sockets.  The model is deliberately small:
 
 * a **token set** is parsed from ``--auth-token`` or the
   ``REPRO_AUTH_TOKEN`` environment variable: comma-separated entries,
@@ -18,8 +18,8 @@ talk over real network sockets.  The model is deliberately small:
   matched;
 * **binding a non-loopback address without a token set is refused**
   (:func:`ensure_bind_allowed`), and so is *dialing* one — an operator
-  cannot accidentally expose an unauthenticated engine, coordinator or
-  memo service to a network.
+  cannot accidentally expose an unauthenticated engine or coordinator
+  to a network.
 
 HTTP callers present the token as ``Authorization: Bearer <token>``
 (401 with a structured body and ``WWW-Authenticate`` otherwise);

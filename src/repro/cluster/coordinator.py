@@ -24,6 +24,13 @@ Sharding preserves byte-parity by construction:
   scoped-lease guarantee (verdicts are independent of which session a
   job lands on) keeps the re-run byte-identical too.
 
+The cluster's one shared check memo lives here too: a node's memo
+client dials the same cluster listener, and a connection whose first
+frame is ``hello`` (instead of ``register``) is served ``lookup`` /
+``publish`` frames from one :class:`~repro.api.memo.SharedCheckMemo`.
+A node re-running a job the dead node had started answers its checks
+from the verdicts the dead node published.
+
 Durability: assignments (``assigned``) and failover (``resharded``)
 are journaled through the service's write-ahead journal, naming jobs by
 their HTTP ids (the service queue builds every engine job under the id
@@ -45,16 +52,19 @@ from typing import Any
 from repro.analysis.annotations import guarded_by
 from repro.api.config import EngineConfig
 from repro.api.engine import Job, JobState, SciductionEngine
+from repro.api.memo import SharedCheckMemo
 from repro.cluster.auth import TokenSet, ensure_bind_allowed
 from repro.cluster.hashring import rendezvous_owner
-from repro.cluster.memoclient import RemoteMemoStore
-from repro.cluster.node import PROTOCOL_VERSION, parse_endpoint
+from repro.cluster.node import PROTOCOL_VERSION
 from repro.cluster.protocol import (
     OP_DRAIN,
     OP_DRAINED,
     OP_HEARTBEAT,
+    OP_HELLO,
     OP_JOB,
+    OP_LOOKUP,
     OP_PONG,
+    OP_PUBLISH,
     OP_REGISTER,
     OP_RESULT,
     FramedSocket,
@@ -73,6 +83,25 @@ EVENT_RESHARDED = "resharded"
 #: How long the dispatch loop sleeps waiting for results/registrations
 #: before re-scanning (a backstop — every event also notifies).
 _DISPATCH_WAIT_SLICE = 0.25
+
+#: LRU bound of the cluster's shared check memo.
+CLUSTER_MEMO_CAPACITY = 65536
+
+
+def _error(message: str, status: int = 400) -> dict[str, Any]:
+    return {"ok": False, "error": message, "status": status}
+
+
+def _well_formed_entry(verdict: Any, bits: Any) -> bool:
+    """Whether a published memo entry is one a solver could have decided:
+    ``sat`` with its model bits, or ``unsat`` with none."""
+    if verdict == "unsat":
+        return bits is None
+    return (
+        verdict == "sat"
+        and isinstance(bits, list)
+        and all(isinstance(bit, bool) for bit in bits)
+    )
 
 
 class _NodeLink:
@@ -108,11 +137,11 @@ class ClusterEngine(SciductionEngine):
         host: cluster listener bind address.
         port: cluster listener port (0 = ephemeral, see
             :attr:`cluster_port`).
-        tokens: auth tokens nodes must present at registration.
+        tokens: auth tokens nodes must present at registration and in
+            a memo connection's hello.
         node_wait: seconds a batch waits for at least one live node (and
             for a replacement when every node died mid-batch) before
             failing the affected jobs with a structured result.
-        memod: optional memo-service endpoint, queried for ``/stats``.
     """
 
     def __init__(
@@ -122,7 +151,6 @@ class ClusterEngine(SciductionEngine):
         port: int = 0,
         tokens: TokenSet | None = None,
         node_wait: float = 30.0,
-        memod: tuple[str, int] | None = None,
     ) -> None:
         super().__init__(config)
         self.tokens = tokens or TokenSet()
@@ -131,14 +159,8 @@ class ClusterEngine(SciductionEngine):
         #: Set by the hosting service once its journal exists; the
         #: coordinator appends assignment/reshard records through it.
         self.journal: JobJournal | None = None
-        self._memod_stats: RemoteMemoStore | None = None
-        if memod is not None:
-            self._memod_stats = RemoteMemoStore(
-                memod[0],
-                memod[1],
-                client_id="coordinator",
-                token=self.tokens.first_token(),
-            )
+        #: The check memo every node's memo client shares.
+        self.memo = SharedCheckMemo(CLUSTER_MEMO_CAPACITY)
         self._cluster_lock = threading.Lock()
         self._cluster_wakeup = threading.Condition(self._cluster_lock)
         #: Live links by node name.
@@ -177,16 +199,19 @@ class ClusterEngine(SciductionEngine):
             threading.Thread(
                 target=self._register_connection,
                 args=(FramedSocket(connection),),
-                name="cluster-register",
+                name="cluster-conn",
                 daemon=True,
             ).start()
 
     def _register_connection(self, link: FramedSocket) -> None:
-        """Validate one inbound connection's register frame."""
+        """Start a node link (``register``) or a memo connection (``hello``)."""
         try:
             frame = link.recv()
         except (OSError, ProtocolError):
             link.close()
+            return
+        if frame is not None and frame.get("op") == OP_HELLO:
+            self._serve_memo(link, frame)
             return
         if frame is None or frame.get("op") != OP_REGISTER:
             link.close()
@@ -241,10 +266,66 @@ class ClusterEngine(SciductionEngine):
             daemon=True,
         ).start()
 
+    def _serve_memo(self, link: FramedSocket, hello: dict[str, Any]) -> None:
+        """Answer one memo connection's frames, its hello first."""
+        request: dict[str, Any] | None = hello
+        authenticated = False
+        try:
+            while request is not None:
+                # Fault site: an armed `raise` here drops the connection
+                # mid-conversation, which is what an unreachable memo
+                # looks like to a node; it drives the degraded-mode path.
+                fault_point("memo.down")
+                response, authenticated = self._memo_reply(
+                    request, authenticated
+                )
+                link.send(response)
+                request = link.recv()
+        except (ProtocolError, OSError):
+            return
+        finally:
+            link.close()
+
+    def _memo_reply(
+        self, request: dict[str, Any], authenticated: bool
+    ) -> tuple[dict[str, Any], bool]:
+        """One memo request → (response, new authenticated state)."""
+        op = request.get("op")
+        if op == OP_HELLO:
+            if self.tokens.required():
+                if self.tokens.identify(request.get("token")) is None:
+                    return _error("authentication failed", 401), False
+            return {"ok": True}, True
+        if not authenticated:
+            return _error("authenticate with a hello frame first", 401), False
+        if op not in (OP_LOOKUP, OP_PUBLISH):
+            return _error(f"unknown op {op!r}"), True
+        key = request.get("key")
+        client = str(request.get("client", "anonymous"))
+        if not isinstance(key, str):
+            return _error("'key' must be a string"), True
+        if op == OP_LOOKUP:
+            found = self.memo.lookup(key, client)
+            return {
+                "ok": True,
+                "found": None if found is None else [found[0], found[1]],
+            }, True
+        verdict = request.get("verdict")
+        bits = request.get("bits")
+        # The one place entries enter over the wire: a malformed entry
+        # would be replayed as a check verdict on every node.
+        if not _well_formed_entry(verdict, bits):
+            return _error(
+                "a published entry is 'sat' with a list of booleans "
+                "or 'unsat' with null bits"
+            ), True
+        self.memo.publish(key, verdict, bits, client)
+        return {"ok": True}, True
+
     @staticmethod
     def _reject(link: FramedSocket, message: str, status: int) -> None:
         try:
-            link.send({"ok": False, "error": message, "status": status})
+            link.send(_error(message, status))
         except (OSError, ProtocolError):
             pass
         link.close()
@@ -466,14 +547,14 @@ class ClusterEngine(SciductionEngine):
     # -- reporting ---------------------------------------------------------
 
     def cluster_statistics(self) -> dict[str, Any]:
-        """The ``/stats`` cluster section: topology, failover, memod.
+        """The ``/stats`` cluster section: topology, failover, memo.
 
         Each node entry carries the node's executor snapshot as of its
         last finished job (see
         :meth:`~repro.api.engine.SciductionEngine.executor_statistics`):
-        its pool counters, ``memo_client`` (None without a memo service)
-        and ``platform_memo``.  Before the node's first job only
-        ``memo_client`` is there, as None.
+        its pool counters, ``memo_client`` and ``platform_memo``.
+        Before the node's first job only ``memo_client`` is there, as
+        None.  ``memo`` holds the shared check memo's counters.
         """
         with self._cluster_lock:
             now = time.monotonic()  # analysis: allow[WC01] heartbeat-age observability read; never a scheduling input
@@ -499,19 +580,8 @@ class ClusterEngine(SciductionEngine):
                 "resharding_events": list(self._reshard_log),
                 "auth_required": self.tokens.required(),
             }
-        record["memod"] = self._memod_statistics()
+        record["memo"] = self.memo.statistics()
         return record
-
-    def _memod_statistics(self) -> dict[str, Any]:
-        if self._memod_stats is None:
-            return {"configured": False}
-        try:
-            stats = self._memod_stats.statistics()
-        except (OSError, ProtocolError):
-            return {"configured": True, "available": False}
-        stats["configured"] = True
-        stats["available"] = True
-        return stats
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -544,8 +614,6 @@ class ClusterEngine(SciductionEngine):
                 self._links.clear()
             for node in links:
                 node.link.close()
-            if self._memod_stats is not None:
-                self._memod_stats.close()
         super().close()
 
 
@@ -580,9 +648,6 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         default=None,
         help="write the bound cluster port here once listening",
-    )
-    parser.add_argument(
-        "--memod", default=None, help="memo-service endpoint, host:port"
     )
     parser.add_argument(
         "--data-dir",
@@ -620,11 +685,6 @@ def main(argv: list[str] | None = None) -> int:
         port=arguments.cluster_port,
         tokens=tokens,
         node_wait=arguments.node_wait,
-        memod=(
-            parse_endpoint(arguments.memod)
-            if arguments.memod is not None
-            else None
-        ),
     )
     service = SciductionService(
         engine.config,

@@ -1,7 +1,8 @@
-"""Node-side transport to the external memo service.
+"""Node-side transport to the coordinator's shared check memo.
 
-:class:`RemoteMemoStore` speaks the memo service's frame protocol with
-the same ``lookup``/``publish`` signature as
+:class:`RemoteMemoStore` speaks the memo frames (``hello``, then
+``lookup``/``publish``) to the coordinator's cluster listener with the
+same ``lookup``/``publish`` signature as
 :class:`~repro.api.memo.SharedCheckMemo`, so a node installs it as the
 remote of its one :class:`~repro.api.memo.CheckMemoClient` — the same
 client a worker process puts in front of its parent's store.  The client
@@ -18,16 +19,14 @@ from typing import Any
 from repro.cluster.protocol import (
     OP_HELLO,
     OP_LOOKUP,
-    OP_PING,
     OP_PUBLISH,
-    OP_STATS,
     FramedSocket,
     ProtocolError,
 )
 
 
 class RemoteMemoStore:
-    """Blocking framed RPC to one memo service (errors raise).
+    """Blocking framed RPC to one coordinator's memo (errors raise).
 
     Connection state is lazy: the first call dials and authenticates;
     any failure tears the connection down so the next call re-dials.
@@ -64,7 +63,7 @@ class RemoteMemoStore:
                         if response is None \
                         else str(response.get("error", "hello rejected"))
                     raise ProtocolError(
-                        f"memo service hello failed: {message}"
+                        f"memo hello failed: {message}"
                     )
             except Exception:
                 # The handshake died before this link was published to
@@ -85,10 +84,10 @@ class RemoteMemoStore:
                 raise
             if response is None:
                 self._teardown()
-                raise ProtocolError("memo service closed the connection")
+                raise ProtocolError("memo connection closed")
             if not response.get("ok"):
                 raise ProtocolError(
-                    str(response.get("error", "memo service refused the call"))
+                    str(response.get("error", "memo call refused"))
                 )
             return response
 
@@ -123,18 +122,6 @@ class RemoteMemoStore:
                 "client": publisher,
             }
         )
-
-    def statistics(self) -> dict[str, Any]:
-        response = self._call({"op": OP_STATS})
-        record = response.get("statistics")
-        return record if isinstance(record, dict) else {}
-
-    def ping(self) -> bool:
-        try:
-            self._call({"op": OP_PING})
-            return True
-        except (OSError, ProtocolError):
-            return False
 
     def close(self) -> None:
         with self._lock:

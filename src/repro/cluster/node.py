@@ -19,9 +19,10 @@ byte-parity requires) behind the framed protocol:
   restart, network blip) is retried with a fixed backoff until it
   succeeds — the node keeps its warm engine, so re-registered nodes
   answer repeated shapes from their session history;
-* with ``--memod`` the engine's solver pool uses a
-  :class:`~repro.api.memo.CheckMemoClient` whose remote is the external
-  memo service (:class:`~repro.cluster.memoclient.RemoteMemoStore`):
+* the engine's solver pool uses a
+  :class:`~repro.api.memo.CheckMemoClient` whose remote is the
+  coordinator's shared check memo, reached over a second connection to
+  the same endpoint (:class:`~repro.cluster.memoclient.RemoteMemoStore`):
   node-local store in front, silent degraded mode with re-arm.
 
 The ``node.crash`` fault point is probed before every job execution, so
@@ -79,8 +80,7 @@ class NodeAgent:
         coordinator: the coordinator's cluster endpoint.
         config: engine configuration (``workers`` is forced to 1).
         tokens: auth tokens; the first is presented at registration and
-            to the memo service.
-        memod: optional memo-service endpoint.
+            in the memo connection's hello.
         heartbeat_interval: seconds between liveness frames.
         reconnect_backoff: seconds between re-registration attempts.
     """
@@ -91,7 +91,6 @@ class NodeAgent:
         coordinator: tuple[str, int],
         config: EngineConfig | None = None,
         tokens: TokenSet | None = None,
-        memod: tuple[str, int] | None = None,
         heartbeat_interval: float = 2.0,
         reconnect_backoff: float = 0.5,
         quiet: bool = False,
@@ -102,27 +101,24 @@ class NodeAgent:
         self.heartbeat_interval = heartbeat_interval
         self.reconnect_backoff = reconnect_backoff
         self.quiet = quiet
-        # Dialing out to a non-loopback coordinator (or memo service)
-        # without a token is refused for the same reason binding one is:
-        # the peer could not have authenticated us.
+        # Dialing out to a non-loopback coordinator without a token is
+        # refused for the same reason binding one is: the peer could not
+        # have authenticated us.
         ensure_bind_allowed(coordinator[0], self.tokens, "node (coordinator link)")
         base = config or EngineConfig()
         self.engine = SciductionEngine(
             EngineConfig.from_dict(dict(base.to_dict(), workers=1))
         )
-        self.memo_client: CheckMemoClient | None = None
-        if memod is not None:
-            ensure_bind_allowed(memod[0], self.tokens, "node (memo link)")
-            self.memo_client = CheckMemoClient(
-                RemoteMemoStore(
-                    memod[0],
-                    memod[1],
-                    client_id=name,
-                    token=self.tokens.first_token(),
-                ),
+        self.memo_client = CheckMemoClient(
+            RemoteMemoStore(
+                coordinator[0],
+                coordinator[1],
                 client_id=name,
-            )
-            self.engine.pool.set_memo_backend(self.memo_client)
+                token=self.tokens.first_token(),
+            ),
+            client_id=name,
+        )
+        self.engine.pool.set_memo_backend(self.memo_client)
         self._stop = threading.Event()
         self._drained = False
 
@@ -288,8 +284,7 @@ class NodeAgent:
 
     def close(self) -> None:
         self._stop.set()
-        if self.memo_client is not None:
-            self.memo_client.close()
+        self.memo_client.close()
         self.engine.close()
 
 
@@ -307,9 +302,6 @@ def main(argv: list[str] | None = None) -> int:
         "--name",
         default=None,
         help="cluster-unique node name (default: node-<pid>)",
-    )
-    parser.add_argument(
-        "--memod", default=None, help="memo-service endpoint, host:port"
     )
     parser.add_argument(
         "--pool-size",
@@ -341,11 +333,6 @@ def main(argv: list[str] | None = None) -> int:
         coordinator=parse_endpoint(arguments.coordinator),
         config=EngineConfig(**config_kwargs),
         tokens=TokenSet.from_env(arguments.auth_token),
-        memod=(
-            parse_endpoint(arguments.memod)
-            if arguments.memod is not None
-            else None
-        ),
         heartbeat_interval=arguments.heartbeat,
         quiet=arguments.quiet,
     )

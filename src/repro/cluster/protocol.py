@@ -60,7 +60,6 @@ OP_PONG = "pong"
 OP_HELLO = "hello"
 OP_LOOKUP = "lookup"
 OP_PUBLISH = "publish"
-OP_STATS = "stats"
 
 
 @dataclass(frozen=True)
@@ -68,15 +67,15 @@ class OpSpec:
     """One declared frame kind of the cluster wire vocabulary.
 
     ``senders``/``receivers`` name cluster modules (``coordinator``,
-    ``node``, ``memod``, ``memoclient``); the PROTO01 lint checks every
+    ``node``, ``memoclient``); the PROTO01 lint checks every
     construction site against ``senders``+``required`` and proves each
     receiver dispatches on exactly its declared ops.  ``optional``
     documents fields a peer may include but no receiver requires.
 
     Reply frames carrying no ``"op"`` key (the coordinator's
-    registration ack, memod's ``{"ok": …}`` responses) are outside the
-    vocabulary on purpose: they answer exactly one request on the same
-    connection and are never dispatched on.
+    registration ack, the ``{"ok": …}`` answers to memo requests) are
+    outside the vocabulary on purpose: they answer exactly one request
+    on the same connection and are never dispatched on.
     """
 
     name: str
@@ -98,17 +97,17 @@ PROTOCOL_OPS: tuple[OpSpec, ...] = (
     OpSpec(OP_HEARTBEAT, ("node",), ("node",), ("coordinator",)),
     OpSpec(OP_DRAIN, (), ("coordinator",), ("node",)),
     OpSpec(OP_DRAINED, ("node",), ("node",), ("coordinator",)),
-    OpSpec(OP_PING, (), ("memoclient", "coordinator"), ("memod", "node"),
-           optional=("seq",)),
+    OpSpec(OP_PING, (), ("coordinator",), ("node",), optional=("seq",)),
     OpSpec(OP_PONG, ("node",), ("node",), ("coordinator",),
            optional=("seq",)),
-    OpSpec(OP_HELLO, ("client",), ("memoclient",), ("memod",),
+    # A memo connection's first frame, where a node link's is
+    # ``register``; the coordinator serves lookups and publishes on it.
+    OpSpec(OP_HELLO, ("client",), ("memoclient",), ("coordinator",),
            optional=("token",)),
-    OpSpec(OP_LOOKUP, ("key",), ("memoclient",), ("memod",),
+    OpSpec(OP_LOOKUP, ("key",), ("memoclient",), ("coordinator",),
            optional=("client",)),
     OpSpec(OP_PUBLISH, ("key", "verdict", "bits"), ("memoclient",),
-           ("memod",), optional=("client",)),
-    OpSpec(OP_STATS, (), ("memoclient",), ("memod",)),
+           ("coordinator",), optional=("client",)),
 )
 
 #: Registry by op name (what the checker and the tests consume).
@@ -128,7 +127,6 @@ OP_CONSTANTS: dict[str, str] = {
     "OP_HELLO": OP_HELLO,
     "OP_LOOKUP": OP_LOOKUP,
     "OP_PUBLISH": OP_PUBLISH,
-    "OP_STATS": OP_STATS,
 }
 
 

@@ -9,8 +9,8 @@ deterministically:
 * production code calls :func:`fault_point` at named injection sites
   (``"journal.write"``, ``"certstore.write"``, ``"worker.crash"``,
   ``"engine.crash"``, ``"engine.slow"``, and — in the cluster layer —
-  ``"node.crash"`` before each node-side job execution, ``"memod.down"``
-  in the memo service's connection loop, and ``"net.partition"`` before
+  ``"node.crash"`` before each node-side job execution, ``"memo.down"``
+  in the coordinator's memo connection loop, and ``"net.partition"`` before
   each coordinator→node job send).  With no plan installed the
   call is one dictionary probe — the sites are free in production;
 * tests arm the sites with :func:`injected` (in-process) or via the

@@ -4,7 +4,8 @@ The store itself (LRU bound, cross-worker hit accounting, first-writer
 wins) is exercised directly.  :class:`CheckMemoClient` is exercised with
 a :class:`SharedCheckMemo` standing in for its remote (the manager proxy
 of a worker process has the same signature) and with failing remotes;
-the network remote is covered by ``tests/cluster/test_memod.py``.  The
+the network remote, the coordinator-hosted store a cluster node dials,
+is covered by ``tests/cluster/test_shared_memo.py``.  The
 solver integration runs the same query on independent solvers whose
 clients share one remote store — the second solver must answer without
 touching its SAT core.  Worker-process traffic is exercised end to end by

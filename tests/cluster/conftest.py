@@ -1,8 +1,8 @@
 """Cluster-suite fixtures: lock instrumentation over the cluster layer.
 
 The coordinator nests its cluster lock against the engine's state lock
-(never holding both — that discipline is the design), the memo service
-guards its shared store, and the memo client guards its degraded-mode
+(never holding both — that discipline is the design), its shared check
+memo guards its store, and the memo client guards its degraded-mode
 counters.  Running the in-process suites under the lock-order detector
 turns any regression into a test failure instead of a distributed
 deadlock.  The node agent (job/heartbeat state) and the framed socket
@@ -18,7 +18,6 @@ import repro.api.engine as engine_module
 import repro.api.memo as memo_module
 import repro.cluster.coordinator as coordinator_module
 import repro.cluster.memoclient as memoclient_module
-import repro.cluster.memod as memod_module
 import repro.cluster.node as node_module
 import repro.cluster.protocol as protocol_module
 import repro.service.queue as queue_module
@@ -30,8 +29,8 @@ from repro.testing import faults
 def _lockcheck_instrumentation():
     with lockcheck.instrument(
         engine_module, memo_module, queue_module,
-        coordinator_module, memoclient_module, memod_module,
-        node_module, protocol_module,
+        coordinator_module, memoclient_module, node_module,
+        protocol_module,
     ) as registry:
         yield
     assert not registry.violations, "\n".join(registry.violations)

@@ -1,11 +1,12 @@
 """The kill-one-node drill: real processes, SIGKILL, byte-identical results.
 
-End to end, with every role a real subprocess: memod + coordinator + two
+End to end, with every role a real subprocess: a coordinator and two
 nodes solve a skewed job stream; one node is SIGKILLed mid-batch; every
 job must still reach a terminal state, the results must be canonically
 byte-identical to the same stream run on the plain single-process
-service, and the survivor must have taken cross-node memo hits on checks
-the dead node published before it died.
+service, and the survivor must have taken cross-node memo hits (from the
+coordinator's shared check memo) on checks the dead node published
+before it died.
 """
 
 from __future__ import annotations
@@ -155,19 +156,11 @@ def terminate(process: subprocess.Popen) -> None:
 
 
 class Cluster:
-    """One memod + coordinator + N nodes, cleaned up on exit."""
+    """One coordinator + N nodes, cleaned up on exit."""
 
     def __init__(self, tmp_path: Path, victim: str, slow_victim: bool) -> None:
         self.tmp_path = tmp_path
         self.processes: dict[str, subprocess.Popen] = {}
-        self.processes["memod"] = spawn(
-            [
-                sys.executable, "-m", "repro.cluster.memod",
-                "--port", "0",
-                "--port-file", str(tmp_path / "memod.port"),
-            ]
-        )
-        self.memod_port = wait_port(tmp_path / "memod.port")
         self.processes["coordinator"] = spawn(
             [
                 sys.executable, "-m", "repro.cluster.coordinator",
@@ -175,7 +168,6 @@ class Cluster:
                 "--port-file", str(tmp_path / "http.port"),
                 "--cluster-port", "0",
                 "--cluster-port-file", str(tmp_path / "cluster.port"),
-                "--memod", f"127.0.0.1:{self.memod_port}",
                 "--data-dir", str(tmp_path / "coordinator-data"),
                 "--node-wait", "60",
                 "--quiet",
@@ -194,7 +186,6 @@ class Cluster:
                 [
                     sys.executable, "-m", "repro.cluster.node",
                     "--coordinator", f"127.0.0.1:{self.cluster_port}",
-                    "--memod", f"127.0.0.1:{self.memod_port}",
                     "--name", name,
                     "--quiet",
                 ],
@@ -254,7 +245,8 @@ class TestKillOneNodeDrill:
             job_ids = submit_stream(cluster.base, stream, "drill")
 
             # Let the victim finish at least one job (publishing its
-            # check verdicts to memod), then SIGKILL it mid-batch.
+            # check verdicts to the coordinator's memo), then SIGKILL it
+            # mid-batch.
             deadline = time.monotonic() + 120
             while True:
                 completed = cluster.stats()["cluster"]["nodes"].get(
@@ -286,7 +278,7 @@ class TestKillOneNodeDrill:
             assert resharded <= set(job_ids)
             # The survivor answered re-run checks from the dead node's
             # published verdicts: the cluster memo did cross-node work.
-            assert stats["memod"]["cross_worker_hits"] > 0
+            assert stats["memo"]["cross_worker_hits"] > 0
 
             drill = collect(cluster.base, job_ids)
             reference = reference_results(stream, "drill")
@@ -304,7 +296,6 @@ class TestKillOneNodeDrill:
             [
                 sys.executable, "-m", "repro.cluster.node",
                 "--coordinator", f"127.0.0.1:{cluster.cluster_port}",
-                "--memod", f"127.0.0.1:{cluster.memod_port}",
                 "--name", victim,
                 "--quiet",
             ],

@@ -1,42 +1,58 @@
-"""Memo service + node client: RPC, auth, degraded mode, counter-based re-arm.
+"""The coordinator-hosted check memo: RPC, auth, degraded mode, re-arm.
 
 A node's memo client is the one :class:`~repro.api.memo.CheckMemoClient`
-with a :class:`~repro.cluster.memoclient.RemoteMemoStore` as its remote.
+with a :class:`~repro.cluster.memoclient.RemoteMemoStore` as its remote;
+the store dials the coordinator's cluster listener, where a connection
+opened with ``hello`` (instead of ``register``) is served ``lookup`` /
+``publish`` frames from the :class:`~repro.cluster.coordinator.ClusterEngine`'s
+one :class:`~repro.api.memo.SharedCheckMemo`.
 """
 
 from __future__ import annotations
 
+import json
+import threading
+import time
+
 import pytest
 
+from repro.api.config import EngineConfig
 from repro.api.memo import REARM_AFTER_CALLS, CheckMemoClient
+from repro.api.results import result_to_dict
 from repro.cluster.auth import TokenSet
+from repro.cluster.coordinator import ClusterEngine
 from repro.cluster.memoclient import RemoteMemoStore
-from repro.cluster.memod import MemoService
-from repro.cluster.protocol import ProtocolError
+from repro.cluster.node import NodeAgent
+from repro.cluster.protocol import FramedSocket, ProtocolError
+from repro.smt.solver import SmtResult, SmtSolver
+from repro.smt.terms import bv_const, bv_var
 from repro.testing import faults
 
 
+def start_coordinator(**kwargs) -> ClusterEngine:
+    return ClusterEngine(EngineConfig(), node_wait=5.0, **kwargs)
+
+
 @pytest.fixture
-def memod():
-    service = MemoService()
-    service.start()
-    yield service
-    service.close()
+def coordinator():
+    engine = start_coordinator()
+    yield engine
+    engine.close()
 
 
-def store_for(service: MemoService, client_id: str, token: str | None = None):
+def store_for(engine: ClusterEngine, client_id: str, token: str | None = None):
     return RemoteMemoStore(
-        "127.0.0.1", service.port, client_id=client_id, token=token
+        "127.0.0.1", engine.cluster_port, client_id=client_id, token=token
     )
 
 
-def client_for(service: MemoService, client_id: str) -> CheckMemoClient:
-    return CheckMemoClient(store_for(service, client_id), client_id)
+def client_for(engine: ClusterEngine, client_id: str) -> CheckMemoClient:
+    return CheckMemoClient(store_for(engine, client_id), client_id)
 
 
 class TestRemoteMemoStore:
-    def test_miss_publish_hit(self, memod):
-        store = store_for(memod, "n1")
+    def test_miss_publish_hit(self, coordinator):
+        store = store_for(coordinator, "n1")
         try:
             assert store.lookup("k1", "n1") is None
             store.publish("k1", "unsat", None, "n1")
@@ -46,37 +62,31 @@ class TestRemoteMemoStore:
         finally:
             store.close()
 
-    def test_cross_client_hits_are_counted(self, memod):
-        publisher = store_for(memod, "n1")
-        requester = store_for(memod, "n2")
+    def test_cross_client_hits_are_counted(self, coordinator):
+        publisher = store_for(coordinator, "n1")
+        requester = store_for(coordinator, "n2")
         try:
             publisher.publish("shared", "unsat", None, "n1")
             assert requester.lookup("shared", "n2") == ("unsat", None)
-            stats = requester.statistics()
+            stats = coordinator.cluster_statistics()["memo"]
             assert stats["cross_worker_hits"] == 1
             assert stats["publishes"] == 1
-            assert stats["service"]["connections"] == 2
+            assert stats["capacity"] == 65536
         finally:
             publisher.close()
             requester.close()
 
-    def test_ping(self, memod):
-        store = store_for(memod, "n1")
+    def test_memo_connections_are_not_nodes(self, coordinator):
+        store = store_for(coordinator, "n1")
         try:
-            assert store.ping() is True
+            store.publish("k", "unsat", None, "n1")
+            stats = coordinator.cluster_statistics()
+            assert stats["live_nodes"] == [] and stats["nodes"] == {}
         finally:
             store.close()
 
-    def test_ping_false_when_down(self, memod):
-        store = store_for(memod, "n1")
-        memod.close()
-        try:
-            assert store.ping() is False
-        finally:
-            store.close()
-
-    def test_reconnects_after_teardown(self, memod):
-        store = store_for(memod, "n1")
+    def test_reconnects_after_teardown(self, coordinator):
+        store = store_for(coordinator, "n1")
         try:
             store.publish("k", "unsat", None, "n1")
             # Simulate a dropped connection: the next call re-dials.
@@ -86,13 +96,81 @@ class TestRemoteMemoStore:
             store.close()
 
 
-class TestMemodAuth:
+class TestMalformedPublish:
+    """Only entries a solver could have decided enter the store."""
+
+    MALFORMED = [
+        ("sat", None),
+        ("unknown", None),
+        ("unsat", [True]),
+        ("sat", [1, 0]),
+        ("sat", "true"),
+        (None, None),
+    ]
+
+    @staticmethod
+    def _ult_zero_check(remote) -> tuple[SmtSolver, SmtResult]:
+        """``x <u 0``, which is UNSAT on its own."""
+        solver = SmtSolver()
+        solver.set_memo_backend(CheckMemoClient(remote, "n2"))
+        x = bv_var("x", 4)
+        solver.add(x.ult(bv_const(0, 4)))
+        return solver, solver.check()
+
+    def test_a_malformed_entry_is_refused_and_never_replayed(self, coordinator):
+        class _KeyRecorder:
+            def __init__(self):
+                self.keys: list[str] = []
+
+            def lookup(self, key, requester):
+                self.keys.append(key)
+                return None
+
+            def publish(self, *args):
+                pass
+
+        recorder = _KeyRecorder()
+        self._ult_zero_check(recorder)
+        (key,) = recorder.keys
+        forger = store_for(coordinator, "n1")
+        try:
+            for verdict, bits in self.MALFORMED:
+                with pytest.raises(ProtocolError, match="'sat' with a list"):
+                    forger.publish(key, verdict, bits, "n1")
+            assert coordinator.memo.statistics()["publishes"] == 0
+            # A node's check is answered by its own search, not the forgery.
+            remote = store_for(coordinator, "n2")
+            try:
+                solver, verdict = self._ult_zero_check(remote)
+            finally:
+                remote.close()
+            assert verdict is SmtResult.UNSAT
+            assert solver.statistics.check_memo_hits == 0
+        finally:
+            forger.close()
+
+    def test_refusal_is_a_structured_400_and_the_connection_stays(self, coordinator):
+        link = FramedSocket.connect("127.0.0.1", coordinator.cluster_port)
+        try:
+            link.send({"op": "hello", "client": "n1"})
+            assert link.recv() == {"ok": True}
+            link.send(
+                {"op": "publish", "key": "k", "verdict": "sat", "bits": None}
+            )
+            refusal = link.recv()
+            assert (refusal["ok"], refusal["status"]) == (False, 400)
+            link.send({"op": "lookup", "key": "k"})
+            assert link.recv() == {"ok": True, "found": None}
+        finally:
+            link.close()
+
+
+class TestMemoAuth:
     @pytest.fixture
     def authed(self):
-        service = MemoService(tokens=TokenSet.from_spec("ci:sekret"))
-        service.start()
-        yield service
-        service.close()
+        engine = start_coordinator(tokens=TokenSet.from_spec("ci:sekret"))
+        yield engine
+        engine.close()
 
     def test_good_token(self, authed):
         store = store_for(authed, "n1", token="ci:sekret")
@@ -109,7 +187,7 @@ class TestMemodAuth:
                 store.lookup("k", "n1")
         finally:
             store.close()
-        assert authed.statistics()["service"]["auth_failures"] >= 1
+        assert authed.memo.statistics()["lookups"] == 0
 
     def test_missing_token_rejected(self, authed):
         store = store_for(authed, "n1", token=None)
@@ -121,9 +199,9 @@ class TestMemodAuth:
 
 
 class TestNodeMemoClient:
-    def test_read_through_cache(self, memod):
-        publisher = store_for(memod, "n1")
-        client = client_for(memod, "n2")
+    def test_read_through_cache(self, coordinator):
+        publisher = store_for(coordinator, "n1")
+        client = client_for(coordinator, "n2")
         try:
             publisher.publish("k", "unsat", None, "n1")
             assert client.lookup("k") == ("unsat", None, True)  # remote hit
@@ -136,23 +214,24 @@ class TestNodeMemoClient:
             publisher.close()
             client.close()
 
-    def test_publish_goes_both_ways(self, memod):
-        client = client_for(memod, "n1")
-        other = store_for(memod, "n2")
+    def test_publish_goes_both_ways(self, coordinator):
+        client = client_for(coordinator, "n1")
+        other = store_for(coordinator, "n2")
         try:
             client.publish("k", "sat", [True])
-            assert other.lookup("k", "n2") == ("sat", [True])  # reached memod
-            assert client.lookup("k") == ("sat", [True], False)  # and locally
+            # Reached the coordinator's store, and the local one.
+            assert other.lookup("k", "n2") == ("sat", [True])
+            assert client.lookup("k") == ("sat", [True], False)
             assert client.statistics()["local_hits"] == 1
         finally:
             client.close()
             other.close()
 
-    def test_degrades_silently_when_service_dies(self, memod):
-        client = client_for(memod, "n1")
+    def test_degrades_silently_when_coordinator_dies(self, coordinator):
+        client = client_for(coordinator, "n1")
         try:
             client.publish("k", "unsat", None)
-            memod.close()
+            coordinator.close()
             client.remote._teardown()
             # The failed call degrades the client; no exception escapes.
             assert client.lookup("other") is None
@@ -165,10 +244,10 @@ class TestNodeMemoClient:
         finally:
             client.close()
 
-    def test_degraded_calls_skip_the_network(self, memod):
-        client = client_for(memod, "n1")
+    def test_degraded_calls_skip_the_network(self, coordinator):
+        client = client_for(coordinator, "n1")
         try:
-            memod.close()
+            coordinator.close()
             client.remote._teardown()
             client.lookup("x")  # trips the degradation
             for index in range(10):
@@ -179,22 +258,21 @@ class TestNodeMemoClient:
         finally:
             client.close()
 
-    def test_rearm_after_cooldown_with_restarted_service(self, memod):
-        client = client_for(memod, "n1")
-        publisher = store_for(memod, "n2")
+    def test_rearm_after_cooldown_with_restarted_coordinator(self, coordinator):
+        client = client_for(coordinator, "n1")
         try:
-            publisher.publish("warm", "unsat", None, "n2")
-            port = memod.port
-            memod.close()
+            port = coordinator.cluster_port
+            coordinator.close()
             client.remote._teardown()
             client.lookup("trip")  # degrade
             assert client.degraded()
-            # Service comes back on the same port.
-            revived = MemoService(port=port)
-            revived.start()
+            # The coordinator comes back on the same port, with an empty
+            # memo that another node then warms.
+            revived = start_coordinator(port=port)
             try:
-                publisher2 = store_for(revived, "n3")
-                publisher2.publish("warm", "unsat", None, "n3")
+                publisher = store_for(revived, "n3")
+                publisher.publish("warm", "unsat", None, "n3")
+                publisher.close()
                 # Burn through the cooldown: these calls are local-only.
                 for index in range(REARM_AFTER_CALLS - 1):
                     client.lookup(f"cooldown-{index}")
@@ -205,22 +283,20 @@ class TestNodeMemoClient:
                 stats = client.statistics()
                 assert stats["rearms"] == 1
                 assert stats["remote_hits"] == 1
-                publisher2.close()
             finally:
                 revived.close()
         finally:
-            publisher.close()
             client.close()
 
-    def test_failed_rearm_restarts_cooldown(self, memod):
-        client = client_for(memod, "n1")
+    def test_failed_rearm_restarts_cooldown(self, coordinator):
+        client = client_for(coordinator, "n1")
         try:
-            memod.close()
+            coordinator.close()
             client.remote._teardown()
             client.lookup("trip")
             for index in range(REARM_AFTER_CALLS - 1):
                 client.lookup(f"cooldown-{index}")
-            # Probe fires against a still-dead service: degrade again.
+            # Probe fires against a still-dead coordinator: degrade again.
             assert client.lookup("probe") is None
             assert client.degraded()
             stats = client.statistics()
@@ -230,15 +306,15 @@ class TestNodeMemoClient:
             client.close()
 
 
-class TestMemodFaultPoint:
-    def test_memod_down_fault_drops_connections(self, memod):
-        client = client_for(memod, "n1")
+class TestMemoFaultPoint:
+    def test_memo_down_fault_drops_connections(self, coordinator):
+        client = client_for(coordinator, "n1")
         try:
             client.publish("k", "unsat", None)
-            with faults.injected({"memod.down": faults.Fault("raise", "EIO")}):
-                # Force a fresh dial: the armed service drops every new
-                # connection before the hello completes, and the client
-                # degrades instead of raising into the caller.
+            with faults.injected({"memo.down": faults.Fault("raise", "EIO")}):
+                # Force a fresh dial: the armed coordinator drops every
+                # new memo connection before the hello is answered, and
+                # the client degrades instead of raising into the caller.
                 client.remote._teardown()
                 assert client.lookup("anything") is None
                 assert client.degraded()
@@ -306,33 +382,20 @@ class TestNodeMemoStatistics:
         "bound": 250,
     }
 
-    def test_counters_and_degradation_are_reported_per_node(self, memod):
-        import json
-        import threading
-        import time
-
-        from repro.api.config import EngineConfig
-        from repro.api.results import result_to_dict
-        from repro.cluster.coordinator import ClusterEngine
-        from repro.cluster.node import NodeAgent
-
-        cluster = ClusterEngine(EngineConfig(), node_wait=10.0)
+    def test_counters_and_degradation_are_reported_per_node(self, coordinator):
         agent = NodeAgent(
-            "alpha",
-            ("127.0.0.1", cluster.cluster_port),
-            memod=("127.0.0.1", memod.port),
-            quiet=True,
+            "alpha", ("127.0.0.1", coordinator.cluster_port), quiet=True
         )
         thread = threading.Thread(target=agent.run, daemon=True)
         thread.start()
         try:
             deadline = time.monotonic() + 10.0
-            while not cluster.cluster_statistics()["live_nodes"]:
+            while not coordinator.cluster_statistics()["live_nodes"]:
                 assert time.monotonic() < deadline, "node never registered"
                 time.sleep(0.02)
-            cluster.submit(dict(self.TIMING))
-            first = cluster.run_batch()
-            entry = cluster.cluster_statistics()["nodes"]["alpha"]
+            coordinator.submit(dict(self.TIMING))
+            first = coordinator.run_batch()
+            entry = coordinator.cluster_statistics()["nodes"]["alpha"]
             memo = entry["memo_client"]
             assert memo["publishes"] > 0
             # The node's whole executor snapshot: pool counters and its
@@ -340,23 +403,24 @@ class TestNodeMemoStatistics:
             assert entry["leases"] == 1
             assert entry["platform_memo"]["lookups"] > 0
             assert (memo["degraded"], memo["degradations"]) == (False, 0)
-            # The memo service dies: the node's next remote call fails and
-            # its client degrades, which /stats now shows.
-            memod.close()
-            agent.memo_client.remote._teardown()
-            # Another CFG, so its checks miss the node's local store.
-            cluster.submit(
-                dict(self.TIMING, program_args={"length": 4, "word_width": 16})
-            )
-            second = cluster.run_batch()
+            # The node's publishes reached the coordinator's store.
+            assert coordinator.cluster_statistics()["memo"]["publishes"] > 0
+            # The memo connection drops: the node's next remote call
+            # fails and its client degrades, which /stats now shows.
+            with faults.injected({"memo.down": faults.Fault("raise", "EIO")}):
+                # Another CFG, so its checks miss the node's local store.
+                coordinator.submit(
+                    dict(self.TIMING, program_args={"length": 4, "word_width": 16})
+                )
+                second = coordinator.run_batch()
             assert [r.success for r in first + second] == [True, True]
-            memo = cluster.cluster_statistics()["nodes"]["alpha"]["memo_client"]
+            memo = coordinator.cluster_statistics()["nodes"]["alpha"]["memo_client"]
             assert memo["degraded"] is True
             assert memo["degradations"] >= 1
             for result in first + second:
                 assert "memo_client" not in json.dumps(result_to_dict(result))
         finally:
-            cluster.close()
+            coordinator.close()
             agent.close()
             thread.join(timeout=10.0)
         assert not thread.is_alive()
